@@ -1,4 +1,4 @@
-"""Exact dense linear algebra for small integer quadratic forms.
+"""Exact linear algebra for small integer quadratic forms.
 
 Everything here works over arbitrary-precision integers or
 ``fractions.Fraction``; no floating point is used anywhere.
@@ -78,52 +78,6 @@ def solve_exact(rows: Sequence[Sequence[int]], rhs: Sequence[Fraction]) -> list[
     return [a[i][n] / a[i][i] for i in range(n)]
 
 
-def invert_exact(rows: Sequence[Sequence[int]]) -> list[list[Fraction]] | None:
-    """Exact inverse over the rationals; None if singular."""
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return None
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        inv[k], inv[pivot_row] = inv[pivot_row], inv[k]
-        scale = 1 / a[k][k]
-        a[k] = [x * scale for x in a[k]]
-        inv[k] = [x * scale for x in inv[k]]
-        for i in range(n):
-            if i == k or a[i][k] == 0:
-                continue
-            f = a[i][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-            inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    return inv
-
-
-def rank_exact(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of integer vectors over the rationals."""
-    if not vectors:
-        return 0
-    a = [[Fraction(x) for x in v] for v in vectors]
-    cols = len(a[0])
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        for i in range(r + 1, len(a)):
-            if a[i][c] == 0:
-                continue
-            f = a[i][c] / a[r][c]
-            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == len(a):
-            break
-    return r
-
-
 def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of the lattice generated by integer rows (echelon form over Z).
 
@@ -153,26 +107,34 @@ def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in work[:r] if any(row)]
 
 
-def cholesky_form(g: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Rational square completion of a positive definite form.
+def cholesky_form(
+    g: Sequence[Sequence[Fraction | int]],
+) -> tuple[list[Fraction], list[list[tuple[int, Fraction]]]]:
+    """Rational square completion of a positive definite form, on sparse rows.
 
-    Returns (d, u) with x^T G x = sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)^2.
+    Returns (d, u) with x^T G x = sum_i d[i] * (x_i + sum_j u_ij x_j)^2,
+    eliminating in the given index order.  Each u[i] lists the nonzero
+    (j, u_ij), all with j > i, in increasing j.  Only nonzero and filled-in entries are
+    updated, so a tree form costs O(fill) rather than O(m^3).
     Raises ValueError if G is not positive definite.
     """
-    m = len(g)
-    work = [[Fraction(x) for x in row] for row in g]
-    d: list[Fraction] = [Fraction(0)] * m
-    u = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        if work[i][i] <= 0:
+    upper = [
+        {j: Fraction(x) for j, x in enumerate(row) if j >= i and x}
+        for i, row in enumerate(g)
+    ]
+    d: list[Fraction] = []
+    u: list[list[tuple[int, Fraction]]] = []
+    for i, row in enumerate(upper):
+        di = row.pop(i, Fraction(0))
+        if di <= 0:
             raise ValueError("form is not positive definite")
-        d[i] = work[i][i]
-        for j in range(i + 1, m):
-            u[i][j] = work[i][j] / d[i]
-        for k in range(i + 1, m):
-            for l in range(k, m):
-                work[k][l] -= d[i] * u[i][k] * u[i][l]
-                work[l][k] = work[k][l]
+        ui = sorted((j, x / di) for j, x in row.items() if x)
+        for a, (k, uk) in enumerate(ui):
+            target = upper[k]
+            for l, ul in ui[a:]:
+                target[l] = target.get(l, 0) - di * uk * ul
+        d.append(di)
+        u.append(ui)
     return d, u
 
 

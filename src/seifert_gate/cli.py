@@ -13,7 +13,9 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -167,11 +169,13 @@ def format_text(d: dict[str, Any]) -> str:
 
 
 def _evaluate_tuple(payload: tuple[tuple[int, ...], int, int]) -> dict[str, Any]:
-    """Worker for batch mode: returns either a report dict or an embedded error."""
+    """Worker for batch mode: a report dict, or any exception as the line's error."""
     values, cap, kn_bound = payload
     try:
         return report_to_dict(verdict(values, cap=cap, kn_bound=kn_bound))
-    except SeifertGateError as exc:
+    except Exception as exc:
+        if not isinstance(exc, SeifertGateError):
+            traceback.print_exc()
         return {
             "input": list(values),
             "error": {"type": type(exc).__name__, "message": str(exc)},
@@ -232,17 +236,17 @@ def _default_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_ENUMERATION_CAP
+        raise InvalidParameter(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 def _emit(d: dict[str, Any], json_output: bool, compact: bool = False) -> None:
-    if json_output:
-        if compact:
-            print(json.dumps(d, separators=(",", ":")))
-        else:
-            print(json.dumps(d, indent=2))
+    if not json_output:
+        text = format_text(d)
+    elif compact:
+        text = json.dumps(d, separators=(",", ":"))
     else:
-        print(format_text(d))
+        text = json.dumps(d, indent=2)
+    print(text, flush=True)
 
 
 def _run_single(values: Sequence[int], config: RunConfig) -> int:
@@ -293,14 +297,16 @@ def _run_batch(path: str, config: RunConfig) -> int:
         tasks.append(parsed)
         records.append(None)  # placeholder, filled after evaluation
     payloads = [(t, config.cap, config.kn_bound) for t in tasks]
-    if config.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_evaluate_tuple, payloads))
-    else:
-        results = [_evaluate_tuple(p) for p in payloads]
-    it = iter(results)
-    for record in records:
-        _emit(record if record is not None else next(it), config.json_output, compact=True)
+    with ExitStack() as stack:
+        # Both maps yield in input order as results arrive, so each line is
+        # written as soon as it and every earlier line are ready.
+        if config.jobs > 1 and len(payloads) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.jobs))
+            results = pool.map(_evaluate_tuple, payloads)
+        else:
+            results = map(_evaluate_tuple, payloads)
+        for record in records:
+            _emit(record if record is not None else next(results), config.json_output, compact=True)
     return 2 if parse_failures else 0
 
 
@@ -367,9 +373,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cap = args.cap if args.cap is not None else _default_cap()
     mode = "batch" if args.batch else "single"
     try:
+        cap = args.cap if args.cap is not None else _default_cap()
         config = RunConfig(
             mode=mode,
             cap=cap,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from typing import Sequence
 
 from . import _linalg
 from .errors import EnumerationCapExceeded, NotDiagonalizable, SingularMatrix
@@ -41,18 +42,26 @@ DEFAULT_ENUMERATION_CAP = 10**6
 class DiagonalizationCertificate:
     """Either a unimodular E with E^T Q E = -I, or a proof-of-absence witness.
 
-    When absent, norm_one_count and span_rank describe the exhaustive search:
-    how many vectors of self-intersection -1 exist (up to sign) and the rank
-    of their span.
+    units are all vectors of self-intersection -1 (one per +-pair, as
+    norm_minus_one_vectors returns them) and nodes the search nodes their
+    enumeration spent.  When absent, norm_one_count and span_rank describe the
+    exhaustive search: how many such vectors exist and the rank of their span.
     """
 
     E: tuple[tuple[int, ...], ...] | None
-    norm_one_count: int
-    span_rank: int
+    units: tuple[tuple[int, ...], ...]
+    nodes: int
 
     @property
     def present(self) -> bool:
         return self.E is not None
+
+    @property
+    def norm_one_count(self) -> int:
+        return len(self.units)
+
+    # diagonalize checks the units pairwise orthogonal, so they are independent
+    span_rank = norm_one_count
 
 
 @dataclass(frozen=True)
@@ -83,11 +92,12 @@ def _require_neg_def_unimodular(form: IntersectionForm) -> None:
 
 
 class _NodeBudget:
-    """Counts search nodes against a cap shared by one enumeration call."""
+    """Counts search nodes against a cap; a start above the cap raises at once."""
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, used: int = 0):
         self.cap = cap
-        self.used = 0
+        self.used = used - 1
+        self.spend()  # brings used back to its start and checks it against the cap
 
     def spend(self) -> None:
         self.used += 1
@@ -100,8 +110,7 @@ class _NodeBudget:
 def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list[tuple[int, ...]]:
     """Bounded search for all v with v^T Q v = -1, one per +-pair."""
     m = form.m
-    g = [[Fraction(-form.Q[i][j]) for j in range(m)] for i in range(m)]
-    d, u = _linalg.cholesky_form(g)
+    d, u = _linalg.cholesky_form([[-x for x in row] for row in form.Q])
     found: list[tuple[int, ...]] = []
     x = [0] * m
 
@@ -110,7 +119,7 @@ def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list
             if remaining == 0 and not leading_zero:
                 found.append(tuple(x))
             return
-        shift = sum(u[level][j] * x[j] for j in range(level + 1, m))
+        shift = sum(uj * x[j] for j, uj in u[level])
         radicand = remaining / d[level]
         hi = _linalg.floor_add_sqrt(-shift, radicand)
         lo = 0 if leading_zero else _linalg.ceil_sub_sqrt(-shift, radicand)
@@ -147,8 +156,15 @@ def norm_minus_one_vectors(
     return _fixed_norm_enumeration(form, _NodeBudget(cap))
 
 
-def _pairing(q: tuple[tuple[int, ...], ...], v: tuple[int, ...], w: tuple[int, ...]) -> int:
-    return sum(v[i] * q[i][j] * w[j] for i in range(len(v)) for j in range(len(v)))
+def _images(form: IntersectionForm, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Q w for each w in vectors, over the nonzero entries of Q only."""
+    q = [[(j, x) for j, x in enumerate(row) if x] for row in form.Q]
+    return [[sum(x * w[j] for j, x in row) for row in q] for w in vectors]
+
+
+def _pairing(v: Sequence[int], qw: Sequence[int]) -> int:
+    """v^T Q w, given the image Q w."""
+    return sum(a * b for a, b in zip(v, qw) if a)
 
 
 def diagonalize(
@@ -160,28 +176,27 @@ def diagonalize(
     (Cauchy-Schwarz forces |Q(v, w)| < 1), so the form is equivalent to -I
     exactly when the enumeration yields m of them.  In that case the columns
     of E are those vectors, and E^T Q E = -I is re-verified entry by entry.
+    The certificate keeps the vectors and the nodes spent on them, so
+    d_invariant can reuse them.
     """
     _require_neg_def_unimodular(form)
     m = form.m
-    vectors = norm_minus_one_vectors(form, cap)
-    chosen: list[tuple[int, ...]] = []
-    for v in vectors:
-        if all(_pairing(form.Q, v, w) == 0 for w in chosen):
-            chosen.append(v)
-    assert len(chosen) == len(vectors), "norm -1 vectors must be pairwise orthogonal"
-    if len(chosen) != m:
-        return DiagonalizationCertificate(
-            E=None,
-            norm_one_count=len(vectors),
-            span_rank=_linalg.rank_exact([list(v) for v in vectors]),
-        )
-    e = tuple(tuple(chosen[j][i] for j in range(m)) for i in range(m))
+    budget = _NodeBudget(cap)
+    vectors = _fixed_norm_enumeration(form, budget)
+    images = _images(form, vectors)
+    for i, v in enumerate(vectors):
+        orthogonal = all(_pairing(v, images[j]) == 0 for j in range(i))
+        assert orthogonal, "norm -1 vectors must be pairwise orthogonal"
+    units = tuple(vectors)
+    if len(units) != m:
+        return DiagonalizationCertificate(E=None, units=units, nodes=budget.used)
+    e = tuple(tuple(units[j][i] for j in range(m)) for i in range(m))
     for i in range(m):
         for j in range(m):
             expected = -1 if i == j else 0
-            assert _pairing(form.Q, chosen[i], chosen[j]) == expected
+            assert _pairing(units[i], images[j]) == expected
     assert abs(_linalg.bareiss_determinant(e)) == 1
-    return DiagonalizationCertificate(E=e, norm_one_count=len(vectors), span_rank=m)
+    return DiagonalizationCertificate(E=e, units=units, nodes=budget.used)
 
 
 def dual_class(form: IntersectionForm) -> DualClass:
@@ -285,7 +300,7 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
             if acc < best:
                 best = acc
             return
-        shift = sum(u[level][j] * x[j] for j in range(level + 1, m))
+        shift = sum(uj * x[j] for j, uj in u[level])
         center = -shift
         nearest = parity[level] + 2 * floor((center - parity[level]) / 2 + half)
         lo, hi = nearest - 2, nearest + 2
@@ -330,26 +345,29 @@ def _split_off_units(
     negative definite, now with no (-1)-vectors at all.
     """
     m = form.m
+    images = _images(form, units)
     projected = []
     for i in range(m):
-        e = tuple(int(i == j) for j in range(m))
-        x = list(e)
-        for uvec in units:
-            p = _pairing(form.Q, e, uvec)
+        x = [int(i == j) for j in range(m)]
+        for uvec, qu in zip(units, images):
+            p = qu[i]  # Q(e_i, u)
             for j in range(m):
                 x[j] += p * uvec[j]
         projected.append(x)
     basis = _linalg.row_lattice_basis(projected)
     assert len(basis) == m - len(units)
-    gram = [
-        [_pairing(form.Q, tuple(a), tuple(b)) for b in basis] for a in basis
-    ]
+    basis_images = _images(form, basis)
+    gram = [[_pairing(a, qb) for qb in basis_images] for a in basis]
     sub = IntersectionForm.from_matrix(gram)
     assert abs(sub.det) == 1 and sub.negative_definite
     return sub
 
 
-def d_invariant(form: IntersectionForm, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
+def d_invariant(
+    form: IntersectionForm,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    cert: DiagonalizationCertificate | None = None,
+) -> Fraction:
     """Correction term d = max over characteristic kappa of (kappa^T Q^{-1} kappa + m)/4.
 
     Computed exactly as a closest-vector search over the characteristic
@@ -359,11 +377,24 @@ def d_invariant(form: IntersectionForm, cap: int = DEFAULT_ENUMERATION_CAP) -> F
     then shifted by the number of split-off units.  Reported under the
     sharpness hypothesis, which holds for the star-shaped negative-definite
     plumbings produced by this package.
+
+    Given diagonalize's certificate for this form, the search reuses its
+    (-1)-vectors instead of enumerating them again, and its node count starts
+    at the nodes that enumeration spent, so every cap outcome is the same as
+    without it.
     """
     _require_neg_def_unimodular(form)
     m = form.m
-    budget = _NodeBudget(cap)
-    units = _fixed_norm_enumeration(form, budget)
+    if cert is None:
+        budget = _NodeBudget(cap)
+        units = _fixed_norm_enumeration(form, budget)
+    else:
+        if any(len(v) != m for v in cert.units) or any(
+            _pairing(v, qv) != -1 for v, qv in zip(cert.units, _images(form, cert.units))
+        ):
+            raise ValueError("certificate does not belong to this form")
+        budget = _NodeBudget(cap, cert.nodes)
+        units = list(cert.units)
     k = len(units)
     if k == m:
         return Fraction(0)

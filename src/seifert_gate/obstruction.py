@@ -360,7 +360,7 @@ def verdict(
     dual = dual_class(form)
     big_a = mult.product
     assert dual.self_intersection == -big_a
-    d_val = d_invariant(form, cap)
+    d_val = d_invariant(form, cap, cert)
     bound = TwistBound.for_product(big_a)
     twist_cert = verify_twist_chain(pres, glue, range(-1, kn_bound - 1, -1))
     caveats = [_SHARPNESS_CAVEAT, _VERTICAL_TWIST_CAVEAT]

@@ -192,3 +192,25 @@ def random_coprime_tuples(rng, count, max_product=10**4, length=3, lo=2, hi=120)
         seen.add(t)
         out.append(t)
     return out
+
+
+def dense_cholesky(g):
+    """Square completion x^T G x = sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)^2, dense.
+
+    The O(m^3) in-order elimination over every entry, zeros included; the
+    library's sparse version must agree with it entry for entry.
+    """
+    m = len(g)
+    work = [[Fraction(x) for x in row] for row in g]
+    d = [Fraction(0)] * m
+    u = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        assert work[i][i] > 0, "form is not positive definite"
+        d[i] = work[i][i]
+        for j in range(i + 1, m):
+            u[i][j] = work[i][j] / d[i]
+        for k in range(i + 1, m):
+            for l in range(k, m):
+                work[k][l] -= d[i] * u[i][k] * u[i][l]
+                work[l][k] = work[k][l]
+    return d, u

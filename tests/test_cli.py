@@ -1,7 +1,11 @@
+import io
 import json
 import subprocess
 import sys
 
+import pytest
+
+from seifert_gate import cli
 from seifert_gate.cli import main, report_to_dict
 from seifert_gate.obstruction import verdict
 
@@ -110,6 +114,11 @@ class TestSingleMode:
         monkeypatch.setenv("SEIFERT_GATE_CAP", "1000000")
         assert main(["5", "7", "11", "13"]) == 0
 
+    def test_env_cap_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEIFERT_GATE_CAP", "1e6")
+        assert main(["2", "3", "5"]) == 2
+        assert "InvalidParameter: SEIFERT_GATE_CAP" in capsys.readouterr().err
+
     def test_json_deterministic_modulo_elapsed(self, capsys):
         _, out1 = run_json(capsys, ["2", "3", "13", "--json"])
         _, out2 = run_json(capsys, ["2", "3", "13", "--json"])
@@ -182,6 +191,63 @@ class TestBatchMode:
         assert "ParseError" in out
         assert "NotCoprime" in out
         assert "obstructed_floer_gap" in out
+
+    def test_unexpected_error_stays_on_its_line(self, tmp_path, capsys, monkeypatch):
+        real = cli.verdict
+
+        def failing(values, **kwargs):
+            if tuple(values) == (2, 3, 7):
+                raise RuntimeError("boom")
+            return real(values, **kwargs)
+
+        monkeypatch.setattr(cli, "verdict", failing)
+        f = tmp_path / "batch.txt"
+        f.write_text("2 3 5\n2 3 7\n2 3 13\n")
+        code, out = run_json(capsys, ["--batch", str(f), "--json"])
+        assert code == 0
+        docs = [json.loads(line) for line in out.strip().splitlines()]
+        assert docs[1] == {
+            "input": [2, 3, 7],
+            "error": {"type": "RuntimeError", "message": "boom"},
+        }
+        assert [d["verdict"] for d in (docs[0], docs[2])] == [
+            "obstructed_donaldson",
+            "obstructed_floer_gap",
+        ]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_lines_stream_in_order(self, tmp_path, monkeypatch, jobs):
+        # Each line must be written before the next tuple is evaluated.  A
+        # serial stand-in for the process pool keeps the ordering observable.
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        out = io.StringIO()
+        written_before = []
+        real = cli.verdict
+
+        def observed(values, **kwargs):
+            written_before.append(out.getvalue().count("\n"))
+            return real(values, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "verdict", observed)
+        monkeypatch.setattr(sys, "stdout", out)
+        f = tmp_path / "batch.txt"
+        f.write_text("2 3 five\n2 3 5\n2 3 7\n2 3 13\n")
+        assert main(["--batch", str(f), "--json", "--jobs", jobs]) == 2
+        assert written_before == [1, 2, 3]
+        assert len(out.getvalue().splitlines()) == 4
 
     def test_missing_file(self, capsys):
         assert main(["--batch", "/nonexistent/nope.txt"]) == 2

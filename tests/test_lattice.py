@@ -18,11 +18,13 @@ from seifert_gate import (
     solve_unnormalized,
     validate_multiplicities,
 )
+from seifert_gate._linalg import cholesky_form
 from seifert_gate.obstruction import ceil_sqrt
 from oracles import (
     box_d_invariant,
     box_norm_minus_one,
     brute_force_sharp_max,
+    dense_cholesky,
     gauss_inverse,
     mat_mul,
     quad_value,
@@ -229,6 +231,63 @@ class TestDInvariant:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             d_invariant(IntersectionForm.from_matrix([[-2, 1], [1, -2]]))
+
+
+# Fewest search nodes each call needs.  The search must visit exactly these
+# nodes in this order, or some tuple's cap outcome moves.
+MINIMAL_CAPS = [
+    # tuple, diagonalize, d_invariant
+    ((2, 3, 5), 29, 32),
+    ((2, 3, 13), 20, 20),
+    ((3, 4, 11), 93, 4043),
+    ((7, 8, 11), 137, 4979),
+    ((5, 8, 13), 168, 141842),
+]
+
+
+class TestSearchIsPinned:
+    @pytest.mark.parametrize("a, n_diag, n_d", MINIMAL_CAPS)
+    def test_diagonalize_minimal_cap(self, a, n_diag, n_d):
+        f = form_for(a)
+        assert diagonalize(f, cap=n_diag).nodes == n_diag
+        with pytest.raises(EnumerationCapExceeded):
+            diagonalize(f, cap=n_diag - 1)
+
+    @pytest.mark.parametrize("a, n_diag, n_d", MINIMAL_CAPS)
+    def test_d_invariant_minimal_cap(self, a, n_diag, n_d):
+        f = form_for(a)
+        cert = diagonalize(f, cap=n_diag)
+        values = []
+        for reuse in (None, cert):
+            values.append(d_invariant(f, cap=n_d, cert=reuse))
+            with pytest.raises(EnumerationCapExceeded):
+                d_invariant(f, cap=n_d - 1, cert=reuse)
+        assert values[0] == values[1]
+
+    def test_reused_certificate_must_match_the_form(self):
+        cert = diagonalize(form_for((2, 3, 13)))
+        for other in [(2, 3, 7), (2, 5, 7)]:  # rank 4; rank 5 like (2, 3, 13)
+            with pytest.raises(ValueError):
+                d_invariant(form_for(other), cert=cert)
+
+    @pytest.mark.parametrize(
+        "a",
+        [(2, 3, 6 * n + 1) for n in range(2, 51, 6)]
+        + [(5, 8, 13), (11, 14, 15), (2, 3, 5, 7, 11, 13)],
+    )
+    def test_sparse_square_completion_matches_dense(self, a):
+        g = [[-x for x in row] for row in form_for(a).Q]
+        d, u = cholesky_form(g)
+        dense_d, dense_u = dense_cholesky(g)
+        assert d == dense_d
+        for i, row in enumerate(u):
+            columns = [j for j, _ in row]
+            assert columns == sorted(columns)
+            assert all(j > i and x != 0 for j, x in row)
+            as_dense = [Fraction(0)] * len(g)
+            for j, x in row:
+                as_dense[j] = x
+            assert as_dense == dense_u[i]
 
 
 def test_characteristic_vector_validation():
