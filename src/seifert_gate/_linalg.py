@@ -114,8 +114,8 @@ def cholesky_form(
 
     Returns (d, u) with x^T G x = sum_i d[i] * (x_i + sum_j u_ij x_j)^2,
     eliminating in the given index order.  Each u[i] lists the nonzero
-    (j, u_ij), all with j > i, in increasing j.  Only nonzero and filled-in entries are
-    updated, so a tree form costs O(fill) rather than O(m^3).
+    (j, u_ij), all with j > i, in increasing j.  Only nonzero and filled-in
+    entries are updated, so a tree form costs O(fill) rather than O(m^3).
     Raises ValueError if G is not positive definite.
     """
     upper = [

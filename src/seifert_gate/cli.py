@@ -1,10 +1,11 @@
 """Command line interface: single tuples, batch files, and the small families.
 
-Exit codes: 0 success, 2 invalid input or parameters, 3 enumeration cap
-exceeded.  JSON output is schema-stable and byte-identical across runs except
-for the elapsed_ms field; exact rationals are serialized as
-{"num": ..., "den": ...} string pairs, never as floats.  Decimal
-approximations appear only in the text view, marked with "~".
+Exit codes: 0 success, 1 a batch line failed with an error that is not one of
+the package's own, 2 invalid input or parameters, 3 enumeration cap exceeded.
+JSON output is schema-stable and byte-identical across runs except for the
+elapsed_ms field; exact rationals are serialized as {"num": ..., "den": ...}
+string pairs, never as floats.  Decimal approximations appear only in the text
+view, marked with "~".
 """
 
 from __future__ import annotations
@@ -168,18 +169,18 @@ def format_text(d: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _evaluate_tuple(payload: tuple[tuple[int, ...], int, int]) -> dict[str, Any]:
-    """Worker for batch mode: a report dict, or any exception as the line's error."""
+def _evaluate_tuple(payload: tuple[tuple[int, ...], int, int]) -> tuple[dict[str, Any], bool]:
+    """Batch worker: the report dict or any exception as the line's error, and
+    whether that error is not one of the package's own."""
     values, cap, kn_bound = payload
     try:
-        return report_to_dict(verdict(values, cap=cap, kn_bound=kn_bound))
+        return report_to_dict(verdict(values, cap=cap, kn_bound=kn_bound)), False
     except Exception as exc:
-        if not isinstance(exc, SeifertGateError):
+        unexpected = not isinstance(exc, SeifertGateError)
+        if unexpected:
             traceback.print_exc()
-        return {
-            "input": list(values),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        return {"input": list(values), "error": error}, unexpected
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -240,12 +241,10 @@ def _default_cap() -> int:
 
 
 def _emit(d: dict[str, Any], json_output: bool, compact: bool = False) -> None:
-    if not json_output:
-        text = format_text(d)
-    elif compact:
-        text = json.dumps(d, separators=(",", ":"))
+    if json_output:
+        text = json.dumps(d, separators=(",", ":")) if compact else json.dumps(d, indent=2)
     else:
-        text = json.dumps(d, indent=2)
+        text = format_text(d)
     print(text, flush=True)
 
 
@@ -305,9 +304,13 @@ def _run_batch(path: str, config: RunConfig) -> int:
             results = pool.map(_evaluate_tuple, payloads)
         else:
             results = map(_evaluate_tuple, payloads)
+        unexpected = 0
         for record in records:
-            _emit(record if record is not None else next(results), config.json_output, compact=True)
-    return 2 if parse_failures else 0
+            if record is None:
+                record, failed = next(results)
+                unexpected += failed
+            _emit(record, config.json_output, compact=True)
+    return 1 if unexpected else 2 if parse_failures else 0
 
 
 def _run_family(argv: Sequence[str]) -> int:

@@ -96,11 +96,14 @@ class _NodeBudget:
 
     def __init__(self, cap: int, used: int = 0):
         self.cap = cap
-        self.used = used - 1
-        self.spend()  # brings used back to its start and checks it against the cap
+        self.used = used
+        self._check()
 
     def spend(self) -> None:
         self.used += 1
+        self._check()
+
+    def _check(self) -> None:
         if self.used > self.cap:
             raise EnumerationCapExceeded(
                 f"lattice search exceeded {self.cap} nodes"
@@ -167,6 +170,18 @@ def _pairing(v: Sequence[int], qw: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(v, qw) if a)
 
 
+def _is_orthonormal(form: IntersectionForm, vectors: Sequence[Sequence[int]]) -> bool:
+    """Whether the vectors lie in Z^m and their whole Gram matrix Q(v_i, v_j) is -I."""
+    if any(len(v) != form.m for v in vectors):
+        return False
+    images = _images(form, vectors)
+    return all(
+        _pairing(v, images[j]) == (-1 if i == j else 0)
+        for i, v in enumerate(vectors)
+        for j in range(i, len(vectors))
+    )
+
+
 def diagonalize(
     form: IntersectionForm, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> DiagonalizationCertificate:
@@ -182,19 +197,12 @@ def diagonalize(
     _require_neg_def_unimodular(form)
     m = form.m
     budget = _NodeBudget(cap)
-    vectors = _fixed_norm_enumeration(form, budget)
-    images = _images(form, vectors)
-    for i, v in enumerate(vectors):
-        orthogonal = all(_pairing(v, images[j]) == 0 for j in range(i))
-        assert orthogonal, "norm -1 vectors must be pairwise orthogonal"
-    units = tuple(vectors)
+    units = tuple(_fixed_norm_enumeration(form, budget))
+    # the Gram matrix of the units; with m of them it is E^T Q E
+    assert _is_orthonormal(form, units), "norm -1 vectors must be pairwise orthogonal"
     if len(units) != m:
         return DiagonalizationCertificate(E=None, units=units, nodes=budget.used)
     e = tuple(tuple(units[j][i] for j in range(m)) for i in range(m))
-    for i in range(m):
-        for j in range(m):
-            expected = -1 if i == j else 0
-            assert _pairing(units[i], images[j]) == expected
     assert abs(_linalg.bareiss_determinant(e)) == 1
     return DiagonalizationCertificate(E=e, units=units, nodes=budget.used)
 
@@ -335,7 +343,7 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
 
 
 def _split_off_units(
-    form: IntersectionForm, units: list[tuple[int, ...]]
+    form: IntersectionForm, units: Sequence[Sequence[int]]
 ) -> IntersectionForm:
     """Gram matrix of the orthogonal complement of the (-1)-vectors inside Z^m.
 
@@ -378,28 +386,22 @@ def d_invariant(
     sharpness hypothesis, which holds for the star-shaped negative-definite
     plumbings produced by this package.
 
-    Given diagonalize's certificate for this form, the search reuses its
-    (-1)-vectors instead of enumerating them again, and its node count starts
-    at the nodes that enumeration spent, so every cap outcome is the same as
-    without it.
+    The (-1)-vectors, and the nodes spent on them where the count starts, come
+    from diagonalize's certificate: one made here, or the one passed, whose
+    vectors must be orthonormal in this form (else ValueError).
     """
     _require_neg_def_unimodular(form)
     m = form.m
     if cert is None:
-        budget = _NodeBudget(cap)
-        units = _fixed_norm_enumeration(form, budget)
-    else:
-        if any(len(v) != m for v in cert.units) or any(
-            _pairing(v, qv) != -1 for v, qv in zip(cert.units, _images(form, cert.units))
-        ):
-            raise ValueError("certificate does not belong to this form")
-        budget = _NodeBudget(cap, cert.nodes)
-        units = list(cert.units)
-    k = len(units)
+        cert = diagonalize(form, cap)
+    elif cert.nodes < 0 or not _is_orthonormal(form, cert.units):
+        raise ValueError("certificate does not belong to this form")
+    budget = _NodeBudget(cap, cert.nodes)
+    k = len(cert.units)
     if k == m:
         return Fraction(0)
     if k > 0:
-        sub = _split_off_units(form, units)
+        sub = _split_off_units(form, cert.units)
         best = k + _coset_minimum(sub, budget)
     else:
         best = _coset_minimum(form, budget)

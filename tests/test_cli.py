@@ -203,8 +203,10 @@ class TestBatchMode:
         monkeypatch.setattr(cli, "verdict", failing)
         f = tmp_path / "batch.txt"
         f.write_text("2 3 5\n2 3 7\n2 3 13\n")
-        code, out = run_json(capsys, ["--batch", str(f), "--json"])
-        assert code == 0
+        code = main(["--batch", str(f), "--json"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "RuntimeError: boom" in err
         docs = [json.loads(line) for line in out.strip().splitlines()]
         assert docs[1] == {
             "input": [2, 3, 7],

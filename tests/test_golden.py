@@ -36,7 +36,7 @@ CORPORA = {
 
 
 def golden_line(values: tuple[int, ...]) -> str:
-    doc = _evaluate_tuple((values, CAP, -10))
+    doc, _ = _evaluate_tuple((values, CAP, -10))
     doc.pop("elapsed_ms", None)
     return json.dumps(doc, separators=(",", ":"))
 

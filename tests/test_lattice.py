@@ -4,6 +4,7 @@ import pytest
 
 from seifert_gate import (
     CharacteristicVector,
+    DiagonalizationCertificate,
     EnumerationCapExceeded,
     IntersectionForm,
     NotDiagonalizable,
@@ -269,6 +270,18 @@ class TestSearchIsPinned:
         for other in [(2, 3, 7), (2, 5, 7)]:  # rank 4; rank 5 like (2, 3, 13)
             with pytest.raises(ValueError):
                 d_invariant(form_for(other), cert=cert)
+
+    def test_reused_certificate_must_be_orthonormal(self):
+        f = form_for((2, 3, 13))
+        cert = diagonalize(f)
+        u = cert.units[0]
+        # each has norm -1, but Q(u, u) = -1 where orthogonality needs 0
+        for units in [(u, u), (u, tuple(-c for c in u))]:
+            forged = DiagonalizationCertificate(E=None, units=units, nodes=0)
+            with pytest.raises(ValueError):
+                d_invariant(f, cert=forged)
+        with pytest.raises(ValueError):
+            d_invariant(f, cert=DiagonalizationCertificate(E=cert.E, units=cert.units, nodes=-1))
 
     @pytest.mark.parametrize(
         "a",
