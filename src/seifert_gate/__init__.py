@@ -60,7 +60,7 @@ from .plumbing import (
     PlumbingGraph,
     build_plumbing,
     intersection_form,
-    inverse_entry_11,
+    inverse_first_column,
     neg_cf,
 )
 from .seifert import (

@@ -10,6 +10,9 @@ from fractions import Fraction
 from math import floor, isqrt
 from typing import Sequence
 
+# (d, u) with x^T G x = sum_i d[i] * (x_i + sum_{(j, u_ij) in u[i]} u_ij x_j)^2
+Completion = tuple[list[Fraction], list[list[tuple[int, Fraction]]]]
+
 
 def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
     """Fraction-free determinant of a square integer matrix."""
@@ -34,48 +37,6 @@ def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def ldl_pivots(rows: Sequence[Sequence[int]]) -> list[Fraction] | None:
-    """Pivots of the in-order LDL^T congruence of a symmetric matrix.
-
-    Returns None if a zero pivot is hit (the form is then not definite).
-    The signs of the pivots give the inertia of the form.
-    """
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    pivots: list[Fraction] = []
-    for k in range(n):
-        p = a[k][k]
-        if p == 0:
-            return None
-        pivots.append(p)
-        for i in range(k + 1, n):
-            f = a[i][k] / p
-            if f == 0:
-                continue
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-    return pivots
-
-
-def solve_exact(rows: Sequence[Sequence[int]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """Solve M x = rhs over the rationals; None if M is singular."""
-    n = len(rows)
-    a = [[Fraction(x) for x in r] + [Fraction(rhs[i])] for i, r in enumerate(rows)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return None
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        inv = 1 / a[k][k]
-        for i in range(n):
-            if i == k or a[i][k] == 0:
-                continue
-            f = a[i][k] * inv
-            for j in range(k, n + 1):
-                a[i][j] -= f * a[k][j]
-    return [a[i][n] / a[i][i] for i in range(n)]
 
 
 def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -107,9 +68,7 @@ def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in work[:r] if any(row)]
 
 
-def cholesky_form(
-    g: Sequence[Sequence[Fraction | int]],
-) -> tuple[list[Fraction], list[list[tuple[int, Fraction]]]]:
+def cholesky_form(g: Sequence[Sequence[Fraction | int]]) -> Completion:
     """Rational square completion of a positive definite form, on sparse rows.
 
     Returns (d, u) with x^T G x = sum_i d[i] * (x_i + sum_j u_ij x_j)^2,
@@ -136,6 +95,24 @@ def cholesky_form(
         d.append(di)
         u.append(ui)
     return d, u
+
+
+def solve_completion(
+    d: list[Fraction], u: list[list[tuple[int, Fraction]]], rhs: Sequence[Fraction | int]
+) -> list[Fraction]:
+    """Solve G x = rhs, given the square completion (d, u) of G.
+
+    G = U^T diag(d) U with U unit upper triangular, so one forward pass over
+    the sparse rows of u, a division by d and one backward pass solve it.
+    """
+    y = [Fraction(b) for b in rhs]
+    for i, row in enumerate(u):
+        for j, uij in row:
+            y[j] -= uij * y[i]
+    x = [Fraction(0)] * len(y)
+    for i in reversed(range(len(y))):
+        x[i] = y[i] / d[i] - sum(uij * x[j] for j, uij in u[i])
+    return x
 
 
 def floor_add_sqrt(c: Fraction, q: Fraction) -> int:

@@ -40,15 +40,12 @@ MIN_CAP = 10**3
 class RunConfig:
     """Validated run parameters shared by the single and batch modes."""
 
-    mode: str  # single | batch | family
     cap: int
     kn_bound: int
     jobs: int = 1
     json_output: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in ("single", "batch", "family"):
-            raise InvalidParameter(f"unknown mode {self.mode!r}")
         if self.cap < MIN_CAP:
             raise InvalidParameter(f"cap must be >= {MIN_CAP}, got {self.cap}")
         if self.kn_bound > -1:
@@ -214,7 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify the last-fiber slope inequality for twists -1..K (K <= -1)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for batch mode"
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel workers for batch mode, at most one per CPU and per tuple",
     )
     return parser
 
@@ -296,11 +296,14 @@ def _run_batch(path: str, config: RunConfig) -> int:
         tasks.append(parsed)
         records.append(None)  # placeholder, filled after evaluation
     payloads = [(t, config.cap, config.kn_bound) for t in tasks]
+    # The pool starts all its workers at the first submit, so it gets no more
+    # than there are CPUs and tuples.
+    workers = min(config.jobs, len(payloads), os.cpu_count() or 1)
     with ExitStack() as stack:
         # Both maps yield in input order as results arrive, so each line is
         # written as soon as it and every earlier line are ready.
-        if config.jobs > 1 and len(payloads) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.jobs))
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_evaluate_tuple, payloads)
         else:
             results = map(_evaluate_tuple, payloads)
@@ -376,11 +379,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    mode = "batch" if args.batch else "single"
     try:
         cap = args.cap if args.cap is not None else _default_cap()
         config = RunConfig(
-            mode=mode,
             cap=cap,
             kn_bound=args.kn_range,
             jobs=args.jobs,

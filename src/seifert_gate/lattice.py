@@ -3,8 +3,8 @@
 Three searches live here, all running in integer/rational arithmetic with a
 configurable node cap:
 
-* enumeration of the vectors of self-intersection -1 (bounded search on a
-  rational square completion of -Q);
+* enumeration of the vectors of self-intersection -1 (bounded search on the
+  rational square completion of -Q that the form carries);
 * assembly of an orthonormal change of basis from those vectors, which for a
   unimodular negative-definite form exists exactly when the form is
   diagonalizable over the integers;
@@ -20,8 +20,8 @@ from math import floor
 from typing import Sequence
 
 from . import _linalg
-from .errors import EnumerationCapExceeded, NotDiagonalizable, SingularMatrix
-from .plumbing import IntersectionForm, inverse_first_column, solve_star
+from .errors import EnumerationCapExceeded, NotDiagonalizable
+from .plumbing import IntersectionForm, inverse_first_column
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -113,7 +113,7 @@ class _NodeBudget:
 def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list[tuple[int, ...]]:
     """Bounded search for all v with v^T Q v = -1, one per +-pair."""
     m = form.m
-    d, u = _linalg.cholesky_form([[-x for x in row] for row in form.Q])
+    d, u = form.completion
     found: list[tuple[int, ...]] = []
     x = [0] * m
 
@@ -208,7 +208,10 @@ def diagonalize(
 
 
 def dual_class(form: IntersectionForm) -> DualClass:
-    """Coefficients of the class dual to the central vertex, with its self-intersection."""
+    """Coefficients of the class dual to the central vertex, with its self-intersection.
+
+    Raises ValueError unless the form is negative definite.
+    """
     column = inverse_first_column(form)
     return DualClass(D=tuple(column), self_intersection=column[0])
 
@@ -273,14 +276,8 @@ def _characteristic_parity(form: IntersectionForm) -> list[int]:
     dual form, whose entries grow like the product of the multiplicities, to
     the primal form with its small banded entries.
     """
-    diag = [Fraction(form.Q[i][i]) for i in range(form.m)]
-    if form.graph is not None:
-        w = solve_star(form.graph, diag)
-    else:
-        solved = _linalg.solve_exact(form.Q, diag)
-        if solved is None:
-            raise SingularMatrix("form has determinant zero")
-        w = solved
+    minus_diag = [-form.Q[i][i] for i in range(form.m)]  # (-Q) w = -diag(Q)
+    w = _linalg.solve_completion(*form.completion, minus_diag)
     assert all(x.denominator == 1 for x in w)
     return [int(x) % 2 for x in w]
 
@@ -288,14 +285,14 @@ def _characteristic_parity(form: IntersectionForm) -> list[int]:
 def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
     """Exact minimum of z^T(-Q)z over the characteristic coset z = Q^{-1}diag(Q) mod 2.
 
-    Branch and bound over a rational square completion of -Q, in zig-zag
+    Branch and bound over the form's square completion of -Q, in zig-zag
     order: nearest coset point first, then outward; each side of a level is
     monotone in the partial value, so a failed side stays failed even as the
     incumbent shrinks.
     """
     m = form.m
     g = [[Fraction(-x) for x in row] for row in form.Q]
-    d, u = _linalg.cholesky_form(g)
+    d, u = form.completion
     parity = _characteristic_parity(form)
     seed = _greedy_descent(g, parity[:])
     best = _quadratic_value(g, seed)

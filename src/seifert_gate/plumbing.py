@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from math import floor, prod
 
 from . import _linalg
 from .errors import InvalidRange, SingularMatrix
@@ -23,7 +23,6 @@ __all__ = [
     "neg_cf",
     "build_plumbing",
     "intersection_form",
-    "inverse_entry_11",
     "inverse_first_column",
 ]
 
@@ -93,27 +92,44 @@ class PlumbingGraph:
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Symmetric integer matrix of the plumbing, with exact determinant and definiteness."""
+    """Symmetric integer matrix of the plumbing, with exact determinant and definiteness.
+
+    completion is the square completion (d, u) of -Q in index order, as
+    _linalg.cholesky_form returns it, computed once when the form is built;
+    it is None exactly when Q is not negative definite.  The determinant, the
+    solves with Q and both lattice searches read it.
+    """
 
     Q: tuple[tuple[int, ...], ...]
     det: int
-    negative_definite: bool
-    graph: PlumbingGraph | None = field(default=None, compare=False)
+    completion: _linalg.Completion | None = field(compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.Q)
 
+    @property
+    def negative_definite(self) -> bool:
+        return self.completion is not None
+
     @classmethod
     def from_matrix(cls, rows) -> "IntersectionForm":
-        """Build a form from an explicit symmetric integer matrix."""
+        """Build a form from an explicit symmetric integer matrix.
+
+        With the completion of -Q in hand, det Q = (-1)^m * prod(d); only a
+        form that has none (indefinite or singular) needs a separate
+        determinant.
+        """
         q = tuple(tuple(int(x) for x in row) for row in rows)
         assert all(len(row) == len(q) for row in q), "matrix must be square"
         assert all(q[i][j] == q[j][i] for i in range(len(q)) for j in range(len(q)))
-        det = _linalg.bareiss_determinant(q)
-        pivots = _linalg.ldl_pivots(q)
-        negdef = pivots is not None and all(p < 0 for p in pivots)
-        return cls(Q=q, det=det, negative_definite=negdef)
+        try:
+            completion = _linalg.cholesky_form([[-x for x in row] for row in q])
+        except ValueError:
+            return cls(Q=q, det=_linalg.bareiss_determinant(q), completion=None)
+        det = (-1) ** len(q) * prod(completion[0])
+        assert det.denominator == 1, "determinant of an integer matrix is an integer"
+        return cls(Q=q, det=int(det), completion=completion)
 
 
 def neg_cf(numerator: int, denominator: int) -> NegContinuedFraction:
@@ -147,121 +163,29 @@ def build_plumbing(norm: NormalizedPresentation, m: Multiplicities) -> PlumbingG
     return PlumbingGraph(center_weight=norm.e0, legs=legs)
 
 
-def _leg_elimination(leg: tuple[int, ...]) -> list[Fraction]:
-    """Pivots t_i of tip-first elimination along one leg (root first in the output).
-
-    t_ell = w_ell and t_i = w_i - 1/t_{i+1}; t_1 equals the continued fraction
-    value of the whole leg.  All pivots are < -1 when every weight is <= -2.
-    """
-    t: list[Fraction] = [Fraction(leg[-1])]
-    for w in reversed(leg[:-1]):
-        assert t[-1] != 0
-        t.append(w - 1 / t[-1])
-    t.reverse()
-    return t
-
-
-def _star_pivots(g: PlumbingGraph) -> tuple[list[Fraction], Fraction]:
-    """All leg pivots plus the final central pivot of the leaf-first elimination."""
-    all_pivots: list[Fraction] = []
-    center = Fraction(g.center_weight)
-    for leg in g.legs:
-        t = _leg_elimination(leg)
-        all_pivots.extend(t)
-        center -= 1 / t[0]
-    return all_pivots, center
-
-
-def solve_star(g: PlumbingGraph, rhs: list[Fraction]) -> list[Fraction]:
-    """Solve Q x = rhs in O(m) by eliminating each leg from the tip inward."""
-    assert len(rhs) == g.size
-    leg_t: list[list[Fraction]] = []
-    leg_rho: list[list[Fraction]] = []
-    pos = 1
-    center = Fraction(g.center_weight)
-    reduced_rhs = Fraction(rhs[0])
-    for leg in g.legs:
-        ell = len(leg)
-        t = [Fraction(0)] * ell
-        rho = [Fraction(0)] * ell
-        for i in range(ell - 1, -1, -1):
-            if i == ell - 1:
-                t[i] = Fraction(leg[i])
-                rho[i] = Fraction(rhs[pos + i])
-            else:
-                t[i] = leg[i] - 1 / t[i + 1]
-                rho[i] = rhs[pos + i] - rho[i + 1] / t[i + 1]
-        center -= 1 / t[0]
-        reduced_rhs -= rho[0] / t[0]
-        leg_t.append(t)
-        leg_rho.append(rho)
-        pos += ell
-    if center == 0:
-        raise SingularMatrix("central pivot vanishes")
-    x0 = reduced_rhs / center
-    x = [x0]
-    for t, rho in zip(leg_t, leg_rho):
-        prev = x0
-        for ti, ri in zip(t, rho):
-            prev = (ri - prev) / ti
-            x.append(prev)
-    return x
-
-
 def intersection_form(g: PlumbingGraph) -> IntersectionForm:
-    """Intersection matrix of the plumbing: weights on the diagonal, 1 for each edge.
-
-    The determinant and definiteness are computed exactly from the leaf-first
-    elimination pivots, which is linear in the number of vertices.
-    """
+    """Intersection matrix of the plumbing: weights on the diagonal, 1 for each edge."""
     m = g.size
     rows = [[0] * m for _ in range(m)]
-    rows[0][0] = g.center_weight
-    idx = 1
-    for leg in g.legs:
-        prev = 0
-        for w in leg:
-            rows[idx][idx] = w
-            rows[idx][prev] = rows[prev][idx] = 1
-            prev = idx
-            idx += 1
-    q = tuple(tuple(r) for r in rows)
-    pivots, center_pivot = _star_pivots(g)
-    det = Fraction(1)
-    for p in pivots:
-        det *= p
-    det *= center_pivot
-    assert det.denominator == 1, "determinant of an integer matrix is an integer"
-    negdef = center_pivot < 0 and all(p < 0 for p in pivots)
-    return IntersectionForm(Q=q, det=int(det), negative_definite=negdef, graph=g)
+    for i, w in enumerate(g.weights):
+        rows[i][i] = w
+    for a, b in g.edges:
+        rows[a][b] = rows[b][a] = 1
+    return IntersectionForm.from_matrix(rows)
 
 
 def inverse_first_column(f: IntersectionForm) -> list[Fraction]:
-    """First column of Q^{-1}, exactly.
+    """First column of Q^{-1}, exactly, solved through the form's square completion.
 
-    Uses the O(m) star solve when the form came from a plumbing graph, and
-    dense exact elimination otherwise.
+    Q x = e1 is re-checked on every row, over the nonzero entries of Q.
+    Raises ValueError when the form is not negative definite.
     """
     if f.det == 0:
         raise SingularMatrix("form has determinant zero")
-    e1 = [Fraction(int(i == 0)) for i in range(f.m)]
-    if f.graph is not None:
-        x = solve_star(f.graph, e1)
-    else:
-        solved = _linalg.solve_exact(f.Q, e1)
-        if solved is None:
-            raise SingularMatrix("form has determinant zero")
-        x = solved
-    # Residual spot-check; the full product is checked in tests.
-    if f.m <= 128:
-        for i in range(f.m):
-            assert sum(f.Q[i][j] * x[j] for j in range(f.m)) == e1[i]
-    else:
-        for i in (0, 1, f.m - 1):
-            assert sum(f.Q[i][j] * x[j] for j in range(f.m)) == e1[i]
+    if f.completion is None:
+        raise ValueError("form must be negative definite")
+    e1 = [int(i == 0) for i in range(f.m)]
+    x = _linalg.solve_completion(*f.completion, [-b for b in e1])
+    for i, row in enumerate(f.Q):
+        assert sum(q * x[j] for j, q in enumerate(row) if q) == e1[i]
     return x
-
-
-def inverse_entry_11(f: IntersectionForm) -> Fraction:
-    """The (1,1) entry of Q^{-1} (indices as printed: the central vertex comes first)."""
-    return inverse_first_column(f)[0]

@@ -21,7 +21,7 @@ from seifert_gate import (
     gluing_data,
     h1_order,
     intersection_form,
-    inverse_entry_11,
+    inverse_first_column,
     max_sharp_pairing,
     mp_family,
     normalize,
@@ -114,7 +114,7 @@ def test_criterion_3_randomized_invariants():
         ok &= sum(norm.r) == -norm.e0 - Fraction(1, big_a)
         f = intersection_form(build_plumbing(norm, m))
         ok &= f.negative_definite and abs(f.det) == 1
-        ok &= inverse_entry_11(f) == -big_a
+        ok &= inverse_first_column(f)[0] == -big_a
     elapsed = time.perf_counter() - start
     ok = ok and len(tuples) >= 50 and elapsed < 60.0
     gate(

@@ -9,6 +9,23 @@ from seifert_gate import cli
 from seifert_gate.cli import main, report_to_dict
 from seifert_gate.obstruction import verdict
 
+
+class SerialPool:
+    """Stand-in for the process pool: evaluates in this process, in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 SCHEMA_KEYS_DONALDSON = [
     "input",
     "A",
@@ -221,19 +238,6 @@ class TestBatchMode:
     def test_lines_stream_in_order(self, tmp_path, monkeypatch, jobs):
         # Each line must be written before the next tuple is evaluated.  A
         # serial stand-in for the process pool keeps the ordering observable.
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
         out = io.StringIO()
         written_before = []
         real = cli.verdict
@@ -250,6 +254,28 @@ class TestBatchMode:
         assert main(["--batch", str(f), "--json", "--jobs", jobs]) == 2
         assert written_before == [1, 2, 3]
         assert len(out.getvalue().splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "cpus, jobs, lines, workers",
+        [(4, 5000, 2, 2), (4, 5000, 6, 4), (4, 3, 6, 3), (None, 5000, 6, None)],
+    )
+    def test_pool_size_is_capped(self, tmp_path, monkeypatch, capsys, cpus, jobs, lines, workers):
+        # The pool starts all its workers at once, so --jobs asks for no more
+        # than there are CPUs and tuples; the stand-in pool starts none.
+        sizes = []
+
+        class RecordingPool(SerialPool):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        f = tmp_path / "batch.txt"
+        f.write_text("".join(f"2 3 {c}\n" for c in (5, 7, 11, 13, 17, 19)[:lines]))
+        code, out = run_json(capsys, ["--batch", str(f), "--json", "--jobs", str(jobs)])
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert sizes == ([] if workers is None else [workers])
 
     def test_missing_file(self, capsys):
         assert main(["--batch", "/nonexistent/nope.txt"]) == 2

@@ -19,7 +19,6 @@ from seifert_gate import (
     solve_unnormalized,
     validate_multiplicities,
 )
-from seifert_gate._linalg import cholesky_form
 from seifert_gate.obstruction import ceil_sqrt
 from oracles import (
     box_d_invariant,
@@ -289,8 +288,9 @@ class TestSearchIsPinned:
         + [(5, 8, 13), (11, 14, 15), (2, 3, 5, 7, 11, 13)],
     )
     def test_sparse_square_completion_matches_dense(self, a):
-        g = [[-x for x in row] for row in form_for(a).Q]
-        d, u = cholesky_form(g)
+        f = form_for(a)
+        g = [[-x for x in row] for row in f.Q]
+        d, u = f.completion
         dense_d, dense_u = dense_cholesky(g)
         assert d == dense_d
         for i, row in enumerate(u):

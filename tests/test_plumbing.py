@@ -9,19 +9,34 @@ from seifert_gate import (
     PlumbingGraph,
     SingularMatrix,
     build_plumbing,
+    diagonalize,
     intersection_form,
-    inverse_entry_11,
+    inverse_first_column,
     neg_cf,
     normalize,
     solve_unnormalized,
     validate_multiplicities,
 )
-from oracles import cofactor_det, random_coprime_tuples
+from seifert_gate.lattice import _split_off_units
+from oracles import cofactor_det, gauss_inverse, random_coprime_tuples
+
+
+def graph_for(a):
+    m = validate_multiplicities(a)
+    return build_plumbing(normalize(solve_unnormalized(m)), m)
 
 
 def form_for(a):
-    m = validate_multiplicities(a)
-    return intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
+    return intersection_form(graph_for(a))
+
+
+def complement_for(a):
+    """The unit-free orthogonal complement that d_invariant searches: a dense form."""
+    f = form_for(a)
+    return _split_off_units(f, diagonalize(f).units)
+
+
+GAP_LADDER = [(2, 3, 6 * n + 1) for n in range(2, 51, 6)]
 
 
 class TestNegCf:
@@ -109,8 +124,8 @@ class TestIntersectionForm:
     def test_structure_counts(self):
         rng = random.Random(5)
         for t in random_coprime_tuples(rng, 30):
-            f = form_for(t)
-            g = f.graph
+            g = graph_for(t)
+            f = intersection_form(g)
             m = f.m
             assert m == 1 + sum(len(leg) for leg in g.legs)
             assert all(f.Q[i][j] == f.Q[j][i] for i in range(m) for j in range(m))
@@ -125,6 +140,19 @@ class TestIntersectionForm:
             f = form_for(a)
             if f.m <= 8:
                 assert f.det == cofactor_det([list(r) for r in f.Q])
+
+    def test_from_matrix_det_matches_cofactor_expansion(self):
+        forms = [
+            [[-1]],
+            [[-2, 1], [1, -2]],
+            [[-3, 1, 1], [1, -3, 1], [1, 1, -3]],
+            [list(r) for r in form_for((2, 3, 5)).Q],
+            [list(r) for r in complement_for((2, 3, 23)).Q],
+        ]
+        for rows in forms:
+            f = IntersectionForm.from_matrix(rows)
+            assert f.negative_definite
+            assert f.det == cofactor_det(rows)
 
     def test_det_equals_h1_up_to_sign(self):
         rng = random.Random(6)
@@ -142,30 +170,34 @@ class TestIntersectionForm:
 
 class TestInverseEntry:
     def test_known_values(self):
-        assert inverse_entry_11(form_for((2, 3, 5))) == -30
-        assert inverse_entry_11(form_for((2, 3, 7))) == -42
+        assert inverse_first_column(form_for((2, 3, 5)))[0] == -30
+        assert inverse_first_column(form_for((2, 3, 7)))[0] == -42
         f = intersection_form(PlumbingGraph(center_weight=-1, legs=()))
-        assert inverse_entry_11(f) == -1
+        assert inverse_first_column(f)[0] == -1
 
     def test_matches_product_randomized(self):
         rng = random.Random(7)
         for t in random_coprime_tuples(rng, 40):
             m = validate_multiplicities(t)
-            assert inverse_entry_11(form_for(t)) == -m.product
+            assert inverse_first_column(form_for(t))[0] == -m.product
 
     def test_star_solve_agrees_with_dense(self):
-        for a in [(2, 3, 13), (3, 4, 5), (2, 5, 7)]:
-            f = form_for(a)
-            dense = IntersectionForm.from_matrix(f.Q)
-            assert inverse_entry_11(f) == inverse_entry_11(dense)
+        for f in [form_for(a) for a in GAP_LADDER] + [complement_for((2, 3, 23))]:
+            inv = gauss_inverse([list(r) for r in f.Q])
+            assert inverse_first_column(f) == [inv[i][0] for i in range(f.m)]
 
     def test_large_leg_tuple(self):
         # b~ with a long all-(-2) chain; exercises the linear-time solver
         f = form_for((2, 3, 1661))
         assert abs(f.det) == 1 and f.negative_definite
-        assert inverse_entry_11(f) == -2 * 3 * 1661
+        assert inverse_first_column(f)[0] == -2 * 3 * 1661
 
     def test_singular_rejected(self):
         f = IntersectionForm.from_matrix([[0]])
         with pytest.raises(SingularMatrix):
-            inverse_entry_11(f)
+            inverse_first_column(f)[0]
+
+    def test_not_negative_definite_rejected(self):
+        for rows in ([[0, 1], [1, 0]], [[1, 0], [0, -1]]):
+            with pytest.raises(ValueError):
+                inverse_first_column(IntersectionForm.from_matrix(rows))
