@@ -2,8 +2,10 @@
 
 Each corpus line is the compact batch JSON line of one tuple with elapsed_ms
 removed; a tuple that ends in a typed error is stored as its error object.
-Refactors must leave every line byte-identical.  Regenerate only when an
-output change is intended, with
+Refactors must leave every line byte-identical.  diagonalize_nodes.json pins,
+for every corpus tuple, the search nodes diagonalize spends at the corpus cap;
+a search that visits other nodes fails it even when the verdicts agree.
+Regenerate both only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,9 +19,18 @@ from pathlib import Path
 
 import pytest
 
+from seifert_gate import (
+    build_plumbing,
+    diagonalize,
+    intersection_form,
+    normalize,
+    solve_unnormalized,
+    validate_multiplicities,
+)
 from seifert_gate.cli import _evaluate_tuple
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+NODES = GOLDEN / "diagonalize_nodes.json"
 CAP = 3 * 10**4
 
 CORPORA = {
@@ -41,6 +52,18 @@ def golden_line(values: tuple[int, ...]) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def diagonalize_nodes() -> dict[str, dict[str, int]]:
+    """Nodes diagonalize spends on each corpus tuple, keyed by corpus and tuple."""
+    pins = {}
+    for name, tuples in CORPORA.items():
+        pins[name] = {}
+        for values in tuples:
+            m = validate_multiplicities(values)
+            form = intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
+            pins[name][",".join(map(str, values))] = diagonalize(form, CAP).nodes
+    return pins
+
+
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_verdict_matches_golden_corpus(name):
     expected = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
@@ -50,8 +73,14 @@ def test_verdict_matches_golden_corpus(name):
         assert golden_line(values) == line, f"output changed for {values}"
 
 
+def test_diagonalize_nodes_match_pins():
+    expected = json.loads(NODES.read_text(encoding="utf-8"))
+    assert diagonalize_nodes() == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, tuples in CORPORA.items():
         text = "".join(golden_line(t) + "\n" for t in tuples)
         (GOLDEN / name).write_text(text, encoding="utf-8")
+    NODES.write_text(json.dumps(diagonalize_nodes(), indent=1) + "\n", encoding="utf-8")
