@@ -13,6 +13,7 @@ from .errors import (
     MultiplicityTooSmall,
     NotCoprime,
     NotDiagonalizable,
+    RankTooLarge,
     SeifertGateError,
     SingularMatrix,
     TooFewFibers,
@@ -27,7 +28,6 @@ from .families import (
 )
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
-    CharacteristicVector,
     DiagonalizationCertificate,
     DualClass,
     d_invariant,
@@ -68,7 +68,6 @@ from .seifert import (
     Multiplicities,
     NormalizedPresentation,
     SeifertPresentation,
-    fiber_framing,
     gluing_data,
     h1_order,
     normalize,

@@ -7,7 +7,6 @@ Everything here works over arbitrary-precision integers or
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isqrt
 from typing import Sequence
 
 # (d, u) with x^T G x = sum_i d[i] * (x_i + sum_{(j, u_ij) in u[i]} u_ij x_j)^2
@@ -114,20 +113,3 @@ def solve_completion(
         x[i] = y[i] / d[i] - sum(uij * x[j] for j, uij in u[i])
     return x
 
-
-def floor_add_sqrt(c: Fraction, q: Fraction) -> int:
-    """Largest integer n with n <= c + sqrt(q), computed exactly (q >= 0)."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    s = isqrt(q.numerator * q.denominator)
-    n = floor(c + Fraction(s + 1, q.denominator))
-    while True:
-        diff = n - c
-        if diff <= 0 or diff * diff <= q:
-            return n
-        n -= 1
-
-
-def ceil_sub_sqrt(c: Fraction, q: Fraction) -> int:
-    """Smallest integer n with n >= c - sqrt(q), computed exactly (q >= 0)."""
-    return -floor_add_sqrt(-c, q)

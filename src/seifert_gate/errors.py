@@ -33,6 +33,10 @@ class EnumerationCapExceeded(SeifertGateError):
     """A lattice search visited more nodes than the configured cap."""
 
 
+class RankTooLarge(SeifertGateError):
+    """The form's rank is above what the lattice searches can recurse through."""
+
+
 class NotDiagonalizable(SeifertGateError):
     """The form admits no orthonormal basis, so the requested quantity is undefined."""
 

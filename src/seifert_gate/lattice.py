@@ -4,7 +4,8 @@ Three searches live here, all running in integer/rational arithmetic with a
 configurable node cap:
 
 * enumeration of the vectors of self-intersection -1 (bounded search on the
-  rational square completion of -Q that the form carries);
+  rational square completion of -Q that the form carries, walking each level
+  outward from its nearest integer until the square term exceeds what is left);
 * assembly of an orthonormal change of basis from those vectors, which for a
   unimodular negative-definite form exists exactly when the form is
   diagonalizable over the integers;
@@ -20,13 +21,12 @@ from math import floor
 from typing import Sequence
 
 from . import _linalg
-from .errors import EnumerationCapExceeded, NotDiagonalizable
+from .errors import EnumerationCapExceeded, NotDiagonalizable, RankTooLarge
 from .plumbing import IntersectionForm, inverse_first_column
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "DiagonalizationCertificate",
-    "CharacteristicVector",
     "DualClass",
     "norm_minus_one_vectors",
     "diagonalize",
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**6
+# Both searches recurse once per level, and Python stops at 1000 frames by
+# default; 900 leaves room for the frames of the callers.
+MAX_SEARCH_RANK = 900
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,9 @@ class DiagonalizationCertificate:
 
     units are all vectors of self-intersection -1 (one per +-pair, as
     norm_minus_one_vectors returns them) and nodes the search nodes their
-    enumeration spent.  When absent, norm_one_count and span_rank describe the
-    exhaustive search: how many such vectors exist and the rank of their span.
+    enumeration spent.  When absent, norm_one_count is the witness of the
+    exhaustive search: how many such vectors exist, which is also the rank of
+    their span, since diagonalize checks them pairwise orthogonal.
     """
 
     E: tuple[tuple[int, ...], ...] | None
@@ -60,21 +64,6 @@ class DiagonalizationCertificate:
     def norm_one_count(self) -> int:
         return len(self.units)
 
-    # diagonalize checks the units pairwise orthogonal, so they are independent
-    span_rank = norm_one_count
-
-
-@dataclass(frozen=True)
-class CharacteristicVector:
-    """Integer vector in the hom-dual basis with kappa_i = Q_ii mod 2."""
-
-    kappa: tuple[int, ...]
-
-    def is_characteristic_for(self, form: IntersectionForm) -> bool:
-        return len(self.kappa) == form.m and all(
-            (k - form.Q[i][i]) % 2 == 0 for i, k in enumerate(self.kappa)
-        )
-
 
 @dataclass(frozen=True)
 class DualClass:
@@ -84,9 +73,15 @@ class DualClass:
     self_intersection: Fraction
 
 
-def _require_neg_def_unimodular(form: IntersectionForm) -> None:
+def _require_neg_def(form: IntersectionForm) -> None:
+    if form.m > MAX_SEARCH_RANK:
+        raise RankTooLarge(f"form of rank {form.m} is above the search limit {MAX_SEARCH_RANK}")
     if not form.negative_definite:
         raise ValueError("form must be negative definite")
+
+
+def _require_neg_def_unimodular(form: IntersectionForm) -> None:
+    _require_neg_def(form)
     if abs(form.det) != 1:
         raise ValueError(f"form must be unimodular, det = {form.det}")
 
@@ -123,16 +118,20 @@ def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list
                 found.append(tuple(x))
             return
         shift = sum(uj * x[j] for j, uj in u[level])
-        radicand = remaining / d[level]
-        hi = _linalg.floor_add_sqrt(-shift, radicand)
-        lo = 0 if leading_zero else _linalg.ceil_sub_sqrt(-shift, radicand)
-        for xi in range(lo, hi + 1):
-            budget.spend()
-            term = d[level] * (xi + shift) ** 2
-            if term > remaining:
-                continue
-            x[level] = xi
-            descend(level - 1, remaining - term, leading_zero and xi == 0)
+        # The feasible x_i form an interval around -shift: walk up from the
+        # nearest integer, then down, each side to its first infeasible value.
+        # With every higher coordinate 0, shift is 0 and only x_i >= 0 is walked.
+        if leading_zero:
+            sides: tuple[tuple[int, int], ...] = ((0, 1),)
+        else:
+            start = round(-shift)
+            sides = ((start, 1), (start - 1, -1))
+        for xi, step in sides:
+            while (term := d[level] * (xi + shift) ** 2) <= remaining:
+                budget.spend()
+                x[level] = xi
+                descend(level - 1, remaining - term, leading_zero and xi == 0)
+                xi += step
         x[level] = 0
 
     descend(m - 1, Fraction(1), True)
@@ -152,16 +151,20 @@ def norm_minus_one_vectors(
     in descending lexicographic order, so unit vectors come out as the
     identity when the form is already diagonal.  Raises
     EnumerationCapExceeded if the bounded search visits more than ``cap``
-    nodes.
+    nodes, and RankTooLarge, before any search, above MAX_SEARCH_RANK.
     """
-    if not form.negative_definite:
-        raise ValueError("enumeration requires a negative definite form")
+    _require_neg_def(form)
     return _fixed_norm_enumeration(form, _NodeBudget(cap))
+
+
+def _nonzero_rows(form: IntersectionForm) -> list[list[tuple[int, int]]]:
+    """The nonzero (j, Q_ij) of each row of Q."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in form.Q]
 
 
 def _images(form: IntersectionForm, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     """Q w for each w in vectors, over the nonzero entries of Q only."""
-    q = [[(j, x) for j, x in enumerate(row) if x] for row in form.Q]
+    q = _nonzero_rows(form)
     return [[sum(x * w[j] for j, x in row) for row in q] for w in vectors]
 
 
@@ -236,35 +239,29 @@ def max_sharp_pairing(cert: DiagonalizationCertificate, dual: DualClass) -> int:
     return p
 
 
-def _quadratic_value(g: list[list[Fraction]], v: list[int]) -> Fraction:
-    total = Fraction(0)
-    m = len(v)
-    for i in range(m):
-        if v[i] == 0:
-            continue
-        total += g[i][i] * v[i] * v[i]
-        for j in range(i + 1, m):
-            if v[j]:
-                total += 2 * g[i][j] * v[i] * v[j]
-    return total
+def _greedy_descent(form: IntersectionForm, v: list[int]) -> tuple[list[int], int]:
+    """Coordinate descent by +-2 steps on v^T(-Q)v; keeps the coset, only improves.
 
-
-def _greedy_descent(g: list[list[Fraction]], v: list[int]) -> list[int]:
-    """Coordinate descent by +-2 steps; keeps the coset, only improves the seed."""
-    best = _quadratic_value(g, v)
+    Returns the seed and its value.  Qv is kept in integers over the nonzeros
+    of Q: a step s on coordinate i lowers the value by 2 s (Qv)_i + s^2 Q_ii,
+    and is taken when that is positive.
+    """
+    rows = _nonzero_rows(form)
+    qv = _images(form, [v])[0]
+    value = -_pairing(v, qv)
     improved = True
     while improved:
         improved = False
-        for i in range(len(v)):
+        for i, row in enumerate(rows):
             for step in (2, -2):
-                v[i] += step
-                val = _quadratic_value(g, v)
-                if val < best:
-                    best = val
+                gain = 2 * step * qv[i] + step * step * form.Q[i][i]
+                if gain > 0:
+                    v[i] += step
+                    value -= gain
+                    for j, x in row:
+                        qv[j] += step * x
                     improved = True
-                else:
-                    v[i] -= step
-    return v
+    return v, value
 
 
 def _characteristic_parity(form: IntersectionForm) -> list[int]:
@@ -291,11 +288,10 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
     incumbent shrinks.
     """
     m = form.m
-    g = [[Fraction(-x) for x in row] for row in form.Q]
     d, u = form.completion
     parity = _characteristic_parity(form)
-    seed = _greedy_descent(g, parity[:])
-    best = _quadratic_value(g, seed)
+    # a Fraction, so that d = (m - best) / 4 stays exact when no leaf beats the seed
+    best = Fraction(_greedy_descent(form, parity[:])[1])
     x = [0] * m
     half = Fraction(1, 2)
 

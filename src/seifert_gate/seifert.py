@@ -25,7 +25,6 @@ __all__ = [
     "normalize",
     "gluing_data",
     "h1_order",
-    "fiber_framing",
 ]
 
 
@@ -184,8 +183,3 @@ def h1_order(pairs: Sequence[tuple[int, int]]) -> int:
     big_a = prod(a for a, _ in pairs)
     total = sum(b * (big_a // a) for a, b in pairs)
     return abs(total)
-
-
-def fiber_framing(m: Multiplicities) -> int:
-    """Framing of a regular fiber relative to the Seifert framing: A = a_1*...*a_n."""
-    return m.product

@@ -119,6 +119,10 @@ class TestSingleMode:
     def test_cap_exceeded_exit_code(self, capsys):
         assert main(["5", "7", "11", "13", "--cap", "1000"]) == 3
 
+    def test_rank_too_large_exit_code(self, capsys):
+        assert main(["2", "3", "6001"]) == 2
+        assert "RankTooLarge" in capsys.readouterr().err
+
     def test_cap_floor_enforced(self, capsys):
         assert main(["2", "3", "5", "--cap", "500"]) == 2
 
@@ -181,6 +185,15 @@ class TestBatchMode:
         lines = out.strip().splitlines()
         first = json.loads(lines[0])
         assert first["error"]["type"] == "NotCoprime"
+        assert json.loads(lines[1])["verdict"] == "obstructed_floer_gap"
+
+    def test_rank_too_large_line_is_data(self, tmp_path, capsys):
+        f = tmp_path / "batch.txt"
+        f.write_text("2 3 6001\n2 3 7\n")
+        code, out = run_json(capsys, ["--batch", str(f), "--json"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert json.loads(lines[0])["error"]["type"] == "RankTooLarge"
         assert json.loads(lines[1])["verdict"] == "obstructed_floer_gap"
 
     def test_unparseable_line_sets_exit_code(self, tmp_path, capsys):

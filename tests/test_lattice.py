@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from seifert_gate import (
-    CharacteristicVector,
     DiagonalizationCertificate,
     EnumerationCapExceeded,
     IntersectionForm,
     NotDiagonalizable,
+    RankTooLarge,
     build_plumbing,
     d_invariant,
     diagonalize,
@@ -19,7 +19,13 @@ from seifert_gate import (
     solve_unnormalized,
     validate_multiplicities,
 )
-from seifert_gate.obstruction import ceil_sqrt
+from seifert_gate.lattice import (
+    MAX_SEARCH_RANK,
+    _characteristic_parity,
+    _greedy_descent,
+    _split_off_units,
+)
+from seifert_gate.obstruction import ceil_sqrt, verdict
 from oracles import (
     box_d_invariant,
     box_norm_minus_one,
@@ -35,6 +41,10 @@ from oracles import (
 def form_for(a):
     m = validate_multiplicities(a)
     return intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
+
+
+def minus_identity(n):
+    return IntersectionForm.from_matrix([[-int(i == j) for j in range(n)] for i in range(n)])
 
 
 E8 = form_for((2, 3, 5))
@@ -67,6 +77,23 @@ class TestNormMinusOneVectors:
         f = form_for(a)
         assert f.m <= 6
         assert norm_minus_one_vectors(f) == box_norm_minus_one([list(r) for r in f.Q])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[-2, 1], [1, -1]],
+            [[-2, 1, 0], [1, -2, 1], [0, 1, -1]],
+            [[-3, 1, 1], [1, -1, 0], [1, 0, -1]],
+            [[-2, -1, -2], [-1, -2, -2], [-2, -2, -3]],
+            [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -1]],
+        ],
+    )
+    def test_matches_box_enumeration_with_half_integer_centres(self, rows):
+        # a completion entry of 1/2 puts some level's centre on a rounding tie
+        f = IntersectionForm.from_matrix(rows)
+        assert f.negative_definite and abs(f.det) == 1
+        assert any(x.denominator == 2 for row in f.completion[1] for _, x in row)
+        assert norm_minus_one_vectors(f) == box_norm_minus_one(rows)
 
     def test_box_enumeration_diagonal(self):
         f = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
@@ -101,7 +128,6 @@ class TestDiagonalize:
         cert = diagonalize(E8)
         assert not cert.present
         assert cert.norm_one_count == 0
-        assert cert.span_rank == 0
 
     def test_diagonal_gives_identity(self):
         f = IntersectionForm.from_matrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
@@ -119,7 +145,6 @@ class TestDiagonalize:
         cert = diagonalize(form_for((2, 3, 23)))
         assert not cert.present
         assert cert.norm_one_count == 3
-        assert cert.span_rank == 3
 
     def test_rejects_non_unimodular(self):
         f = IntersectionForm.from_matrix([[-2]])
@@ -232,6 +257,35 @@ class TestDInvariant:
         with pytest.raises(ValueError):
             d_invariant(IntersectionForm.from_matrix([[-2, 1], [1, -2]]))
 
+    @pytest.mark.parametrize(
+        "a, complement",
+        [
+            ((2, 3, 11), True),
+            ((2, 3, 23), True),
+            ((2, 5, 13), True),
+            ((2, 7, 9), True),
+            ((3, 4, 11), False),
+            # the seeds of these two move away from the parity vector
+            ((3, 11, 13), True),
+            ((5, 8, 17), True),
+        ],
+    )
+    def test_greedy_seed_value_and_coset(self, a, complement):
+        f = form_for(a)
+        if complement:
+            units = diagonalize(f).units
+            assert 0 < len(units) < f.m
+            f = _split_off_units(f, units)
+        parity = _characteristic_parity(f)
+        seed, value = _greedy_descent(f, parity[:])
+        assert value == quad_value([[-x for x in row] for row in f.Q], seed)
+        assert [c % 2 for c in seed] == parity
+
+    @pytest.mark.parametrize("f", [form_for((2, 3, 13)), form_for((2, 3, 23)), E8])
+    def test_value_is_a_fraction(self, f):
+        # k == m, 0 < k < m and k == 0 units; the golden corpus prints 2.0 as 2
+        assert type(d_invariant(f)) is Fraction
+
 
 # Fewest search nodes each call needs.  The search must visit exactly these
 # nodes in this order, or some tuple's cap outcome moves.
@@ -303,11 +357,17 @@ class TestSearchIsPinned:
             assert as_dense == dense_u[i]
 
 
-def test_characteristic_vector_validation():
-    f = form_for((2, 3, 7))
-    diag = tuple(f.Q[i][i] for i in range(f.m))
-    assert CharacteristicVector(diag).is_characteristic_for(f)
-    assert not CharacteristicVector((0,) * f.m).is_characteristic_for(f)
+def test_rank_limit():
+    # the first path descends through every level, so the cap stops the search
+    # only after the deepest recursion the limit allows
+    with pytest.raises(EnumerationCapExceeded):
+        norm_minus_one_vectors(minus_identity(MAX_SEARCH_RANK), cap=2 * MAX_SEARCH_RANK)
+    f = minus_identity(MAX_SEARCH_RANK + 1)
+    for search in (norm_minus_one_vectors, diagonalize, d_invariant):
+        with pytest.raises(RankTooLarge, match=f"rank {MAX_SEARCH_RANK + 1} "):
+            search(f)
+    with pytest.raises(RankTooLarge, match="rank 1003 "):
+        verdict((2, 3, 6001))
 
 
 def test_dual_inverse_consistency_with_oracle():

@@ -9,7 +9,6 @@ from seifert_gate import (
     MultiplicityTooSmall,
     NotCoprime,
     TooFewFibers,
-    fiber_framing,
     gluing_data,
     h1_order,
     normalize,
@@ -153,9 +152,3 @@ class TestH1Order:
         for t in random_coprime_tuples(rng, 25):
             p = solve_unnormalized(validate_multiplicities(t))
             assert h1_order(list(p.pairs) + [(1, 1)]) == prod(t) + 1
-
-
-def test_fiber_framing_is_product():
-    assert fiber_framing(validate_multiplicities((2, 3, 5))) == 30
-    assert fiber_framing(validate_multiplicities((2, 3, 7))) == 42
-    assert fiber_framing(validate_multiplicities((2, 3, 5, 7))) == 210
