@@ -44,11 +44,8 @@ from .obstruction import (
     Verdict,
     balanced_twists,
     ceil_sqrt,
-    contact_tau_lower,
     cut_and_round_slope,
     fiber_boundary_slope,
-    ruling_slope,
-    smooth_tau_upper,
     tau_gap_lower,
     twist_lower_bound,
     verdict,

@@ -272,7 +272,7 @@ def _run_batch(path: str, config: RunConfig) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return 2
     tasks: list[tuple[int, ...]] = []

@@ -15,7 +15,7 @@ configurable node cap:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
 from typing import Sequence
@@ -29,6 +29,7 @@ __all__ = [
     "DiagonalizationCertificate",
     "DualClass",
     "norm_minus_one_vectors",
+    "require_search_rank",
     "diagonalize",
     "dual_class",
     "max_sharp_pairing",
@@ -45,20 +46,41 @@ MAX_SEARCH_RANK = 900
 class DiagonalizationCertificate:
     """Either a unimodular E with E^T Q E = -I, or a proof-of-absence witness.
 
-    units are all vectors of self-intersection -1 (one per +-pair, as
-    norm_minus_one_vectors returns them) and nodes the search nodes their
-    enumeration spent.  When absent, norm_one_count is the witness of the
-    exhaustive search: how many such vectors exist, which is also the rank of
-    their span, since diagonalize checks them pairwise orthogonal.
+    units are all vectors of self-intersection -1 of form (one per +-pair, as
+    norm_minus_one_vectors returns them), nodes the search nodes their
+    enumeration spent.  Building one checks that the units lie in Z^m with
+    Gram matrix -I (else ValueError), so they are independent: present when
+    there are m of them, the columns of E; otherwise norm_one_count is the
+    witness of the exhaustive search.
     """
 
-    E: tuple[tuple[int, ...], ...] | None
+    form: IntersectionForm = field(compare=False, repr=False)
     units: tuple[tuple[int, ...], ...]
     nodes: int
 
+    def __post_init__(self) -> None:
+        if self.nodes < 0:
+            raise ValueError(f"node count must be >= 0, got {self.nodes}")
+        if any(len(v) != self.form.m for v in self.units):
+            raise ValueError(f"units must have length {self.form.m}")
+        images = _images(self.form, self.units)
+        if not all(
+            _pairing(v, images[j]) == (-1 if i == j else 0)
+            for i, v in enumerate(self.units)
+            for j in range(i, len(self.units))
+        ):
+            raise ValueError("units are not orthonormal in this form")
+        if self.present:
+            # follows from the Gram matrix: det(E)^2 det(Q) = det(-I)
+            assert abs(_linalg.bareiss_determinant(self.E)) == 1
+
     @property
     def present(self) -> bool:
-        return self.E is not None
+        return len(self.units) == self.form.m
+
+    @property
+    def E(self) -> tuple[tuple[int, ...], ...] | None:
+        return tuple(zip(*self.units)) if self.present else None
 
     @property
     def norm_one_count(self) -> int:
@@ -73,9 +95,14 @@ class DualClass:
     self_intersection: Fraction
 
 
+def require_search_rank(m: int) -> None:
+    """Raise RankTooLarge when a form of rank m is above MAX_SEARCH_RANK."""
+    if m > MAX_SEARCH_RANK:
+        raise RankTooLarge(f"form of rank {m} is above the search limit {MAX_SEARCH_RANK}")
+
+
 def _require_neg_def(form: IntersectionForm) -> None:
-    if form.m > MAX_SEARCH_RANK:
-        raise RankTooLarge(f"form of rank {form.m} is above the search limit {MAX_SEARCH_RANK}")
+    require_search_rank(form.m)
     if not form.negative_definite:
         raise ValueError("form must be negative definite")
 
@@ -173,18 +200,6 @@ def _pairing(v: Sequence[int], qw: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(v, qw) if a)
 
 
-def _is_orthonormal(form: IntersectionForm, vectors: Sequence[Sequence[int]]) -> bool:
-    """Whether the vectors lie in Z^m and their whole Gram matrix Q(v_i, v_j) is -I."""
-    if any(len(v) != form.m for v in vectors):
-        return False
-    images = _images(form, vectors)
-    return all(
-        _pairing(v, images[j]) == (-1 if i == j else 0)
-        for i, v in enumerate(vectors)
-        for j in range(i, len(vectors))
-    )
-
-
 def diagonalize(
     form: IntersectionForm, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> DiagonalizationCertificate:
@@ -192,22 +207,14 @@ def diagonalize(
 
     Distinct vectors of self-intersection -1 are automatically orthogonal
     (Cauchy-Schwarz forces |Q(v, w)| < 1), so the form is equivalent to -I
-    exactly when the enumeration yields m of them.  In that case the columns
-    of E are those vectors, and E^T Q E = -I is re-verified entry by entry.
-    The certificate keeps the vectors and the nodes spent on them, so
-    d_invariant can reuse them.
+    exactly when the enumeration yields m of them.  The certificate keeps the
+    vectors, re-verifies their Gram matrix (with m of them it is E^T Q E), and
+    keeps the nodes spent on them, so d_invariant can reuse them.
     """
     _require_neg_def_unimodular(form)
-    m = form.m
     budget = _NodeBudget(cap)
     units = tuple(_fixed_norm_enumeration(form, budget))
-    # the Gram matrix of the units; with m of them it is E^T Q E
-    assert _is_orthonormal(form, units), "norm -1 vectors must be pairwise orthogonal"
-    if len(units) != m:
-        return DiagonalizationCertificate(E=None, units=units, nodes=budget.used)
-    e = tuple(tuple(units[j][i] for j in range(m)) for i in range(m))
-    assert abs(_linalg.bareiss_determinant(e)) == 1
-    return DiagonalizationCertificate(E=e, units=units, nodes=budget.used)
+    return DiagonalizationCertificate(form=form, units=units, nodes=budget.used)
 
 
 def dual_class(form: IntersectionForm) -> DualClass:
@@ -228,8 +235,7 @@ def max_sharp_pairing(cert: DiagonalizationCertificate, dual: DualClass) -> int:
     """
     if not cert.present:
         raise NotDiagonalizable("no orthonormal basis exists for this form")
-    assert cert.E is not None
-    first_row = cert.E[0]
+    first_row = [v[0] for v in cert.units]
     p = sum(abs(e) for e in first_row)
     big_a = -dual.self_intersection
     assert sum(e * e for e in first_row) == big_a
@@ -380,14 +386,14 @@ def d_invariant(
     plumbings produced by this package.
 
     The (-1)-vectors, and the nodes spent on them where the count starts, come
-    from diagonalize's certificate: one made here, or the one passed, whose
-    vectors must be orthonormal in this form (else ValueError).
+    from diagonalize's certificate: one made here, or the one passed, which
+    must be a certificate of an equal form (else ValueError).
     """
     _require_neg_def_unimodular(form)
     m = form.m
     if cert is None:
         cert = diagonalize(form, cap)
-    elif cert.nodes < 0 or not _is_orthonormal(form, cert.units):
+    elif cert.form != form:
         raise ValueError("certificate does not belong to this form")
     budget = _NodeBudget(cap, cert.nodes)
     k = len(cert.units)

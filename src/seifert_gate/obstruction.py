@@ -27,6 +27,7 @@ from .lattice import (
     diagonalize,
     dual_class,
     max_sharp_pairing,
+    require_search_rank,
 )
 from .plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
 from .seifert import (
@@ -48,11 +49,8 @@ __all__ = [
     "ObstructionReport",
     "ceil_sqrt",
     "twist_lower_bound",
-    "smooth_tau_upper",
-    "contact_tau_lower",
     "tau_gap_lower",
     "fiber_boundary_slope",
-    "ruling_slope",
     "balanced_twists",
     "cut_and_round_slope",
     "verify_twist_chain",
@@ -125,26 +123,6 @@ class TauBounds:
         """(tw + A + 1) / 2."""
         return Fraction(tw + self.A + 1, 2)
 
-    def tb_regular_fiber_at(self, tw: int) -> int:
-        """Thurston-Bennequin number of a twist-tw Legendrian regular fiber: tw + A."""
-        return tw + self.A
-
-
-def smooth_tau_upper(big_a: int, p: int | None) -> Fraction:
-    """Sharp upper bound (A - P)/2 for the smooth tau of a regular fiber.
-
-    Requires the maximum sharp pairing P, hence a diagonalizable form.
-    """
-    if p is None:
-        raise NotDiagonalizable("sharp smooth-tau bound needs a diagonalizable form")
-    return TauBounds(A=big_a, P=p).smooth_tau_upper_sharp
-
-
-def contact_tau_lower(big_a: int, tw: int) -> Fraction:
-    """Lower bound (tw + A + 1)/2 for the contact tau of a regular fiber."""
-    assert tw <= 0
-    return TauBounds(A=big_a, P=None).contact_tau_lower_at(tw)
-
 
 def tau_gap_lower(big_a: int, p: int | None) -> int:
     """Lower bound tw_min + P + 1 for twice the gap between the two tau bounds.
@@ -162,18 +140,6 @@ def fiber_boundary_slope(a: int, b: int, u: int, v: int, k: int) -> Fraction:
     """Dividing slope (b*k + v)/(a*k + u) seen from the outside torus."""
     assert a * k + u != 0
     return Fraction(b * k + v, a * k + u)
-
-
-def ruling_slope(a: int, u: int) -> Fraction:
-    """Ruling slope -a/u of the vertical circles on the fiber's boundary torus.
-
-    Its reciprocal -u/a lies in (-1, 0), which is what the twist-number lemma
-    needs to push the twisting up one step at a time.
-    """
-    assert 0 < u < a
-    slope = Fraction(-a, u)
-    assert -1 < 1 / slope < 0
-    return slope
 
 
 @dataclass(frozen=True)
@@ -354,8 +320,8 @@ def verdict(
     norm = normalize(pres)
     glue = gluing_data(pres)
     graph = build_plumbing(norm, mult)
+    require_search_rank(graph.size)
     form = intersection_form(graph)
-    assert abs(form.det) == 1 and form.negative_definite
     cert = diagonalize(form, cap)
     dual = dual_class(form)
     big_a = mult.product

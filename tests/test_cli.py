@@ -205,6 +205,15 @@ class TestBatchMode:
         assert json.loads(lines[0])["error"]["type"] == "ParseError"
         assert json.loads(lines[1])["verdict"] == "obstructed_floer_gap"
 
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "batch.txt"
+        f.write_bytes(b"\xff\xfe2 3 5\n")
+        code = main(["--batch", str(f), "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {f}: ")
+
     def test_jobs_parallel_preserves_order(self, tmp_path, capsys):
         f = tmp_path / "batch.txt"
         f.write_text("2 3 5\n2 3 7\n2 3 11\n2 3 13\n")

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from seifert_gate import (
     solve_unnormalized,
     validate_multiplicities,
 )
+from seifert_gate import lattice, obstruction
 from seifert_gate.lattice import (
     MAX_SEARCH_RANK,
     _characteristic_parity,
@@ -330,11 +335,33 @@ class TestSearchIsPinned:
         u = cert.units[0]
         # each has norm -1, but Q(u, u) = -1 where orthogonality needs 0
         for units in [(u, u), (u, tuple(-c for c in u))]:
-            forged = DiagonalizationCertificate(E=None, units=units, nodes=0)
             with pytest.raises(ValueError):
-                d_invariant(f, cert=forged)
+                DiagonalizationCertificate(form=f, units=units, nodes=0)
         with pytest.raises(ValueError):
-            d_invariant(f, cert=DiagonalizationCertificate(E=cert.E, units=cert.units, nodes=-1))
+            DiagonalizationCertificate(form=f, units=cert.units, nodes=-1)
+        with pytest.raises(ValueError):
+            DiagonalizationCertificate(form=f, units=(u[:-1],), nodes=0)
+
+    def test_certificate_of_an_equal_form_is_reused(self):
+        f = form_for((2, 3, 23))
+        copy = IntersectionForm.from_matrix(f.Q)
+        assert copy is not f
+        cert = diagonalize(copy)
+        assert d_invariant(f, cert=cert) == d_invariant(f) == 2
+
+    def test_reused_certificate_is_not_checked_again(self, monkeypatch):
+        f = form_for((2, 3, 13))
+        cert = diagonalize(f)
+        calls = []
+        real = lattice._pairing
+
+        def counting(v, qw):
+            calls.append(1)
+            return real(v, qw)
+
+        monkeypatch.setattr(lattice, "_pairing", counting)
+        assert d_invariant(f, cert=cert) == 0
+        assert calls == []
 
     @pytest.mark.parametrize(
         "a",
@@ -368,6 +395,49 @@ def test_rank_limit():
             search(f)
     with pytest.raises(RankTooLarge, match="rank 1003 "):
         verdict((2, 3, 6001))
+
+
+def test_rank_is_rejected_before_the_form_is_built(monkeypatch):
+    def unreachable(graph):
+        raise AssertionError("intersection_form called")
+
+    monkeypatch.setattr(obstruction, "intersection_form", unreachable)
+    for a, m in [((2, 3, 6001), 1003), ((2, 3, 60001), 10003)]:
+        with pytest.raises(RankTooLarge) as excinfo:
+            verdict(a)
+        assert str(excinfo.value) == f"form of rank {m} is above the search limit {MAX_SEARCH_RANK}"
+
+
+def test_certificate_checks_survive_optimize():
+    """Under python -O, a forged certificate and a certificate of another form are rejected."""
+    script = """
+from seifert_gate import DiagonalizationCertificate, d_invariant, diagonalize, verdict
+
+assert False, "asserts are stripped"
+f = verdict((2, 3, 13)).form
+u = diagonalize(f).units[0]
+try:
+    DiagonalizationCertificate(form=f, units=(u, u), nodes=0)
+except ValueError:
+    pass
+else:
+    raise SystemExit("forged certificate accepted")
+try:
+    d_invariant(verdict((2, 5, 7)).form, cert=diagonalize(f))
+except ValueError:
+    pass
+else:
+    raise SystemExit("certificate of another form accepted")
+"""
+    src = str(Path(lattice.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_dual_inverse_consistency_with_oracle():

@@ -7,15 +7,13 @@ import pytest
 from seifert_gate import (
     NotCoprime,
     NotDiagonalizable,
+    TauBounds,
     TwistBound,
     Verdict,
     balanced_twists,
-    contact_tau_lower,
     cut_and_round_slope,
     fiber_boundary_slope,
     gluing_data,
-    ruling_slope,
-    smooth_tau_upper,
     solve_unnormalized,
     tau_gap_lower,
     twist_lower_bound,
@@ -51,18 +49,15 @@ class TestTwistLowerBound:
 
 class TestTauBounds:
     def test_smooth_tau_upper(self):
-        assert smooth_tau_upper(1, 1) == 0
-        assert smooth_tau_upper(78, 16) == 31
-        assert smooth_tau_upper(78, 16) <= 34
-
-    def test_smooth_tau_requires_p(self):
-        with pytest.raises(NotDiagonalizable):
-            smooth_tau_upper(30, None)
+        assert TauBounds(A=1, P=1).smooth_tau_upper_sharp == 0
+        assert TauBounds(A=78, P=16).smooth_tau_upper_sharp == 31
+        assert TauBounds(A=78, P=16).smooth_tau_upper_sharp <= 34
+        assert TauBounds(A=30, P=None).smooth_tau_upper_sharp is None
 
     def test_contact_tau_lower(self):
-        assert contact_tau_lower(30, -5) == 13
-        assert contact_tau_lower(30, -31) == 0
-        assert contact_tau_lower(78, -8) == Fraction(71, 2)
+        assert TauBounds(A=30, P=None).contact_tau_lower_at(-5) == 13
+        assert TauBounds(A=30, P=None).contact_tau_lower_at(-31) == 0
+        assert TauBounds(A=78, P=None).contact_tau_lower_at(-8) == Fraction(71, 2)
 
     def test_tau_gap_lower(self):
         assert tau_gap_lower(78, 16) == 9
@@ -73,24 +68,12 @@ class TestTauBounds:
         with pytest.raises(NotDiagonalizable):
             tau_gap_lower(30, None)
 
-    def test_tb_framing_identity(self):
-        from seifert_gate import TauBounds
-
-        bounds = TauBounds(A=30, P=None)
-        assert bounds.tb_regular_fiber_at(-5) == 25
-        assert bounds.contact_tau_lower_at(-5) == Fraction(bounds.tb_regular_fiber_at(-5) + 1, 2)
-
 
 class TestSlopes:
     def test_fiber_boundary_slope(self):
         assert fiber_boundary_slope(2, -1, 1, 0, -1) == -1
         assert fiber_boundary_slope(3, 1, 2, 1, -1) == 0
         assert fiber_boundary_slope(13, 11, 7, 6, -1) == Fraction(5, 6)
-
-    def test_ruling_slope(self):
-        assert ruling_slope(2, 1) == -2
-        assert ruling_slope(5, 4) == Fraction(-5, 4)
-        assert ruling_slope(3, 2) == Fraction(-3, 2)
 
     def test_cut_and_round(self):
         assert cut_and_round_slope([Fraction(-1), Fraction(0)], -1, 3) == 0
