@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 from .errors import InvalidParameter
 
@@ -56,10 +56,14 @@ def transverse_contact_exists(data: SmallSeifertData) -> TransverseWitness:
     """Search for the smallest witness (m, then a) of the transverse criterion.
 
     Only defined for three fiber fractions; they are sorted descending
-    internally, so the result does not depend on their order.
+    internally, so the result does not depend on their order.  When
+    r1 + r2 >= 1 every interval (m*r1, m*(1 - r2)) is empty, and the search
+    is exhausted at once, with the same bound the loop would reach.
     """
     assert len(data.r) == 3, "criterion applies to three singular fibers"
     r1, r2, r3 = sorted(data.r, reverse=True)
+    if r1 + r2 >= 1:
+        return TransverseWitness(a=None, m=None, searched_m_below=ceil(1 / r3))
     m = 1
     while m * r3 < 1:
         lower = m * r1

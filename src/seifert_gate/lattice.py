@@ -1,7 +1,7 @@
 """Exact lattice computations on negative-definite unimodular forms.
 
-Three searches live here, all running in integer/rational arithmetic with a
-configurable node cap:
+Two searches live here, both running in integer/rational arithmetic with a
+configurable node cap, plus the assembly between them:
 
 * enumeration of the vectors of self-intersection -1 (bounded search on the
   rational square completion of -Q that the form carries, walking each level
@@ -9,8 +9,9 @@ configurable node cap:
 * assembly of an orthonormal change of basis from those vectors, which for a
   unimodular negative-definite form exists exactly when the form is
   diagonalizable over the integers;
-* a branch-and-bound minimum over the characteristic coset, which gives the
-  correction-term invariant of the boundary under the sharpness hypothesis.
+* a branch-and-bound minimum over the characteristic coset of the vectors'
+  orthogonal complement, which gives the correction-term invariant of the
+  boundary under the sharpness hypothesis.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from math import floor
 from typing import Sequence
 
 from . import _linalg
-from .errors import EnumerationCapExceeded, NotDiagonalizable, RankTooLarge
-from .plumbing import IntersectionForm, inverse_first_column
+from .errors import EnumerationCapExceeded, NotDiagonalizable, RankTooLarge, SingularMatrix
+from .plumbing import IntersectionForm
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -50,7 +51,7 @@ class DiagonalizationCertificate:
     norm_minus_one_vectors returns them), nodes the search nodes their
     enumeration spent.  Building one checks that the units lie in Z^m with
     Gram matrix -I (else ValueError), so they are independent: present when
-    there are m of them, the columns of E; otherwise norm_one_count is the
+    there are m of them, the columns of E; otherwise their number is the
     witness of the exhaustive search.
     """
 
@@ -81,10 +82,6 @@ class DiagonalizationCertificate:
     @property
     def E(self) -> tuple[tuple[int, ...], ...] | None:
         return tuple(zip(*self.units)) if self.present else None
-
-    @property
-    def norm_one_count(self) -> int:
-        return len(self.units)
 
 
 @dataclass(frozen=True)
@@ -220,10 +217,19 @@ def diagonalize(
 def dual_class(form: IntersectionForm) -> DualClass:
     """Coefficients of the class dual to the central vertex, with its self-intersection.
 
-    Raises ValueError unless the form is negative definite.
+    D = Q^{-1} e_1, solved through the form's square completion; Q D = e_1 is
+    re-checked over the nonzeros of Q.  Raises SingularMatrix when det Q = 0,
+    else ValueError unless the form is negative definite.
     """
-    column = inverse_first_column(form)
-    return DualClass(D=tuple(column), self_intersection=column[0])
+    if form.det == 0:
+        raise SingularMatrix("form has determinant zero")
+    if form.completion is None:
+        raise ValueError("form must be negative definite")
+    e1 = [int(i == 0) for i in range(form.m)]
+    x = _linalg.solve_completion(*form.completion, [-b for b in e1])
+    for i, row in enumerate(form.Q):
+        assert sum(q * x[j] for j, q in enumerate(row) if q) == e1[i]
+    return DualClass(D=tuple(x), self_intersection=x[0])
 
 
 def max_sharp_pairing(cert: DiagonalizationCertificate, dual: DualClass) -> int:
@@ -349,7 +355,8 @@ def _split_off_units(
     The complement lattice is the image of the integral projection
     x -> x + sum_i Q(x, u_i) u_i; a basis comes from echelon-reducing the
     projected standard basis.  The complement is again unimodular and
-    negative definite, now with no (-1)-vectors at all.
+    negative definite, now with no (-1)-vectors at all.  With no units the
+    projected basis is the standard one, and the complement is Q itself.
     """
     m = form.m
     images = _images(form, units)
@@ -370,38 +377,23 @@ def _split_off_units(
     return sub
 
 
-def d_invariant(
-    form: IntersectionForm,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    cert: DiagonalizationCertificate | None = None,
-) -> Fraction:
+def d_invariant(cert: DiagonalizationCertificate, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
     """Correction term d = max over characteristic kappa of (kappa^T Q^{-1} kappa + m)/4.
 
     Computed exactly as a closest-vector search over the characteristic
-    coset.  The (-1)-vectors are split off first: on the diagonal summand
-    every characteristic vector already attains the optimum, so the search
-    only runs on the unit-free orthogonal complement, whose coset minimum is
-    then shifted by the number of split-off units.  Reported under the
-    sharpness hypothesis, which holds for the star-shaped negative-definite
-    plumbings produced by this package.
-
-    The (-1)-vectors, and the nodes spent on them where the count starts, come
-    from diagonalize's certificate: one made here, or the one passed, which
-    must be a certificate of an equal form (else ValueError).
+    coset of the certificate's form.  Its (-1)-vectors are split off first:
+    on the diagonal summand every characteristic vector already attains the
+    optimum, so the search only runs on the unit-free orthogonal complement,
+    whose coset minimum is then shifted by the number of split-off units.
+    The nodes diagonalize spent on the units count toward the cap.  Reported
+    under the sharpness hypothesis, which holds for the star-shaped
+    negative-definite plumbings produced by this package.
     """
+    form = cert.form
     _require_neg_def_unimodular(form)
-    m = form.m
-    if cert is None:
-        cert = diagonalize(form, cap)
-    elif cert.form != form:
-        raise ValueError("certificate does not belong to this form")
     budget = _NodeBudget(cap, cert.nodes)
     k = len(cert.units)
-    if k == m:
+    if k == form.m:
         return Fraction(0)
-    if k > 0:
-        sub = _split_off_units(form, cert.units)
-        best = k + _coset_minimum(sub, budget)
-    else:
-        best = _coset_minimum(form, budget)
-    return (m - best) / 4
+    sub = _split_off_units(form, cert.units)
+    return (form.m - k - _coset_minimum(sub, budget)) / 4

@@ -18,9 +18,10 @@ from fractions import Fraction
 from math import isqrt, prod
 from typing import Iterable, Sequence
 
-from .errors import NotDiagonalizable
+from .errors import NotDiagonalizable, RankTooLarge
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
+    MAX_SEARCH_RANK,
     DiagonalizationCertificate,
     DualClass,
     d_invariant,
@@ -312,10 +313,15 @@ def verdict(
     Diagonalizable form: the twist bound and the sharp pairing force
     2*(tau_contact - tau_smooth) >= tw_min + P + 1 > 0 (positive-gap branch).
     Either way the tuple is obstructed; the report is the certificate.
+    Each leg has a vertex, so n fibers give rank >= n + 1: RankTooLarge comes
+    from n before validation, then from the plumbing tree before any matrix.
     """
     assert kn_bound <= -1
     start = time.perf_counter()
-    mult = m if isinstance(m, Multiplicities) else validate_multiplicities(m)
+    raw = m.a if isinstance(m, Multiplicities) else tuple(m)
+    if len(raw) + 1 > MAX_SEARCH_RANK:
+        raise RankTooLarge(f"{len(raw)} fibers give a rank above the search limit {MAX_SEARCH_RANK}")
+    mult = m if isinstance(m, Multiplicities) else validate_multiplicities(raw)
     pres = solve_unnormalized(mult)
     norm = normalize(pres)
     glue = gluing_data(pres)
@@ -326,7 +332,7 @@ def verdict(
     dual = dual_class(form)
     big_a = mult.product
     assert dual.self_intersection == -big_a
-    d_val = d_invariant(form, cap, cert)
+    d_val = d_invariant(cert, cap)
     bound = TwistBound.for_product(big_a)
     twist_cert = verify_twist_chain(pres, glue, range(-1, kn_bound - 1, -1))
     caveats = [_SHARPNESS_CAVEAT, _VERTICAL_TWIST_CAVEAT]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import floor, prod
 
 from . import _linalg
-from .errors import InvalidRange, SingularMatrix
+from .errors import InvalidRange
 from .seifert import Multiplicities, NormalizedPresentation
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "neg_cf",
     "build_plumbing",
     "intersection_form",
-    "inverse_first_column",
 ]
 
 
@@ -67,14 +66,6 @@ class PlumbingGraph:
         for leg in self.legs:
             out.extend(leg)
         return tuple(out)
-
-    @property
-    def vertex_order(self) -> tuple[tuple[int, int], ...]:
-        """Canonical labels (j, i): (0, 0) is the center, (j, i) is vertex i of leg j (1-based)."""
-        labels = [(0, 0)]
-        for j, leg in enumerate(self.legs, start=1):
-            labels.extend((j, i) for i in range(1, len(leg) + 1))
-        return tuple(labels)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -173,19 +164,3 @@ def intersection_form(g: PlumbingGraph) -> IntersectionForm:
         rows[a][b] = rows[b][a] = 1
     return IntersectionForm.from_matrix(rows)
 
-
-def inverse_first_column(f: IntersectionForm) -> list[Fraction]:
-    """First column of Q^{-1}, exactly, solved through the form's square completion.
-
-    Q x = e1 is re-checked on every row, over the nonzero entries of Q.
-    Raises ValueError when the form is not negative definite.
-    """
-    if f.det == 0:
-        raise SingularMatrix("form has determinant zero")
-    if f.completion is None:
-        raise ValueError("form must be negative definite")
-    e1 = [int(i == 0) for i in range(f.m)]
-    x = _linalg.solve_completion(*f.completion, [-b for b in e1])
-    for i, row in enumerate(f.Q):
-        assert sum(q * x[j] for j, q in enumerate(row) if q) == e1[i]
-    return x

@@ -60,14 +60,12 @@ class Multiplicities:
 
 @dataclass(frozen=True)
 class SeifertPresentation:
-    """Surgery presentation (b; (a_1, b_1), ..., (a_n, b_n)).
+    """Canonical surgery presentation (0; (a_1, b_1), ..., (a_n, b_n)).
 
-    The defining identity A * sum(b_k / a_k) == 1 + b * A is checked exactly.
-    Canonical form has b == 0.
+    The defining identity A * sum(b_k / a_k) == 1 is checked exactly.
     """
 
     multiplicities: Multiplicities
-    b: int
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
@@ -76,10 +74,8 @@ class SeifertPresentation:
         assert all(p[0] == ai for p, ai in zip(self.pairs, a))
         big_a = self.multiplicities.product
         total = sum(Fraction(bk, ak) for ak, bk in self.pairs)
-        if big_a * total != 1 + self.b * big_a:
-            raise AssertionError(
-                f"presentation identity violated: {big_a}*{total} != 1 + {self.b}*{big_a}"
-            )
+        if big_a * total != 1:
+            raise AssertionError(f"presentation identity violated: {big_a}*{total} != 1")
 
     @property
     def coefficients(self) -> tuple[int, ...]:
@@ -131,7 +127,7 @@ def solve_unnormalized(m: Multiplicities) -> SeifertPresentation:
     assert rem == 0, "residue sum must be 1 mod A by construction"
     coeffs[0] -= shift * m.a[0]
     pairs = tuple(zip(m.a, coeffs))
-    return SeifertPresentation(multiplicities=m, b=0, pairs=pairs)
+    return SeifertPresentation(multiplicities=m, pairs=pairs)
 
 
 def normalize(p: SeifertPresentation) -> NormalizedPresentation:
@@ -141,8 +137,6 @@ def normalize(p: SeifertPresentation) -> NormalizedPresentation:
     e0 = sum(floor(-b_j / a_j)).  The identity
     sum(r_j) == -e0 - 1/A is asserted exactly.
     """
-    if p.b != 0:
-        raise ValueError("normalize expects the canonical presentation (b = 0)")
     tilde = []
     for aj, bj in p.pairs:
         res = bj % aj

@@ -214,3 +214,20 @@ def dense_cholesky(g):
                 work[k][l] -= d[i] * u[i][k] * u[i][l]
                 work[l][k] = work[k][l]
     return d, u
+
+
+def transverse_search(r):
+    """(a, m, searched_m_below) of the transverse criterion, by walking every m with m*r3 < 1.
+
+    The plain loop over m and a, with no shortcut for empty intervals.
+    """
+    r1, r2, r3 = sorted(r, reverse=True)
+    m = 1
+    while m * r3 < 1:
+        a = int(m * r1) + 1
+        while a < m * (1 - r2):
+            if 0 < a < m and gcd(a, m) == 1:
+                return a, m, m + 1
+            a += 1
+        m += 1
+    return None, None, m

@@ -1,15 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from seifert_gate import (
-    InvalidParameter,
-    SmallSeifertData,
-    mp_family,
-    mpl_family,
-    theta_invariant,
-    transverse_contact_exists,
-)
+from seifert_gate import InvalidParameter, mp_family, transverse_contact_exists
+from seifert_gate.families import SmallSeifertData, mpl_family, theta_invariant
+from oracles import transverse_search
 
 
 class TestFamilies:
@@ -82,6 +78,33 @@ class TestTransverseTest:
             w = transverse_contact_exists(SmallSeifertData(e=-1, r=perm))
             results.add((w.a, w.m))
         assert results == {(3, 5)}
+
+
+class TestTransverseSearchBound:
+    @staticmethod
+    def as_tuple(w):
+        return w.a, w.m, w.searched_m_below
+
+    def test_mp_family_matches_the_plain_loop(self):
+        for p in range(2, 61):
+            data = mp_family(p)
+            assert self.as_tuple(transverse_contact_exists(data)) == transverse_search(data.r)
+
+    def test_random_triples_match_the_plain_loop(self):
+        # both sides of r1 + r2 = 1, with and without a witness
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(300):
+            r = tuple(Fraction(rng.randrange(1, q), q) for q in rng.choices(range(2, 30), k=3))
+            ours = self.as_tuple(transverse_contact_exists(SmallSeifertData(-1, r)))
+            assert ours == transverse_search(r)
+            r1, r2, _ = sorted(r, reverse=True)
+            seen.add((r1 + r2 >= 1, ours[0] is not None))
+        assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_mp_family_at_a_billion_is_immediate(self):
+        w = transverse_contact_exists(mp_family(10**9))
+        assert not w.present and w.searched_m_below == 10**9
 
 
 class TestTheta:

@@ -19,14 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from seifert_gate import (
-    build_plumbing,
-    diagonalize,
-    intersection_form,
-    normalize,
-    solve_unnormalized,
-    validate_multiplicities,
-)
+from seifert_gate import diagonalize, validate_multiplicities
+from seifert_gate.seifert import normalize, solve_unnormalized
+from seifert_gate.plumbing import build_plumbing, intersection_form
 from seifert_gate.cli import _evaluate_tuple
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

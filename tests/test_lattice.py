@@ -9,26 +9,23 @@ import pytest
 from seifert_gate import (
     DiagonalizationCertificate,
     EnumerationCapExceeded,
-    IntersectionForm,
     NotDiagonalizable,
     RankTooLarge,
-    build_plumbing,
-    d_invariant,
     diagonalize,
-    dual_class,
-    intersection_form,
-    max_sharp_pairing,
     norm_minus_one_vectors,
-    normalize,
-    solve_unnormalized,
     validate_multiplicities,
 )
 from seifert_gate import lattice, obstruction
+from seifert_gate.seifert import normalize, solve_unnormalized
+from seifert_gate.plumbing import IntersectionForm, build_plumbing, intersection_form
 from seifert_gate.lattice import (
     MAX_SEARCH_RANK,
     _characteristic_parity,
     _greedy_descent,
     _split_off_units,
+    d_invariant,
+    dual_class,
+    max_sharp_pairing,
 )
 from seifert_gate.obstruction import ceil_sqrt, verdict
 from oracles import (
@@ -46,6 +43,11 @@ from oracles import (
 def form_for(a):
     m = validate_multiplicities(a)
     return intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
+
+
+def d_of(f, cap=lattice.DEFAULT_ENUMERATION_CAP):
+    """d of a form, from the certificate diagonalize builds at the same cap."""
+    return d_invariant(diagonalize(f, cap), cap)
 
 
 def minus_identity(n):
@@ -109,7 +111,7 @@ class TestNormMinusOneVectors:
             norm_minus_one_vectors(E8, cap=3)
         f = form_for((5, 7, 11, 13))
         with pytest.raises(EnumerationCapExceeded):
-            d_invariant(f, cap=1000)
+            d_of(f, cap=1000)
 
     def test_rejects_indefinite(self):
         f = IntersectionForm.from_matrix([[1, 0], [0, -1]])
@@ -132,7 +134,7 @@ class TestDiagonalize:
     def test_e8_absent_with_witness(self):
         cert = diagonalize(E8)
         assert not cert.present
-        assert cert.norm_one_count == 0
+        assert len(cert.units) == 0
 
     def test_diagonal_gives_identity(self):
         f = IntersectionForm.from_matrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
@@ -149,7 +151,7 @@ class TestDiagonalize:
         # the form splits off three (-1) summands but is not diagonalizable
         cert = diagonalize(form_for((2, 3, 23)))
         assert not cert.present
-        assert cert.norm_one_count == 3
+        assert len(cert.units) == 3
 
     def test_rejects_non_unimodular(self):
         f = IntersectionForm.from_matrix([[-2]])
@@ -214,17 +216,17 @@ class TestMaxSharpPairing:
 
 class TestDInvariant:
     def test_rank_one(self):
-        assert d_invariant(IntersectionForm.from_matrix([[-1]])) == 0
+        assert d_of(IntersectionForm.from_matrix([[-1]])) == 0
 
     def test_e8_value(self):
-        assert d_invariant(E8) == 2
+        assert d_of(E8) == 2
 
     def test_e8_matches_box_search(self):
         assert box_d_invariant([list(r) for r in E8.Q]) == 2
 
     def test_diagonalizable_cases_are_zero(self):
         for a in DIAGONALIZABLE_SMALL:
-            assert d_invariant(form_for(a)) == 0
+            assert d_of(form_for(a)) == 0
 
     @pytest.mark.parametrize(
         "rows",
@@ -237,18 +239,18 @@ class TestDInvariant:
     def test_small_forms_match_box_search(self, rows):
         f = IntersectionForm.from_matrix(rows)
         if abs(f.det) == 1:
-            assert d_invariant(f) == box_d_invariant(rows)
+            assert d_of(f) == box_d_invariant(rows)
 
     def test_plumbing_forms_match_box_search(self):
         for a in [(2, 3, 7), (2, 3, 13), (3, 4, 5), (2, 3, 11)]:
             f = form_for(a)
-            assert d_invariant(f) == box_d_invariant([list(r) for r in f.Q])
+            assert d_of(f) == box_d_invariant([list(r) for r in f.Q])
 
     def test_known_correction_terms(self):
         # frozen values for the standard orientation (singularity link)
         expected = {(2, 3, 5): 2, (2, 3, 7): 0, (2, 3, 11): 2, (2, 3, 13): 0}
         for a, value in expected.items():
-            assert d_invariant(form_for(a)) == value
+            assert d_of(form_for(a)) == value
 
     def test_unit_splitting_agrees_with_direct_search(self):
         from seifert_gate.lattice import _coset_minimum, _NodeBudget
@@ -256,11 +258,12 @@ class TestDInvariant:
         for a in [(2, 3, 11), (2, 3, 23), (2, 5, 13), (2, 7, 9)]:
             f = form_for(a)
             direct = (f.m - _coset_minimum(f, _NodeBudget(10**8))) / 4
-            assert d_invariant(f) == direct
+            assert d_of(f) == direct
 
     def test_rejects_non_unimodular(self):
+        f = IntersectionForm.from_matrix([[-2, 1], [1, -2]])
         with pytest.raises(ValueError):
-            d_invariant(IntersectionForm.from_matrix([[-2, 1], [1, -2]]))
+            d_invariant(DiagonalizationCertificate(form=f, units=(), nodes=0))
 
     @pytest.mark.parametrize(
         "a, complement",
@@ -289,7 +292,7 @@ class TestDInvariant:
     @pytest.mark.parametrize("f", [form_for((2, 3, 13)), form_for((2, 3, 23)), E8])
     def test_value_is_a_fraction(self, f):
         # k == m, 0 < k < m and k == 0 units; the golden corpus prints 2.0 as 2
-        assert type(d_invariant(f)) is Fraction
+        assert type(d_of(f)) is Fraction
 
 
 # Fewest search nodes each call needs.  The search must visit exactly these
@@ -316,18 +319,13 @@ class TestSearchIsPinned:
     def test_d_invariant_minimal_cap(self, a, n_diag, n_d):
         f = form_for(a)
         cert = diagonalize(f, cap=n_diag)
-        values = []
-        for reuse in (None, cert):
-            values.append(d_invariant(f, cap=n_d, cert=reuse))
-            with pytest.raises(EnumerationCapExceeded):
-                d_invariant(f, cap=n_d - 1, cert=reuse)
-        assert values[0] == values[1]
-
-    def test_reused_certificate_must_match_the_form(self):
-        cert = diagonalize(form_for((2, 3, 13)))
-        for other in [(2, 3, 7), (2, 5, 7)]:  # rank 4; rank 5 like (2, 3, 13)
-            with pytest.raises(ValueError):
-                d_invariant(form_for(other), cert=cert)
+        value = d_invariant(cert, cap=n_d)
+        with pytest.raises(EnumerationCapExceeded):
+            d_invariant(cert, cap=n_d - 1)
+        # standalone, with one cap for both searches as verdict runs them
+        assert d_invariant(diagonalize(f, cap=n_d), cap=n_d) == value
+        with pytest.raises(EnumerationCapExceeded):
+            d_invariant(diagonalize(f, cap=n_d - 1), cap=n_d - 1)
 
     def test_reused_certificate_must_be_orthonormal(self):
         f = form_for((2, 3, 13))
@@ -346,8 +344,7 @@ class TestSearchIsPinned:
         f = form_for((2, 3, 23))
         copy = IntersectionForm.from_matrix(f.Q)
         assert copy is not f
-        cert = diagonalize(copy)
-        assert d_invariant(f, cert=cert) == d_invariant(f) == 2
+        assert d_invariant(diagonalize(copy)) == d_of(f) == 2
 
     def test_reused_certificate_is_not_checked_again(self, monkeypatch):
         f = form_for((2, 3, 13))
@@ -360,7 +357,7 @@ class TestSearchIsPinned:
             return real(v, qw)
 
         monkeypatch.setattr(lattice, "_pairing", counting)
-        assert d_invariant(f, cert=cert) == 0
+        assert d_invariant(cert) == 0
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -390,9 +387,10 @@ def test_rank_limit():
     with pytest.raises(EnumerationCapExceeded):
         norm_minus_one_vectors(minus_identity(MAX_SEARCH_RANK), cap=2 * MAX_SEARCH_RANK)
     f = minus_identity(MAX_SEARCH_RANK + 1)
-    for search in (norm_minus_one_vectors, diagonalize, d_invariant):
+    by_hand = DiagonalizationCertificate(form=f, units=(), nodes=0)
+    for search, arg in [(norm_minus_one_vectors, f), (diagonalize, f), (d_invariant, by_hand)]:
         with pytest.raises(RankTooLarge, match=f"rank {MAX_SEARCH_RANK + 1} "):
-            search(f)
+            search(arg)
     with pytest.raises(RankTooLarge, match="rank 1003 "):
         verdict((2, 3, 6001))
 
@@ -408,10 +406,23 @@ def test_rank_is_rejected_before_the_form_is_built(monkeypatch):
         assert str(excinfo.value) == f"form of rank {m} is above the search limit {MAX_SEARCH_RANK}"
 
 
+def test_fiber_count_is_rejected_before_validation(monkeypatch):
+    # n fibers give rank >= n + 1, so 900 fibers are rejected unvalidated
+    def unreachable(raw):
+        raise AssertionError("validate_multiplicities called")
+
+    monkeypatch.setattr(obstruction, "validate_multiplicities", unreachable)
+    with pytest.raises(RankTooLarge) as excinfo:
+        verdict(range(2, 902))
+    assert str(excinfo.value) == f"900 fibers give a rank above the search limit {MAX_SEARCH_RANK}"
+    with pytest.raises(AssertionError, match="validate_multiplicities called"):
+        verdict(range(2, 901))
+
+
 def test_certificate_checks_survive_optimize():
-    """Under python -O, a forged certificate and a certificate of another form are rejected."""
+    """Under python -O, a forged certificate is rejected."""
     script = """
-from seifert_gate import DiagonalizationCertificate, d_invariant, diagonalize, verdict
+from seifert_gate import DiagonalizationCertificate, diagonalize, verdict
 
 assert False, "asserts are stripped"
 f = verdict((2, 3, 13)).form
@@ -422,12 +433,6 @@ except ValueError:
     pass
 else:
     raise SystemExit("forged certificate accepted")
-try:
-    d_invariant(verdict((2, 5, 7)).form, cert=diagonalize(f))
-except ValueError:
-    pass
-else:
-    raise SystemExit("certificate of another form accepted")
 """
     src = str(Path(lattice.__file__).parents[1])
     proc = subprocess.run(

@@ -7,18 +7,19 @@ import pytest
 from seifert_gate import (
     NotCoprime,
     NotDiagonalizable,
+    Verdict,
+    validate_multiplicities,
+    verdict,
+)
+from seifert_gate.seifert import gluing_data, solve_unnormalized
+from seifert_gate.obstruction import (
     TauBounds,
     TwistBound,
-    Verdict,
     balanced_twists,
     cut_and_round_slope,
     fiber_boundary_slope,
-    gluing_data,
-    solve_unnormalized,
     tau_gap_lower,
     twist_lower_bound,
-    validate_multiplicities,
-    verdict,
     verify_twist_chain,
 )
 from oracles import random_coprime_tuples

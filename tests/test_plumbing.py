@@ -4,19 +4,20 @@ from fractions import Fraction
 import pytest
 
 from seifert_gate import (
-    IntersectionForm,
     InvalidRange,
-    PlumbingGraph,
     SingularMatrix,
-    build_plumbing,
     diagonalize,
-    intersection_form,
-    inverse_first_column,
-    neg_cf,
-    normalize,
-    solve_unnormalized,
     validate_multiplicities,
 )
+from seifert_gate.seifert import normalize, solve_unnormalized
+from seifert_gate.plumbing import (
+    IntersectionForm,
+    PlumbingGraph,
+    build_plumbing,
+    intersection_form,
+    neg_cf,
+)
+from seifert_gate.lattice import dual_class
 from seifert_gate.lattice import _split_off_units
 from oracles import cofactor_det, gauss_inverse, random_coprime_tuples
 
@@ -90,11 +91,6 @@ class TestBuildPlumbing:
         g = build_plumbing(normalize(solve_unnormalized(m)), m)
         assert g.center_weight == -1
         assert g.legs == ((-2,), (-3,), (-7, -2))
-
-    def test_vertex_order_labels(self):
-        m = validate_multiplicities((2, 3, 13))
-        g = build_plumbing(normalize(solve_unnormalized(m)), m)
-        assert g.vertex_order == ((0, 0), (1, 1), (2, 1), (3, 1), (3, 2))
 
 
 class TestIntersectionForm:
@@ -170,34 +166,34 @@ class TestIntersectionForm:
 
 class TestInverseEntry:
     def test_known_values(self):
-        assert inverse_first_column(form_for((2, 3, 5)))[0] == -30
-        assert inverse_first_column(form_for((2, 3, 7)))[0] == -42
+        assert dual_class(form_for((2, 3, 5))).self_intersection == -30
+        assert dual_class(form_for((2, 3, 7))).self_intersection == -42
         f = intersection_form(PlumbingGraph(center_weight=-1, legs=()))
-        assert inverse_first_column(f)[0] == -1
+        assert dual_class(f).self_intersection == -1
 
     def test_matches_product_randomized(self):
         rng = random.Random(7)
         for t in random_coprime_tuples(rng, 40):
             m = validate_multiplicities(t)
-            assert inverse_first_column(form_for(t))[0] == -m.product
+            assert dual_class(form_for(t)).self_intersection == -m.product
 
     def test_star_solve_agrees_with_dense(self):
         for f in [form_for(a) for a in GAP_LADDER] + [complement_for((2, 3, 23))]:
             inv = gauss_inverse([list(r) for r in f.Q])
-            assert inverse_first_column(f) == [inv[i][0] for i in range(f.m)]
+            assert list(dual_class(f).D) == [inv[i][0] for i in range(f.m)]
 
     def test_large_leg_tuple(self):
         # b~ with a long all-(-2) chain; exercises the linear-time solver
         f = form_for((2, 3, 1661))
         assert abs(f.det) == 1 and f.negative_definite
-        assert inverse_first_column(f)[0] == -2 * 3 * 1661
+        assert dual_class(f).self_intersection == -2 * 3 * 1661
 
     def test_singular_rejected(self):
         f = IntersectionForm.from_matrix([[0]])
         with pytest.raises(SingularMatrix):
-            inverse_first_column(f)[0]
+            dual_class(f)
 
     def test_not_negative_definite_rejected(self):
         for rows in ([[0, 1], [1, 0]], [[1, 0], [0, -1]]):
             with pytest.raises(ValueError):
-                inverse_first_column(IntersectionForm.from_matrix(rows))
+                dual_class(IntersectionForm.from_matrix(rows))
