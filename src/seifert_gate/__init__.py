@@ -18,7 +18,6 @@ from .errors import (
     NotDiagonalizable,
     RankTooLarge,
     SeifertGateError,
-    SingularMatrix,
     TooFewFibers,
 )
 from .families import mp_family, transverse_contact_exists

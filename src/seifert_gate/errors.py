@@ -25,10 +25,6 @@ class InvalidRange(SeifertGateError, ValueError):
     """A rational lies outside the domain of the requested expansion."""
 
 
-class SingularMatrix(SeifertGateError):
-    """The matrix has determinant zero where an inverse was required."""
-
-
 class EnumerationCapExceeded(SeifertGateError):
     """A lattice search visited more nodes than the configured cap."""
 

@@ -1,16 +1,16 @@
 """Small Seifert families and the transverse-contact-structure test.
 
-The existence test is a finite exhaustive search over the exact rational
-criterion: with the three fiber fractions sorted descending, a transverse
-contact structure exists iff coprime integers 0 < a < m satisfy
-m*r1 < a < m*(1 - r2) and m*r3 < 1.
+The existence test decides the exact rational criterion: with the three
+fiber fractions sorted descending, a transverse contact structure exists iff
+coprime integers 0 < a < m satisfy m*r1 < a < m*(1 - r2) and m*r3 < 1.  The
+least such m is found by one continued-fraction descent, not by a search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, floor
 
 from .errors import InvalidParameter
 
@@ -52,31 +52,39 @@ class TransverseWitness:
         return self.a is not None
 
 
-def transverse_contact_exists(data: SmallSeifertData) -> TransverseWitness:
-    """Search for the smallest witness (m, then a) of the transverse criterion.
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The fraction of least denominator strictly inside (lo, hi), for lo < hi.
 
-    Only defined for three fiber fractions; they are sorted descending
-    internally, so the result does not depend on their order.  When
-    r1 + r2 >= 1 every interval (m*r1, m*(1 - r2)) is empty, and the search
-    is exhausted at once, with the same bound the loop would reach.
+    Stern-Brocot descent: strip the common integer part n and go on with the
+    reciprocal interval.  The fraction is unique and in lowest terms.
+    """
+    terms = []
+    while (n := floor(lo)) + 1 >= hi and lo != n:
+        terms.append(n)
+        lo, hi = 1 / (hi - n), 1 / (lo - n)
+    x = Fraction(n + 1) if n + 1 < hi else n + Fraction(1, floor(1 / (hi - n)) + 1)
+    for n in reversed(terms):
+        x = n + 1 / x
+    return x
+
+
+def transverse_contact_exists(data: SmallSeifertData) -> TransverseWitness:
+    """The smallest witness (m, then a) of the transverse criterion.
+
+    Only defined for three fiber fractions, sorted descending internally.  A
+    fraction a/m in (r1, 1 - r2) first appears at the least denominator m of
+    that interval, as its simplest fraction; if m*r3 >= 1, or r1 + r2 >= 1
+    leaves the interval empty, every m with m*r3 < 1 has been exhausted.
     """
     assert len(data.r) == 3, "criterion applies to three singular fibers"
     r1, r2, r3 = sorted(data.r, reverse=True)
-    if r1 + r2 >= 1:
+    s = _simplest_between(r1, 1 - r2) if r1 + r2 < 1 else None
+    if s is None or s.denominator * r3 >= 1:
         return TransverseWitness(a=None, m=None, searched_m_below=ceil(1 / r3))
-    m = 1
-    while m * r3 < 1:
-        lower = m * r1
-        upper = m * (1 - r2)
-        a = int(lower) + 1  # smallest integer strictly above lower
-        while a < upper:
-            if 0 < a < m and gcd(a, m) == 1:
-                witness = TransverseWitness(a=a, m=m, searched_m_below=m + 1)
-                assert m * r1 < a < m * (1 - r2) and m * r3 < 1
-                return witness
-            a += 1
-        m += 1
-    return TransverseWitness(a=None, m=None, searched_m_below=m)
+    a, m = s.numerator, s.denominator
+    witness = TransverseWitness(a=a, m=m, searched_m_below=m + 1)
+    assert 0 < a < m and m * r1 < a < m * (1 - r2) and m * r3 < 1
+    return witness
 
 
 def mp_family(p: int) -> SmallSeifertData:

@@ -12,6 +12,9 @@ configurable node cap, plus the assembly between them:
 * a branch-and-bound minimum over the characteristic coset of the vectors'
   orthogonal complement, which gives the correction-term invariant of the
   boundary under the sharpness hypothesis.
+
+Every IntersectionForm is negative definite by construction, so the entry
+points check only the rank and, where they need it, |det Q| = 1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import floor
 from typing import Sequence
 
 from . import _linalg
-from .errors import EnumerationCapExceeded, NotDiagonalizable, RankTooLarge, SingularMatrix
+from .errors import EnumerationCapExceeded, NotDiagonalizable, RankTooLarge
 from .plumbing import IntersectionForm
 
 __all__ = [
@@ -71,9 +74,6 @@ class DiagonalizationCertificate:
             for j in range(i, len(self.units))
         ):
             raise ValueError("units are not orthonormal in this form")
-        if self.present:
-            # follows from the Gram matrix: det(E)^2 det(Q) = det(-I)
-            assert abs(_linalg.bareiss_determinant(self.E)) == 1
 
     @property
     def present(self) -> bool:
@@ -98,14 +98,8 @@ def require_search_rank(m: int) -> None:
         raise RankTooLarge(f"form of rank {m} is above the search limit {MAX_SEARCH_RANK}")
 
 
-def _require_neg_def(form: IntersectionForm) -> None:
+def _require_unimodular(form: IntersectionForm) -> None:
     require_search_rank(form.m)
-    if not form.negative_definite:
-        raise ValueError("form must be negative definite")
-
-
-def _require_neg_def_unimodular(form: IntersectionForm) -> None:
-    _require_neg_def(form)
     if abs(form.det) != 1:
         raise ValueError(f"form must be unimodular, det = {form.det}")
 
@@ -177,7 +171,7 @@ def norm_minus_one_vectors(
     EnumerationCapExceeded if the bounded search visits more than ``cap``
     nodes, and RankTooLarge, before any search, above MAX_SEARCH_RANK.
     """
-    _require_neg_def(form)
+    require_search_rank(form.m)
     return _fixed_norm_enumeration(form, _NodeBudget(cap))
 
 
@@ -208,7 +202,7 @@ def diagonalize(
     vectors, re-verifies their Gram matrix (with m of them it is E^T Q E), and
     keeps the nodes spent on them, so d_invariant can reuse them.
     """
-    _require_neg_def_unimodular(form)
+    _require_unimodular(form)
     budget = _NodeBudget(cap)
     units = tuple(_fixed_norm_enumeration(form, budget))
     return DiagonalizationCertificate(form=form, units=units, nodes=budget.used)
@@ -218,13 +212,8 @@ def dual_class(form: IntersectionForm) -> DualClass:
     """Coefficients of the class dual to the central vertex, with its self-intersection.
 
     D = Q^{-1} e_1, solved through the form's square completion; Q D = e_1 is
-    re-checked over the nonzeros of Q.  Raises SingularMatrix when det Q = 0,
-    else ValueError unless the form is negative definite.
+    re-checked over the nonzeros of Q.
     """
-    if form.det == 0:
-        raise SingularMatrix("form has determinant zero")
-    if form.completion is None:
-        raise ValueError("form must be negative definite")
     e1 = [int(i == 0) for i in range(form.m)]
     x = _linalg.solve_completion(*form.completion, [-b for b in e1])
     for i, row in enumerate(form.Q):
@@ -373,7 +362,7 @@ def _split_off_units(
     basis_images = _images(form, basis)
     gram = [[_pairing(a, qb) for qb in basis_images] for a in basis]
     sub = IntersectionForm.from_matrix(gram)
-    assert abs(sub.det) == 1 and sub.negative_definite
+    assert abs(sub.det) == 1
     return sub
 
 
@@ -390,7 +379,7 @@ def d_invariant(cert: DiagonalizationCertificate, cap: int = DEFAULT_ENUMERATION
     negative-definite plumbings produced by this package.
     """
     form = cert.form
-    _require_neg_def_unimodular(form)
+    _require_unimodular(form)
     budget = _NodeBudget(cap, cert.nodes)
     k = len(cert.units)
     if k == form.m:

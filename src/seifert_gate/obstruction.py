@@ -303,7 +303,7 @@ _DONALDSON_CAVEAT = (
 
 
 def verdict(
-    m: Multiplicities | Iterable[int],
+    m: Iterable[int],
     cap: int = DEFAULT_ENUMERATION_CAP,
     kn_bound: int = -10,
 ) -> ObstructionReport:
@@ -318,10 +318,10 @@ def verdict(
     """
     assert kn_bound <= -1
     start = time.perf_counter()
-    raw = m.a if isinstance(m, Multiplicities) else tuple(m)
+    raw = tuple(m)
     if len(raw) + 1 > MAX_SEARCH_RANK:
         raise RankTooLarge(f"{len(raw)} fibers give a rank above the search limit {MAX_SEARCH_RANK}")
-    mult = m if isinstance(m, Multiplicities) else validate_multiplicities(raw)
+    mult = validate_multiplicities(raw)
     pres = solve_unnormalized(mult)
     norm = normalize(pres)
     glue = gluing_data(pres)

@@ -83,33 +83,27 @@ class PlumbingGraph:
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Symmetric integer matrix of the plumbing, with exact determinant and definiteness.
+    """Symmetric negative-definite integer matrix of the plumbing, with exact determinant.
 
     completion is the square completion (d, u) of -Q in index order, as
-    _linalg.cholesky_form returns it, computed once when the form is built;
-    it is None exactly when Q is not negative definite.  The determinant, the
-    solves with Q and both lattice searches read it.
+    _linalg.cholesky_form returns it, computed once when the form is built.
+    The determinant, the solves with Q and both lattice searches read it.
     """
 
     Q: tuple[tuple[int, ...], ...]
     det: int
-    completion: _linalg.Completion | None = field(compare=False, repr=False)
+    completion: _linalg.Completion = field(compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.Q)
 
-    @property
-    def negative_definite(self) -> bool:
-        return self.completion is not None
-
     @classmethod
     def from_matrix(cls, rows) -> "IntersectionForm":
         """Build a form from an explicit symmetric integer matrix.
 
-        With the completion of -Q in hand, det Q = (-1)^m * prod(d); only a
-        form that has none (indefinite or singular) needs a separate
-        determinant.
+        Raises ValueError unless Q is negative definite, that is unless -Q
+        has a square completion; with it, det Q = (-1)^m * prod(d).
         """
         q = tuple(tuple(int(x) for x in row) for row in rows)
         assert all(len(row) == len(q) for row in q), "matrix must be square"
@@ -117,7 +111,7 @@ class IntersectionForm:
         try:
             completion = _linalg.cholesky_form([[-x for x in row] for row in q])
         except ValueError:
-            return cls(Q=q, det=_linalg.bareiss_determinant(q), completion=None)
+            raise ValueError("form must be negative definite") from None
         det = (-1) ** len(q) * prod(completion[0])
         assert det.denominator == 1, "determinant of an integer matrix is an integer"
         return cls(Q=q, det=int(det), completion=completion)

@@ -129,17 +129,6 @@ class TestSingleMode:
     def test_kn_range_validated(self, capsys):
         assert main(["2", "3", "5", "--kn-range", "0"]) == 2
 
-    def test_env_cap_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("SEIFERT_GATE_CAP", "1000")
-        assert main(["5", "7", "11", "13"]) == 3
-        monkeypatch.setenv("SEIFERT_GATE_CAP", "1000000")
-        assert main(["5", "7", "11", "13"]) == 0
-
-    def test_env_cap_must_be_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("SEIFERT_GATE_CAP", "1e6")
-        assert main(["2", "3", "5"]) == 2
-        assert "InvalidParameter: SEIFERT_GATE_CAP" in capsys.readouterr().err
-
     def test_json_deterministic_modulo_elapsed(self, capsys):
         _, out1 = run_json(capsys, ["2", "3", "13", "--json"])
         _, out2 = run_json(capsys, ["2", "3", "13", "--json"])

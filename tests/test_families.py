@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -101,6 +103,30 @@ class TestTransverseSearchBound:
             r1, r2, _ = sorted(r, reverse=True)
             seen.add((r1 + r2 >= 1, ours[0] is not None))
         assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_near_one_sums_match_the_plain_loop(self):
+        # r1 + r2 within 1/2000 of 1: the interval (r1, 1 - r2) is short or empty
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(1500):
+            q1, q2, q3 = (rng.randrange(2, 3001) for _ in range(3))
+            r1 = Fraction(rng.randrange(1, q1), q1)
+            r2 = Fraction(floor((1 - r1) * q2) - rng.randrange(2), q2)
+            if not (0 < r2 < 1 and 1 - r1 - r2 <= Fraction(1, 2000)):
+                continue
+            r = (r1, r2, Fraction(1, q3))
+            ours = self.as_tuple(transverse_contact_exists(SmallSeifertData(-1, r)))
+            assert ours == transverse_search(r)
+            seen.add((r1 + r2 >= 1, ours[0] is not None))
+        assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_gap_of_a_billionth_is_immediate(self):
+        # a/m - 1/2 = (2a - m)/2m >= 1/2m forces m > 10**9, and m must be odd
+        r = (Fraction(1, 2), Fraction(1, 2) - Fraction(1, 2 * 10**9), Fraction(1, 10**12))
+        start = time.perf_counter()
+        w = transverse_contact_exists(SmallSeifertData(-1, r))
+        assert time.perf_counter() - start < 1
+        assert self.as_tuple(w) == (500000001, 1000000001, 1000000002)
 
     def test_mp_family_at_a_billion_is_immediate(self):
         w = transverse_contact_exists(mp_family(10**9))

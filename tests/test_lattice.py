@@ -98,7 +98,7 @@ class TestNormMinusOneVectors:
     def test_matches_box_enumeration_with_half_integer_centres(self, rows):
         # a completion entry of 1/2 puts some level's centre on a rounding tie
         f = IntersectionForm.from_matrix(rows)
-        assert f.negative_definite and abs(f.det) == 1
+        assert abs(f.det) == 1
         assert any(x.denominator == 2 for row in f.completion[1] for _, x in row)
         assert norm_minus_one_vectors(f) == box_norm_minus_one(rows)
 
@@ -114,9 +114,9 @@ class TestNormMinusOneVectors:
             d_of(f, cap=1000)
 
     def test_rejects_indefinite(self):
-        f = IntersectionForm.from_matrix([[1, 0], [0, -1]])
-        with pytest.raises(ValueError):
-            norm_minus_one_vectors(f)
+        # no indefinite form exists to search
+        with pytest.raises(ValueError, match="negative definite"):
+            IntersectionForm.from_matrix([[1, 0], [0, -1]])
 
 
 class TestDiagonalize:
@@ -420,9 +420,10 @@ def test_fiber_count_is_rejected_before_validation(monkeypatch):
 
 
 def test_certificate_checks_survive_optimize():
-    """Under python -O, a forged certificate is rejected."""
+    """Under python -O, a forged certificate and an indefinite form are rejected."""
     script = """
 from seifert_gate import DiagonalizationCertificate, diagonalize, verdict
+from seifert_gate.plumbing import IntersectionForm
 
 assert False, "asserts are stripped"
 f = verdict((2, 3, 13)).form
@@ -433,6 +434,12 @@ except ValueError:
     pass
 else:
     raise SystemExit("forged certificate accepted")
+try:
+    IntersectionForm.from_matrix([[1, 0], [0, -1]])
+except ValueError:
+    pass
+else:
+    raise SystemExit("indefinite form accepted")
 """
     src = str(Path(lattice.__file__).parents[1])
     proc = subprocess.run(

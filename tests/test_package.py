@@ -26,7 +26,6 @@ PUBLIC = {
     "NotCoprime",
     "DivisionByZero",
     "InvalidRange",
-    "SingularMatrix",
     "EnumerationCapExceeded",
     "RankTooLarge",
     "NotDiagonalizable",
