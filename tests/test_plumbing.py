@@ -153,10 +153,6 @@ class TestIntersectionForm:
     def test_from_matrix_definiteness(self):
         f = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
         assert f.det == 1 and f.completion is not None
-        # indefinite, indefinite with a zero diagonal, singular
-        for rows in ([[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0]]):
-            with pytest.raises(ValueError, match="negative definite"):
-                IntersectionForm.from_matrix(rows)
 
 
 class TestInverseEntry:
@@ -182,3 +178,15 @@ class TestInverseEntry:
         f = form_for((2, 3, 1661))
         assert abs(f.det) == 1
         assert dual_class(f).self_intersection == -2 * 3 * 1661
+
+    # dual_class needs an invertible negative definite form; from_matrix is
+    # where any other matrix is turned away, before a solve is attempted
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError, match="negative definite"):
+            IntersectionForm.from_matrix([[0]])
+
+    def test_not_negative_definite_rejected(self):
+        # indefinite with a zero diagonal, indefinite
+        for rows in ([[0, 1], [1, 0]], [[1, 0], [0, -1]]):
+            with pytest.raises(ValueError, match="negative definite"):
+                IntersectionForm.from_matrix(rows)
