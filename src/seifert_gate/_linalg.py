@@ -7,10 +7,14 @@ Everything here works over arbitrary-precision integers or
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 # (d, u) with x^T G x = sum_i d[i] * (x_i + sum_{(j, u_ij) in u[i]} u_ij x_j)^2
 Completion = tuple[list[Fraction], list[list[tuple[int, Fraction]]]]
+# (scale, levels), level i being (den_i, c_i, U_i), with
+# scale * x^T G x = sum_i c_i * (den_i x_i + sum_{(j, U_ij) in U_i} U_ij x_j)^2
+IntegerLevels = tuple[int, list[tuple[int, int, list[tuple[int, int]]]]]
 
 
 def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -69,6 +73,26 @@ def cholesky_form(g: Sequence[Sequence[Fraction | int]]) -> Completion:
         d.append(di)
         u.append(ui)
     return d, u
+
+
+def integer_levels(completion: Completion) -> IntegerLevels:
+    """The levels of a square completion, scaled to integers once.
+
+    den_i is the lcm of the denominators of the u_ij, so U_i = den_i * u_i is
+    an integer row and d_i (x_i + shift)^2 = (d_i / den_i^2)(den_i x_i + S)^2
+    with S = U_i . x an integer; scale is the lcm of the denominators of the
+    d_i / den_i^2, and c_i = scale * d_i / den_i^2.  A search then compares
+    every level's term with its budget, times scale, in integers.
+    """
+    d, u = completion
+    dens = [lcm(*(x.denominator for _, x in row)) for row in u]
+    weights = [di / (den * den) for di, den in zip(d, dens)]
+    scale = lcm(*(w.denominator for w in weights))
+    levels = [
+        (den, int(w * scale), [(j, int(x * den)) for j, x in row])
+        for den, w, row in zip(dens, weights, u)
+    ]
+    return scale, levels
 
 
 def solve_completion(

@@ -1,17 +1,21 @@
 """Exact lattice computations on negative-definite unimodular forms.
 
-Two searches live here, both running in integer/rational arithmetic with a
-configurable node cap, plus the assembly between them:
+Two searches live here, each bounded by a configurable node cap, plus the
+assembly between them:
 
 * enumeration of the vectors of self-intersection -1 (bounded search on the
-  rational square completion of -Q that the form carries, walking each level
-  outward from its nearest integer until the square term exceeds what is left);
+  square completion of -Q that the form carries, walking each level outward
+  from its nearest integer until the square term exceeds what is left);
 * assembly of an orthonormal change of basis from those vectors, which for a
   unimodular negative-definite form exists exactly when the form is
   diagonalizable over the integers;
 * a branch-and-bound minimum over the characteristic coset of the vectors'
   orthogonal complement, which gives the correction-term invariant of the
   boundary under the sharpness hypothesis.
+
+Both searches scale the levels of the completion to integers once per form
+(_linalg.integer_levels), so every level is compared in integers and no
+Fraction arithmetic runs inside them.
 
 Every IntersectionForm is negative definite by construction, so the entry
 points check only the rank and, where they need it, |det Q| = 1.
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
 from typing import Sequence
 
 from . import _linalg
@@ -126,33 +129,36 @@ class _NodeBudget:
 def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list[tuple[int, ...]]:
     """Bounded search for all v with v^T Q v = -1, one per +-pair."""
     m = form.m
-    d, u = form.completion
+    scale, levels = _linalg.integer_levels(form.completion)
     found: list[tuple[int, ...]] = []
     x = [0] * m
 
-    def descend(level: int, remaining: Fraction, leading_zero: bool) -> None:
+    def descend(level: int, remaining: int, leading_zero: bool) -> None:
         if level < 0:
             if remaining == 0 and not leading_zero:
                 found.append(tuple(x))
             return
-        shift = sum(uj * x[j] for j, uj in u[level])
-        # The feasible x_i form an interval around -shift: walk up from the
+        den, c, row = levels[level]
+        s = sum(uj * x[j] for j, uj in row)
+        # The feasible x_i form an interval around -s/den: walk up from the
         # nearest integer, then down, each side to its first infeasible value.
-        # With every higher coordinate 0, shift is 0 and only x_i >= 0 is walked.
+        # Any nearest integer will do at a tie, as both sides together walk
+        # the whole interval.  With every higher coordinate 0, s is 0 and only
+        # x_i >= 0 is walked.
         if leading_zero:
             sides: tuple[tuple[int, int], ...] = ((0, 1),)
         else:
-            start = round(-shift)
+            start = (den - 2 * s) // (2 * den)
             sides = ((start, 1), (start - 1, -1))
         for xi, step in sides:
-            while (term := d[level] * (xi + shift) ** 2) <= remaining:
+            while (term := c * (den * xi + s) ** 2) <= remaining:
                 budget.spend()
                 x[level] = xi
                 descend(level - 1, remaining - term, leading_zero and xi == 0)
                 xi += step
         x[level] = 0
 
-    descend(m - 1, Fraction(1), True)
+    descend(m - 1, scale, True)
     normalized = []
     for v in found:
         lead = next(c for c in v if c != 0)
@@ -286,39 +292,40 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
     Branch and bound over the form's square completion of -Q, in zig-zag
     order: nearest coset point first, then outward; each side of a level is
     monotone in the partial value, so a failed side stays failed even as the
-    incumbent shrinks.
+    incumbent shrinks.  Values are kept times the scale of the integer levels.
     """
     m = form.m
-    d, u = form.completion
+    scale, levels = _linalg.integer_levels(form.completion)
     parity = _characteristic_parity(form)
-    # a Fraction, so that d = (m - best) / 4 stays exact when no leaf beats the seed
-    best = Fraction(_greedy_descent(form, parity[:])[1])
+    best = scale * _greedy_descent(form, parity[:])[1]
     x = [0] * m
-    half = Fraction(1, 2)
 
-    def descend(level: int, acc: Fraction) -> None:
+    def descend(level: int, acc: int) -> None:
         nonlocal best
         if level < 0:
             if acc < best:
                 best = acc
             return
-        shift = sum(uj * x[j] for j, uj in u[level])
-        center = -shift
-        nearest = parity[level] + 2 * floor((center - parity[level]) / 2 + half)
+        den, c, row = levels[level]
+        s = sum(uj * x[j] for j, uj in row)
+        p = parity[level]
+        # the coset point nearest the centre -s/den, and its two neighbours
+        nearest = p + 2 * ((den - s - p * den) // (2 * den))
         lo, hi = nearest - 2, nearest + 2
         budget.spend()
-        term = d[level] * (nearest + shift) ** 2
+        term = c * (den * nearest + s) ** 2
         if acc + term < best:
             x[level] = nearest
             descend(level - 1, acc + term)
         lo_alive = hi_alive = True
         while lo_alive or hi_alive:
-            if lo_alive and (not hi_alive or center - lo <= hi - center):
+            # lo is at least as close to the centre as hi
+            if lo_alive and (not hi_alive or -s - lo * den <= hi * den + s):
                 xi, is_lo = lo, True
             else:
                 xi, is_lo = hi, False
             budget.spend()
-            term = d[level] * (xi + shift) ** 2
+            term = c * (den * xi + s) ** 2
             if acc + term < best:
                 x[level] = xi
                 descend(level - 1, acc + term)
@@ -332,8 +339,9 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
                 hi_alive = False
         x[level] = 0
 
-    descend(m - 1, Fraction(0))
-    return best
+    descend(m - 1, 0)
+    # a Fraction, so that d = (m - k - minimum) / 4 stays exact
+    return Fraction(best, scale)
 
 
 def _split_off_units(

@@ -102,12 +102,15 @@ class IntersectionForm:
     def from_matrix(cls, rows) -> "IntersectionForm":
         """Build a form from an explicit symmetric integer matrix.
 
-        Raises ValueError unless Q is negative definite, that is unless -Q
-        has a square completion; with it, det Q = (-1)^m * prod(d).
+        Raises ValueError unless Q is square and symmetric, and unless it is
+        negative definite, that is unless -Q has a square completion; with
+        it, det Q = (-1)^m * prod(d).
         """
         q = tuple(tuple(int(x) for x in row) for row in rows)
-        assert all(len(row) == len(q) for row in q), "matrix must be square"
-        assert all(q[i][j] == q[j][i] for i in range(len(q)) for j in range(len(q)))
+        if any(len(row) != len(q) for row in q):
+            raise ValueError("matrix must be square")
+        if any(q[i][j] != q[j][i] for i in range(len(q)) for j in range(i)):
+            raise ValueError("matrix must be symmetric")
         try:
             completion = _linalg.cholesky_form([[-x for x in row] for row in q])
         except ValueError:

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import floor, gcd, isqrt, prod
 
 import numpy as np
+
+from seifert_gate.lattice import _characteristic_parity, _greedy_descent
 
 
 def cofactor_det(rows):
@@ -231,3 +233,103 @@ def transverse_search(r):
             a += 1
         m += 1
     return None, None, m
+
+
+def fraction_norm_enumeration(form, budget) -> list[tuple[int, ...]]:
+    """Bounded search for all v with v^T Q v = -1, one per +-pair, in Fraction levels.
+
+    The library's enumeration before its levels were scaled to integers; it
+    must find the same vectors and spend the same nodes from ``budget``.
+    """
+    m = form.m
+    d, u = form.completion
+    found: list[tuple[int, ...]] = []
+    x = [0] * m
+
+    def descend(level: int, remaining: Fraction, leading_zero: bool) -> None:
+        if level < 0:
+            if remaining == 0 and not leading_zero:
+                found.append(tuple(x))
+            return
+        shift = sum(uj * x[j] for j, uj in u[level])
+        # The feasible x_i form an interval around -shift: walk up from the
+        # nearest integer, then down, each side to its first infeasible value.
+        # With every higher coordinate 0, shift is 0 and only x_i >= 0 is walked.
+        if leading_zero:
+            sides: tuple[tuple[int, int], ...] = ((0, 1),)
+        else:
+            start = round(-shift)
+            sides = ((start, 1), (start - 1, -1))
+        for xi, step in sides:
+            while (term := d[level] * (xi + shift) ** 2) <= remaining:
+                budget.spend()
+                x[level] = xi
+                descend(level - 1, remaining - term, leading_zero and xi == 0)
+                xi += step
+        x[level] = 0
+
+    descend(m - 1, Fraction(1), True)
+    normalized = []
+    for v in found:
+        lead = next(c for c in v if c != 0)
+        normalized.append(v if lead > 0 else tuple(-c for c in v))
+    return sorted(normalized, reverse=True)
+
+
+def fraction_coset_minimum(form, budget) -> Fraction:
+    """Exact minimum of z^T(-Q)z over the characteristic coset z = Q^{-1}diag(Q) mod 2.
+
+    Branch and bound over the form's square completion of -Q, in zig-zag
+    order: nearest coset point first, then outward; each side of a level is
+    monotone in the partial value, so a failed side stays failed even as the
+    incumbent shrinks.
+
+    The library's coset search before its levels were scaled to integers; it
+    must return the same minimum and spend the same nodes from ``budget``.
+    """
+    m = form.m
+    d, u = form.completion
+    parity = _characteristic_parity(form)
+    # a Fraction, so that d = (m - best) / 4 stays exact when no leaf beats the seed
+    best = Fraction(_greedy_descent(form, parity[:])[1])
+    x = [0] * m
+    half = Fraction(1, 2)
+
+    def descend(level: int, acc: Fraction) -> None:
+        nonlocal best
+        if level < 0:
+            if acc < best:
+                best = acc
+            return
+        shift = sum(uj * x[j] for j, uj in u[level])
+        center = -shift
+        nearest = parity[level] + 2 * floor((center - parity[level]) / 2 + half)
+        lo, hi = nearest - 2, nearest + 2
+        budget.spend()
+        term = d[level] * (nearest + shift) ** 2
+        if acc + term < best:
+            x[level] = nearest
+            descend(level - 1, acc + term)
+        lo_alive = hi_alive = True
+        while lo_alive or hi_alive:
+            if lo_alive and (not hi_alive or center - lo <= hi - center):
+                xi, is_lo = lo, True
+            else:
+                xi, is_lo = hi, False
+            budget.spend()
+            term = d[level] * (xi + shift) ** 2
+            if acc + term < best:
+                x[level] = xi
+                descend(level - 1, acc + term)
+                if is_lo:
+                    lo -= 2
+                else:
+                    hi += 2
+            elif is_lo:
+                lo_alive = False
+            else:
+                hi_alive = False
+        x[level] = 0
+
+    descend(m - 1, Fraction(0))
+    return best

@@ -420,7 +420,7 @@ def test_fiber_count_is_rejected_before_validation(monkeypatch):
 
 
 def test_certificate_checks_survive_optimize():
-    """Under python -O, a forged certificate and an indefinite form are rejected."""
+    """Under python -O, a forged certificate, an indefinite form and malformed matrices are rejected."""
     script = """
 from seifert_gate import DiagonalizationCertificate, diagonalize, verdict
 from seifert_gate.plumbing import IntersectionForm
@@ -440,6 +440,13 @@ except ValueError:
     pass
 else:
     raise SystemExit("indefinite form accepted")
+for rows in ([[-2, 1], [0, -2]], [[-1, 0]]):
+    try:
+        IntersectionForm.from_matrix(rows)
+    except ValueError:
+        pass
+    else:
+        raise SystemExit(f"malformed matrix {rows} accepted")
 """
     src = str(Path(lattice.__file__).parents[1])
     proc = subprocess.run(

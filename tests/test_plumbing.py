@@ -154,6 +154,18 @@ class TestIntersectionForm:
         f = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
         assert f.det == 1 and f.completion is not None
 
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            ([[-1, 0]], "square"),
+            ([[-1], [0, -1]], "square"),
+            ([[-2, 1], [0, -2]], "symmetric"),
+        ],
+    )
+    def test_from_matrix_rejects_malformed_matrices(self, rows, reason):
+        with pytest.raises(ValueError, match=reason):
+            IntersectionForm.from_matrix(rows)
+
 
 class TestInverseEntry:
     def test_known_values(self):

@@ -1,0 +1,145 @@
+"""Both lattice searches against their Fraction-level oracles.
+
+The library compares every level in integers, after scaling the form's
+square completion once; tests/oracles.py keeps the same searches on the
+Fraction levels.  Each pair must agree on the result (the vectors, the coset
+minimum or the cap outcome) and on the nodes spent, since the node counts
+decide every cap outcome the golden corpus and MINIMAL_CAPS pin.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from math import floor, gcd
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from seifert_gate import EnumerationCapExceeded, validate_multiplicities
+from seifert_gate.lattice import (
+    DEFAULT_ENUMERATION_CAP,
+    _coset_minimum,
+    _fixed_norm_enumeration,
+    _NodeBudget,
+    _split_off_units,
+)
+from seifert_gate.plumbing import IntersectionForm, build_plumbing, intersection_form
+from seifert_gate.seifert import normalize, solve_unnormalized
+import oracles
+from oracles import fraction_coset_minimum, fraction_norm_enumeration
+from test_golden import CORPORA
+
+
+def form_for(a):
+    m = validate_multiplicities(a)
+    return intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
+
+
+def coprime_triples(top):
+    return [
+        t
+        for t in combinations(range(2, top), 3)
+        if all(gcd(x, y) == 1 for x, y in combinations(t, 2))
+    ]
+
+
+def outcome(search, form, cap):
+    """(result, nodes spent), with the result EnumerationCapExceeded at the cap."""
+    budget = _NodeBudget(cap)
+    try:
+        return search(form, budget), budget.used
+    except EnumerationCapExceeded:
+        return EnumerationCapExceeded, budget.used
+
+
+def compare_searches(form, cap):
+    """Run both searches as d_invariant does, each beside its oracle; return the outcomes.
+
+    The coset search runs on the complement of the (-1)-vectors, and not at
+    all when they span the form.
+    """
+    units = outcome(_fixed_norm_enumeration, form, cap)
+    assert units == outcome(fraction_norm_enumeration, form, cap)
+    if units[0] is EnumerationCapExceeded or len(units[0]) == form.m:
+        return units, None
+    sub = _split_off_units(form, units[0])
+    minimum = outcome(_coset_minimum, sub, cap)
+    expected = outcome(fraction_coset_minimum, sub, cap)
+    assert minimum == expected
+    assert type(minimum[0]) is type(expected[0])
+    return units, minimum
+
+
+GOLDEN_TUPLES = sorted({t for tuples in CORPORA.values() for t in tuples})
+
+
+@pytest.mark.parametrize(
+    "a", GOLDEN_TUPLES + [(5, 21, 26), (2, 3, 5, 7, 11, 13)], ids=lambda a: ",".join(map(str, a))
+)
+def test_searches_match_the_fraction_oracle(a):
+    units, minimum = compare_searches(form_for(a), DEFAULT_ENUMERATION_CAP)
+    # each of these ends within the default cap
+    assert units[0] is not EnumerationCapExceeded
+    assert minimum is None or minimum[0] is not EnumerationCapExceeded
+
+
+def test_cap_is_reached_on_both_sides():
+    units, minimum = compare_searches(form_for((13, 15, 37)), 10**5)
+    assert units[0] is not EnumerationCapExceeded
+    assert minimum == (EnumerationCapExceeded, 10**5 + 1)
+
+
+# The completion of Sigma(2, 5, 9) has u_ij = -1/2 at three levels, the
+# central one among them, and both searches meet centres on exact rounding
+# ties (test_tie_example_meets_exact_ties_in_both_searches).
+TIES = (2, 5, 9)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.sampled_from(coprime_triples(40)))
+@example(TIES)
+def test_searches_match_the_oracle_on_drawn_triples(a):
+    compare_searches(form_for(a), 2 * 10**4)
+
+
+def test_tie_example_meets_exact_ties_in_both_searches(monkeypatch):
+    # The oracles round -shift to an integer, and floor (centre - p)/2 + 1/2:
+    # a tie is a half-integer argument to round, an integer one to floor.
+    seen = {round: [], floor: []}
+
+    def recording(fn):
+        def wrapped(x):
+            seen[fn].append(Fraction(x))
+            return fn(x)
+
+        return wrapped
+
+    monkeypatch.setattr(oracles, "round", recording(round), raising=False)
+    monkeypatch.setattr(oracles, "floor", recording(floor))
+    compare_searches(form_for(TIES), 2 * 10**4)
+    assert any(x.denominator == 2 for x in seen[round])
+    assert any(x.denominator == 1 for x in seen[floor])
+
+
+# -E8 + (-1) in a scrambled basis, searched whole.  Its coset minimum is 1
+# under either tie rule, but rounding the coset search's ties down, or taking
+# hi before lo at equal distance, spends other nodes than the oracle does.
+TIE_ORDER = (
+    (-2, 1, 2, -1, 1, 0, 0, 0, 0),
+    (1, -2, 0, 0, 0, 0, 0, 0, -2),
+    (2, 0, -9, 6, 0, 0, 0, 0, 5),
+    (-1, 0, 6, -6, 0, 0, 0, 0, -3),
+    (1, 0, 0, 0, -2, 1, 0, 0, 0),
+    (0, 0, 0, 0, 1, -2, 1, 0, 0),
+    (0, 0, 0, 0, 0, 1, -6, 3, 0),
+    (0, 0, 0, 0, 0, 0, 3, -2, 0),
+    (0, -2, 5, -3, 0, 0, 0, 0, -5),
+)
+
+
+def test_coset_search_breaks_ties_as_the_oracle_does():
+    f = IntersectionForm.from_matrix(TIE_ORDER)
+    expected = outcome(fraction_coset_minimum, f, 10**4)
+    assert outcome(_coset_minimum, f, 10**4) == expected == (1, 476)
