@@ -17,8 +17,8 @@ Both searches scale the levels of the completion to integers once per form
 (_linalg.integer_levels), so every level is compared in integers and no
 Fraction arithmetic runs inside them.
 
-Every IntersectionForm is negative definite by construction, so the entry
-points check only the rank and, where they need it, |det Q| = 1.
+Forms are negative definite and of rank at most plumbing.MAX_SEARCH_RANK,
+and certificates unimodular, by construction: the entry points check nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _linalg
-from .errors import EnumerationCapExceeded, NotDiagonalizable, RankTooLarge
+from .errors import EnumerationCapExceeded, NotDiagonalizable
 from .plumbing import IntersectionForm
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "DiagonalizationCertificate",
     "DualClass",
     "norm_minus_one_vectors",
-    "require_search_rank",
     "diagonalize",
     "dual_class",
     "max_sharp_pairing",
@@ -44,9 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**6
-# Both searches recurse once per level, and Python stops at 1000 frames by
-# default; 900 leaves room for the frames of the callers.
-MAX_SEARCH_RANK = 900
 
 
 @dataclass(frozen=True)
@@ -55,10 +51,11 @@ class DiagonalizationCertificate:
 
     units are all vectors of self-intersection -1 of form (one per +-pair, as
     norm_minus_one_vectors returns them), nodes the search nodes their
-    enumeration spent.  Building one checks that the units lie in Z^m with
-    Gram matrix -I (else ValueError), so they are independent: present when
-    there are m of them, the columns of E; otherwise their number is the
-    witness of the exhaustive search.
+    enumeration spent.  Building one checks |det Q| = 1 and that the units
+    lie in Z^m with Q(u, u) = -1, no two equal up to sign (else ValueError);
+    as -Q is positive definite, Cauchy-Schwarz then makes their Gram matrix
+    -I, so they are independent: present when there are m of them, the
+    columns of E; otherwise their number is the witness of the search.
     """
 
     form: IntersectionForm = field(compare=False, repr=False)
@@ -68,15 +65,15 @@ class DiagonalizationCertificate:
     def __post_init__(self) -> None:
         if self.nodes < 0:
             raise ValueError(f"node count must be >= 0, got {self.nodes}")
-        if any(len(v) != self.form.m for v in self.units):
-            raise ValueError(f"units must have length {self.form.m}")
-        images = _images(self.form, self.units)
-        if not all(
-            _pairing(v, images[j]) == (-1 if i == j else 0)
-            for i, v in enumerate(self.units)
-            for j in range(i, len(self.units))
-        ):
-            raise ValueError("units are not orthonormal in this form")
+        if abs(self.form.det) != 1:
+            raise ValueError(f"form must be unimodular, det = {self.form.det}")
+        m = self.form.m
+        if not all(len(v) == m and all(isinstance(c, int) for c in v) for v in self.units):
+            raise ValueError(f"units must be integer vectors of length {m}")
+        if any(_pairing(v, qv) != -1 for v, qv in zip(self.units, _images(self.form, self.units))):
+            raise ValueError("units must have self-intersection -1")
+        if len({max(v, tuple(-c for c in v)) for v in self.units}) != len(self.units):
+            raise ValueError("units must be distinct up to sign")
 
     @property
     def present(self) -> bool:
@@ -93,18 +90,6 @@ class DualClass:
 
     D: tuple[Fraction, ...]
     self_intersection: Fraction
-
-
-def require_search_rank(m: int) -> None:
-    """Raise RankTooLarge when a form of rank m is above MAX_SEARCH_RANK."""
-    if m > MAX_SEARCH_RANK:
-        raise RankTooLarge(f"form of rank {m} is above the search limit {MAX_SEARCH_RANK}")
-
-
-def _require_unimodular(form: IntersectionForm) -> None:
-    require_search_rank(form.m)
-    if abs(form.det) != 1:
-        raise ValueError(f"form must be unimodular, det = {form.det}")
 
 
 class _NodeBudget:
@@ -175,9 +160,8 @@ def norm_minus_one_vectors(
     in descending lexicographic order, so unit vectors come out as the
     identity when the form is already diagonal.  Raises
     EnumerationCapExceeded if the bounded search visits more than ``cap``
-    nodes, and RankTooLarge, before any search, above MAX_SEARCH_RANK.
+    nodes.
     """
-    require_search_rank(form.m)
     return _fixed_norm_enumeration(form, _NodeBudget(cap))
 
 
@@ -205,10 +189,9 @@ def diagonalize(
     Distinct vectors of self-intersection -1 are automatically orthogonal
     (Cauchy-Schwarz forces |Q(v, w)| < 1), so the form is equivalent to -I
     exactly when the enumeration yields m of them.  The certificate keeps the
-    vectors, re-verifies their Gram matrix (with m of them it is E^T Q E), and
-    keeps the nodes spent on them, so d_invariant can reuse them.
+    vectors, checks the norms and signs that make their Gram matrix (with m of
+    them E^T Q E) -I, and keeps the nodes spent on them for d_invariant.
     """
-    _require_unimodular(form)
     budget = _NodeBudget(cap)
     units = tuple(_fixed_norm_enumeration(form, budget))
     return DiagonalizationCertificate(form=form, units=units, nodes=budget.used)
@@ -387,7 +370,6 @@ def d_invariant(cert: DiagonalizationCertificate, cap: int = DEFAULT_ENUMERATION
     negative-definite plumbings produced by this package.
     """
     form = cert.form
-    _require_unimodular(form)
     budget = _NodeBudget(cap, cert.nodes)
     k = len(cert.units)
     if k == form.m:

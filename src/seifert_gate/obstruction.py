@@ -18,19 +18,17 @@ from fractions import Fraction
 from math import isqrt, prod
 from typing import Iterable, Sequence
 
-from .errors import NotDiagonalizable, RankTooLarge
+from .errors import InvalidParameter, NotDiagonalizable, RankTooLarge
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
-    MAX_SEARCH_RANK,
     DiagonalizationCertificate,
     DualClass,
     d_invariant,
     diagonalize,
     dual_class,
     max_sharp_pairing,
-    require_search_rank,
 )
-from .plumbing import IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
+from .plumbing import MAX_SEARCH_RANK, IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
 from .seifert import (
     GluingData,
     Multiplicities,
@@ -315,8 +313,10 @@ def verdict(
     Either way the tuple is obstructed; the report is the certificate.
     Each leg has a vertex, so n fibers give rank >= n + 1: RankTooLarge comes
     from n before validation, then from the plumbing tree before any matrix.
+    InvalidParameter unless kn_bound <= -1.
     """
-    assert kn_bound <= -1
+    if kn_bound > -1:
+        raise InvalidParameter(f"kn-range bound must be <= -1, got {kn_bound}")
     start = time.perf_counter()
     raw = tuple(m)
     if len(raw) + 1 > MAX_SEARCH_RANK:
@@ -326,7 +326,6 @@ def verdict(
     norm = normalize(pres)
     glue = gluing_data(pres)
     graph = build_plumbing(norm, mult)
-    require_search_rank(graph.size)
     form = intersection_form(graph)
     cert = diagonalize(form, cap)
     dual = dual_class(form)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import floor, prod
 
 from . import _linalg
-from .errors import InvalidRange
+from .errors import InvalidRange, RankTooLarge
 from .seifert import Multiplicities, NormalizedPresentation
 
 __all__ = [
@@ -24,6 +24,10 @@ __all__ = [
     "build_plumbing",
     "intersection_form",
 ]
+
+# The lattice searches recurse once per level, and Python stops at 1000 frames
+# by default; 900 leaves room for the frames of the callers.
+MAX_SEARCH_RANK = 900
 
 
 @dataclass(frozen=True)
@@ -85,30 +89,25 @@ class PlumbingGraph:
 class IntersectionForm:
     """Symmetric negative-definite integer matrix of the plumbing, with exact determinant.
 
-    completion is the square completion (d, u) of -Q in index order, as
-    _linalg.cholesky_form returns it, computed once when the form is built.
-    The determinant, the solves with Q and both lattice searches read it.
+    Building one raises RankTooLarge above MAX_SEARCH_RANK, and ValueError
+    unless Q is square and symmetric, and unless it is negative definite,
+    that is unless -Q has a square completion, so no other form exists.
+    completion is that square completion (d, u) of -Q in index order, as
+    _linalg.cholesky_form returns it, computed once here, and
+    det Q = (-1)^m * prod(d).  The solves with Q and both lattice searches
+    read it.
     """
 
     Q: tuple[tuple[int, ...], ...]
-    det: int
-    completion: _linalg.Completion = field(compare=False, repr=False)
+    det: int = field(init=False)
+    completion: _linalg.Completion = field(init=False, compare=False, repr=False)
 
-    @property
-    def m(self) -> int:
-        return len(self.Q)
-
-    @classmethod
-    def from_matrix(cls, rows) -> "IntersectionForm":
-        """Build a form from an explicit symmetric integer matrix.
-
-        Raises ValueError unless Q is square and symmetric, and unless it is
-        negative definite, that is unless -Q has a square completion; with
-        it, det Q = (-1)^m * prod(d).
-        """
-        q = tuple(tuple(int(x) for x in row) for row in rows)
+    def __post_init__(self) -> None:
+        q = self.Q
         if any(len(row) != len(q) for row in q):
             raise ValueError("matrix must be square")
+        if len(q) > MAX_SEARCH_RANK:
+            raise RankTooLarge(f"form of rank {len(q)} is above the search limit {MAX_SEARCH_RANK}")
         if any(q[i][j] != q[j][i] for i in range(len(q)) for j in range(i)):
             raise ValueError("matrix must be symmetric")
         try:
@@ -117,7 +116,17 @@ class IntersectionForm:
             raise ValueError("form must be negative definite") from None
         det = (-1) ** len(q) * prod(completion[0])
         assert det.denominator == 1, "determinant of an integer matrix is an integer"
-        return cls(Q=q, det=int(det), completion=completion)
+        object.__setattr__(self, "det", int(det))
+        object.__setattr__(self, "completion", completion)
+
+    @property
+    def m(self) -> int:
+        return len(self.Q)
+
+    @classmethod
+    def from_matrix(cls, rows) -> "IntersectionForm":
+        """Build a form from an explicit symmetric integer matrix, as tuples of ints."""
+        return cls(Q=tuple(tuple(int(x) for x in row) for row in rows))
 
 
 def neg_cf(numerator: int, denominator: int) -> NegContinuedFraction:
@@ -143,8 +152,33 @@ def neg_cf(numerator: int, denominator: int) -> NegContinuedFraction:
     return out
 
 
+def _leg_length(p: int, q: int) -> int:
+    """len(neg_cf(p, -q).entries) for coprime 0 < q < p, without expanding it.
+
+    One step maps -p/q to -q/(k*q - p) with k = ceil(p/q); an entry -2 (k = 2)
+    maps (p, q) to (p - d, q - d) with d = p - q, so a run of -2 entries keeps
+    d and lasts while d < q: (q - 1) // d steps, counted with one division.
+    """
+    n = 0
+    while q > 1:
+        d = p - q
+        if d < q:
+            t = (q - 1) // d
+            p, q, n = p - t * d, q - t * d, n + t
+        else:
+            p, q, n = q, -(-p // q) * q - p, n + 1
+    return n + 1
+
+
 def build_plumbing(norm: NormalizedPresentation, m: Multiplicities) -> PlumbingGraph:
-    """Plumbing tree with central weight e0 and leg j carrying neg_cf(a_j, b~_j)."""
+    """Plumbing tree with central weight e0 and leg j carrying neg_cf(a_j, b~_j).
+
+    RankTooLarge when the tree has more than MAX_SEARCH_RANK vertices, before
+    any leg is expanded.
+    """
+    rank = 1 + sum(_leg_length(aj, -tbj) for aj, tbj in zip(m.a, norm.tilde_b))
+    if rank > MAX_SEARCH_RANK:
+        raise RankTooLarge(f"form of rank {rank} is above the search limit {MAX_SEARCH_RANK}")
     legs = tuple(
         neg_cf(aj, tbj).entries for aj, tbj in zip(m.a, norm.tilde_b)
     )

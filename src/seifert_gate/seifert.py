@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import DivisionByZero, MultiplicityTooSmall, NotCoprime, TooFewFibers
@@ -105,9 +106,11 @@ class GluingData:
 def validate_multiplicities(raw: Iterable[int]) -> Multiplicities:
     """Check and wrap a list of candidate multiplicities.
 
-    Raises TooFewFibers, MultiplicityTooSmall or NotCoprime on bad input.
+    Raises TypeError for an entry that is not an integer (a float or a
+    string, say), and TooFewFibers, MultiplicityTooSmall or NotCoprime on bad
+    input.
     """
-    return Multiplicities(tuple(int(x) for x in raw))
+    return Multiplicities(tuple(index(x) for x in raw))
 
 
 def solve_unnormalized(m: Multiplicities) -> SeifertPresentation:

@@ -72,6 +72,21 @@ def sign_normalize(v):
     return tuple(v) if lead > 0 else tuple(-c for c in v)
 
 
+def units_are_orthonormal(form, units):
+    """Every pairing of the units: Q(u_i, u_j) = -1 if i == j else 0.
+
+    The pairwise Gram check DiagonalizationCertificate once ran, over dense
+    images Q u; it now checks only entries, norms and signs, which imply this
+    on a negative definite form.
+    """
+    images = [[sum(x * w[j] for j, x in enumerate(row)) for row in form.Q] for w in units]
+    return all(
+        sum(a * b for a, b in zip(v, images[j])) == (-1 if i == j else 0)
+        for i, v in enumerate(units)
+        for j in range(i, len(units))
+    )
+
+
 def box_norm_minus_one(qrows):
     """All v with v^T Q v = -1 (one per +-pair), by exhaustive box enumeration.
 

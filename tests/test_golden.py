@@ -19,10 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from seifert_gate import diagonalize, validate_multiplicities
+from seifert_gate import DiagonalizationCertificate, diagonalize, validate_multiplicities
 from seifert_gate.seifert import normalize, solve_unnormalized
 from seifert_gate.plumbing import build_plumbing, intersection_form
 from seifert_gate.cli import _evaluate_tuple
+from oracles import units_are_orthonormal
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NODES = GOLDEN / "diagonalize_nodes.json"
@@ -47,16 +48,20 @@ def golden_line(values: tuple[int, ...]) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def corpus_certificates(name: str):
+    """(tuple, certificate diagonalize builds at the corpus cap) for each corpus tuple."""
+    for values in CORPORA[name]:
+        m = validate_multiplicities(values)
+        form = intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
+        yield values, diagonalize(form, CAP)
+
+
 def diagonalize_nodes() -> dict[str, dict[str, int]]:
     """Nodes diagonalize spends on each corpus tuple, keyed by corpus and tuple."""
-    pins = {}
-    for name, tuples in CORPORA.items():
-        pins[name] = {}
-        for values in tuples:
-            m = validate_multiplicities(values)
-            form = intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
-            pins[name][",".join(map(str, values))] = diagonalize(form, CAP).nodes
-    return pins
+    return {
+        name: {",".join(map(str, values)): cert.nodes for values, cert in corpus_certificates(name)}
+        for name in CORPORA
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
@@ -66,6 +71,42 @@ def test_verdict_matches_golden_corpus(name):
     assert len(expected) == len(tuples)
     for values, line in zip(tuples, expected):
         assert golden_line(values) == line, f"output changed for {values}"
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_certificate_check_agrees_with_gram_oracle(name):
+    """The certificate accepts a unit list exactly when its Gram matrix is -I.
+
+    Tried on each corpus certificate's units, and on the lists one gets by
+    appending a unit again, its negative, a standard basis vector, or the sum
+    of two units, or by moving one unit's first entry; the basis vectors are
+    those of the central vertex and of the last leg's outer end.
+    """
+
+    def accepts(form, units):
+        try:
+            DiagonalizationCertificate(form=form, units=units, nodes=0)
+        except ValueError:
+            return False
+        return True
+
+    for values, cert in corpus_certificates(name):
+        form, units = cert.form, cert.units
+        assert units_are_orthonormal(form, units), values
+        tries = [units] + [
+            units + (tuple(int(i == j) for j in range(form.m)),) for i in (0, form.m - 1)
+        ]
+        if units:
+            u = units[0]
+            tries += [
+                units + (u,),
+                units + (tuple(-c for c in u),),
+                ((u[0] + 1,) + u[1:],) + units[1:],
+            ]
+        if len(units) > 1:
+            tries.append(units + (tuple(a + b for a, b in zip(units[0], units[1])),))
+        for t in tries:
+            assert accepts(form, t) == units_are_orthonormal(form, t), (values, t)
 
 
 def test_diagonalize_nodes_match_pins():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,11 +16,15 @@ from seifert_gate import (
     norm_minus_one_vectors,
     validate_multiplicities,
 )
-from seifert_gate import lattice, obstruction
+from seifert_gate import lattice, obstruction, plumbing
 from seifert_gate.seifert import normalize, solve_unnormalized
-from seifert_gate.plumbing import IntersectionForm, build_plumbing, intersection_form
-from seifert_gate.lattice import (
+from seifert_gate.plumbing import (
     MAX_SEARCH_RANK,
+    IntersectionForm,
+    build_plumbing,
+    intersection_form,
+)
+from seifert_gate.lattice import (
     _characteristic_parity,
     _greedy_descent,
     _split_off_units,
@@ -157,6 +162,40 @@ class TestDiagonalize:
         f = IntersectionForm.from_matrix([[-2]])
         with pytest.raises(ValueError):
             diagonalize(f)
+
+
+MINUS_I2 = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
+
+
+class TestCertificateCheck:
+    """Integer entries, norms -1 and distinctness up to sign, on a unimodular form."""
+
+    def test_accepts_the_standard_basis_in_any_sign_and_order(self):
+        cert = DiagonalizationCertificate(form=MINUS_I2, units=((0, -1), (1, 0)), nodes=0)
+        assert cert.present
+
+    @pytest.mark.parametrize(
+        "form, units",
+        [
+            # Gram matrix -I over Q, but not in Z^2
+            (MINUS_I2, ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))),
+            (MINUS_I2, ((1.0, 0.0), (0.0, 1.0))),
+            (MINUS_I2, ((1, 1),)),  # norm -2
+            (MINUS_I2, ((1, 0), (1, 0))),  # repeated
+            (MINUS_I2, ((1, 0), (-1, 0))),  # with its negative
+            (MINUS_I2, ((1,),)),  # short
+            (IntersectionForm.from_matrix([[-2, 1], [1, -2]]), ()),  # det 3
+        ],
+        ids=["rational", "float", "norm-2", "repeated", "negated", "short", "det-3"],
+    )
+    def test_rejects(self, form, units):
+        with pytest.raises(ValueError):
+            DiagonalizationCertificate(form=form, units=units, nodes=0)
+
+    def test_no_form_exists_where_cauchy_schwarz_fails(self):
+        # on diag(-1, -1, 1), (1, 0, 0) and (1, 1, 1) have norm -1 and pair to -1
+        with pytest.raises(ValueError, match="negative definite"):
+            IntersectionForm(Q=((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
 
 
 class TestDualClass:
@@ -386,13 +425,24 @@ def test_rank_limit():
     # only after the deepest recursion the limit allows
     with pytest.raises(EnumerationCapExceeded):
         norm_minus_one_vectors(minus_identity(MAX_SEARCH_RANK), cap=2 * MAX_SEARCH_RANK)
-    f = minus_identity(MAX_SEARCH_RANK + 1)
-    by_hand = DiagonalizationCertificate(form=f, units=(), nodes=0)
-    for search, arg in [(norm_minus_one_vectors, f), (diagonalize, f), (d_invariant, by_hand)]:
-        with pytest.raises(RankTooLarge, match=f"rank {MAX_SEARCH_RANK + 1} "):
-            search(arg)
+    # no form above the limit exists to search
+    with pytest.raises(RankTooLarge) as excinfo:
+        minus_identity(MAX_SEARCH_RANK + 1)
+    assert str(excinfo.value) == f"form of rank 901 is above the search limit {MAX_SEARCH_RANK}"
     with pytest.raises(RankTooLarge, match="rank 1003 "):
         verdict((2, 3, 6001))
+
+
+def test_rank_is_rejected_before_the_legs_are_expanded(monkeypatch):
+    def unreachable(numerator, denominator):
+        raise AssertionError("neg_cf called")
+
+    monkeypatch.setattr(plumbing, "neg_cf", unreachable)
+    start = time.perf_counter()
+    with pytest.raises(RankTooLarge) as excinfo:
+        verdict((2, 3, 6 * 10**9 + 1))
+    assert time.perf_counter() - start < 1
+    assert str(excinfo.value) == "form of rank 1000000003 is above the search limit 900"
 
 
 def test_rank_is_rejected_before_the_form_is_built(monkeypatch):
@@ -420,33 +470,44 @@ def test_fiber_count_is_rejected_before_validation(monkeypatch):
 
 
 def test_certificate_checks_survive_optimize():
-    """Under python -O, a forged certificate, an indefinite form and malformed matrices are rejected."""
+    """Under python -O, forged certificates, bad forms and bad verdict inputs are rejected."""
     script = """
-from seifert_gate import DiagonalizationCertificate, diagonalize, verdict
+from fractions import Fraction
+
+from seifert_gate import (
+    DiagonalizationCertificate, InvalidParameter, RankTooLarge, diagonalize, verdict,
+)
 from seifert_gate.plumbing import IntersectionForm
 
 assert False, "asserts are stripped"
+
+
+def refuse(what, error, fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except error:
+        return
+    raise SystemExit(f"{what} accepted")
+
+
+def certificate(form, units):
+    return DiagonalizationCertificate(form=form, units=units, nodes=0)
+
+
 f = verdict((2, 3, 13)).form
 u = diagonalize(f).units[0]
-try:
-    DiagonalizationCertificate(form=f, units=(u, u), nodes=0)
-except ValueError:
-    pass
-else:
-    raise SystemExit("forged certificate accepted")
-try:
-    IntersectionForm.from_matrix([[1, 0], [0, -1]])
-except ValueError:
-    pass
-else:
-    raise SystemExit("indefinite form accepted")
+refuse("forged certificate", ValueError, certificate, f, (u, u))
+minus_i2 = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
+rational = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
+refuse("rational units", ValueError, certificate, minus_i2, rational)
+refuse("det 3 certificate", ValueError, certificate, IntersectionForm.from_matrix([[-2, 1], [1, -2]]), ())
+refuse("indefinite form", ValueError, IntersectionForm.from_matrix, [[1, 0], [0, -1]])
 for rows in ([[-2, 1], [0, -2]], [[-1, 0]]):
-    try:
-        IntersectionForm.from_matrix(rows)
-    except ValueError:
-        pass
-    else:
-        raise SystemExit(f"malformed matrix {rows} accepted")
+    refuse(f"malformed matrix {rows}", ValueError, IntersectionForm.from_matrix, rows)
+rank_901 = [[-int(i == j) for j in range(901)] for i in range(901)]
+refuse("rank 901", RankTooLarge, IntersectionForm.from_matrix, rank_901)
+refuse("kn_bound 0", InvalidParameter, verdict, (2, 3, 5), kn_bound=0)
+refuse("float multiplicity", TypeError, verdict, (2.5, 3, 5))
 """
     src = str(Path(lattice.__file__).parents[1])
     proc = subprocess.run(

@@ -5,6 +5,7 @@ from math import prod
 import pytest
 
 from seifert_gate import (
+    InvalidParameter,
     NotCoprime,
     NotDiagonalizable,
     Verdict,
@@ -169,6 +170,17 @@ class TestVerdict:
     def test_invalid_input_propagates(self):
         with pytest.raises(NotCoprime):
             verdict((2, 4, 5))
+
+    @pytest.mark.parametrize("values", [[2.5, 3, 5], ["2", "3", "5"]])
+    def test_non_integer_multiplicities_rejected(self, values):
+        with pytest.raises(TypeError):
+            verdict(values)
+
+    def test_kn_bound_must_be_negative(self):
+        with pytest.raises(InvalidParameter) as excinfo:
+            verdict((2, 3, 5), kn_bound=0)
+        assert str(excinfo.value) == "kn-range bound must be <= -1, got 0"
+        assert verdict((2, 3, 5), kn_bound=-1).twist_certificate.all_checks_pass
 
     def test_four_fiber_tuple(self):
         r = verdict((2, 3, 5, 7))

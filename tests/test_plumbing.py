@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from seifert_gate.seifert import normalize, solve_unnormalized
 from seifert_gate.plumbing import (
     IntersectionForm,
     PlumbingGraph,
+    _leg_length,
     build_plumbing,
     intersection_form,
     neg_cf,
@@ -68,6 +70,12 @@ class TestNegCf:
             cf = neg_cf(-p, q)
             assert all(k <= -2 for k in cf.entries)
             assert cf.value() == x
+
+    def test_leg_length_matches_expansion(self):
+        for a in range(2, 400):
+            for q in range(1, a):
+                if gcd(a, q) == 1:
+                    assert _leg_length(a, q) == len(neg_cf(a, -q).entries), (a, q)
 
 
 class TestBuildPlumbing:

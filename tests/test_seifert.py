@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
 
 from seifert_gate import (
@@ -35,6 +36,19 @@ class TestValidate:
     def test_rejects_small_multiplicity(self):
         with pytest.raises(MultiplicityTooSmall):
             validate_multiplicities([1, 2, 3])
+
+    def test_rejects_float_multiplicity(self):
+        # int() would truncate 2.5 to 2 and report Sigma(2, 3, 5)
+        with pytest.raises(TypeError):
+            validate_multiplicities([2.5, 3, 5])
+
+    def test_rejects_string_multiplicities(self):
+        with pytest.raises(TypeError):
+            validate_multiplicities(["2", "3", "5"])
+
+    def test_accepts_numpy_integers(self):
+        m = validate_multiplicities(np.array([2, 3, 5], dtype=np.int64))
+        assert m.a == (2, 3, 5) and all(type(x) is int for x in m.a)
 
 
 class TestSolveUnnormalized:
