@@ -9,6 +9,7 @@ name lives in its module (seifert, plumbing, lattice, obstruction, families).
 """
 
 from .errors import (
+    CertificateViolation,
     DivisionByZero,
     EnumerationCapExceeded,
     InvalidParameter,

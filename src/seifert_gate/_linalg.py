@@ -1,17 +1,18 @@
 """Exact linear algebra for small integer quadratic forms.
 
-Everything here works over arbitrary-precision integers or
-``fractions.Fraction``; no floating point is used anywhere.
+Everything here works over arbitrary-precision integers; no floating point
+and no fractions are used anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
-# (d, u) with x^T G x = sum_i d[i] * (x_i + sum_{(j, u_ij) in u[i]} u_ij x_j)^2
-Completion = tuple[list[Fraction], list[list[tuple[int, Fraction]]]]
+# (minors, pivots): minors[i] is the leading i x i minor of G (minors[0] = 1),
+# pivots[i] the nonzero (j, N_ij), j > i, of row i of G after i fraction-free
+# steps, whose diagonal entry N_ii is minors[i + 1]
+Elimination = tuple[list[int], list[list[tuple[int, int]]]]
 # (scale, levels), level i being (den_i, c_i, U_i), with
 # scale * x^T G x = sum_i c_i * (den_i x_i + sum_{(j, U_ij) in U_i} U_ij x_j)^2
 IntegerLevels = tuple[int, list[tuple[int, int, list[tuple[int, int]]]]]
@@ -46,69 +47,66 @@ def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in work[:r] if any(row)]
 
 
-def cholesky_form(g: Sequence[Sequence[Fraction | int]]) -> Completion:
-    """Rational square completion of a positive definite form, on sparse rows.
+def eliminate(g: Sequence[Sequence[tuple[int, int]]]) -> Elimination:
+    """Bareiss (fraction-free) elimination of a positive definite form, in index order.
 
-    Returns (d, u) with x^T G x = sum_i d[i] * (x_i + sum_j u_ij x_j)^2,
-    eliminating in the given index order.  Each u[i] lists the nonzero
-    (j, u_ij), all with j > i, in increasing j.  Only nonzero and filled-in
-    entries are updated, so a tree form costs O(fill) rather than O(m^3).
-    Raises ValueError if G is not positive definite.
+    g lists the nonzero (j, G_ij) of each row; only j >= i is read.  A step
+    updates only the rows its pivot row touches, first scaling each to the
+    current step as the steps that skipped it would have, so every division
+    is exact.  Raises ValueError at the first pivot that is not positive.
     """
-    upper = [
-        {j: Fraction(x) for j, x in enumerate(row) if j >= i and x}
-        for i, row in enumerate(g)
-    ]
-    d: list[Fraction] = []
-    u: list[list[tuple[int, Fraction]]] = []
+    upper = [{j: x for j, x in row if j >= i and x} for i, row in enumerate(g)]
+    step = [0] * len(upper)  # row k holds minors[step[k]] times its Schur complement
+    minors, pivots = [1], []
     for i, row in enumerate(upper):
-        di = row.pop(i, Fraction(0))
-        if di <= 0:
+        prev, lift = minors[i], minors[step[i]]
+        p = row.pop(i, 0) * prev // lift
+        if p <= 0:
             raise ValueError("form is not positive definite")
-        ui = sorted((j, x / di) for j, x in row.items() if x)
-        for a, (k, uk) in enumerate(ui):
-            target = upper[k]
-            for l, ul in ui[a:]:
-                target[l] = target.get(l, 0) - di * uk * ul
-        d.append(di)
-        u.append(ui)
-    return d, u
+        ni = sorted((j, x * prev // lift) for j, x in row.items() if x)
+        for a, (k, nk) in enumerate(ni):
+            target, lift, cols = upper[k], minors[step[k]], dict(ni[a:])
+            for l in target.keys() | cols.keys():
+                target[l] = (p * target.get(l, 0) * prev // lift - nk * cols.get(l, 0)) // prev
+            step[k] = i + 1
+        minors.append(p)
+        pivots.append(ni)
+    return minors, pivots
 
 
-def integer_levels(completion: Completion) -> IntegerLevels:
-    """The levels of a square completion, scaled to integers once.
+def scaled_levels(elimination: Elimination) -> IntegerLevels:
+    """The square completion of G, each level scaled to integers.
 
-    den_i is the lcm of the denominators of the u_ij, so U_i = den_i * u_i is
-    an integer row and d_i (x_i + shift)^2 = (d_i / den_i^2)(den_i x_i + S)^2
-    with S = U_i . x an integer; scale is the lcm of the denominators of the
-    d_i / den_i^2, and c_i = scale * d_i / den_i^2.  A search then compares
-    every level's term with its budget, times scale, in integers.
+    Level i is d_i (x_i + u_i . x)^2 with d_i = minors[i+1] / minors[i] and
+    u_i = N_i / minors[i+1].  With g_i = gcd(minors[i+1], N_i), den_i =
+    minors[i+1] / g_i, U_i = N_i / g_i, and d_i / den_i^2 = g_i^2 /
+    (minors[i] minors[i+1]); scale is the lcm of these weights' denominators.
     """
-    d, u = completion
-    dens = [lcm(*(x.denominator for _, x in row)) for row in u]
-    weights = [di / (den * den) for di, den in zip(d, dens)]
-    scale = lcm(*(w.denominator for w in weights))
-    levels = [
-        (den, int(w * scale), [(j, int(x * den)) for j, x in row])
-        for den, w, row in zip(dens, weights, u)
-    ]
-    return scale, levels
+    minors, pivots = elimination
+    rows, weights = [], []
+    for i, row in enumerate(pivots):
+        g = gcd(minors[i + 1], *(x for _, x in row))
+        num, q = g * g, minors[i] * minors[i + 1]
+        t = gcd(num, q)
+        weights.append((num // t, q // t))
+        rows.append((minors[i + 1] // g, [(j, x // g) for j, x in row]))
+    scale = lcm(*(q for _, q in weights))
+    return scale, [(den, num * (scale // q), row) for (den, row), (num, q) in zip(rows, weights)]
 
 
-def solve_completion(
-    d: list[Fraction], u: list[list[tuple[int, Fraction]]], rhs: Sequence[Fraction | int]
-) -> list[Fraction]:
-    """Solve G x = rhs, given the square completion (d, u) of G.
-
-    G = U^T diag(d) U with U unit upper triangular, so one forward pass over
-    the sparse rows of u, a division by d and one backward pass solve it.
-    """
-    y = [Fraction(b) for b in rhs]
-    for i, row in enumerate(u):
-        for j, uij in row:
-            y[j] -= uij * y[i]
-    x = [Fraction(0)] * len(y)
-    for i in reversed(range(len(y))):
-        x[i] = y[i] / d[i] - sum(uij * x[j] for j, uij in u[i])
-    return x
-
+def solve(elimination: Elimination, rhs: Sequence[int]) -> tuple[list[int], int]:
+    """(X, det G) with G X = det G * rhs: the forward steps on rhs, scaled as in
+    eliminate, then back substitution of the integer X (Cramer's rule)."""
+    minors, pivots = elimination
+    b, step = list(rhs), [0] * len(rhs)
+    for i, row in enumerate(pivots):
+        prev = minors[i]
+        b[i] = b[i] * prev // minors[step[i]]
+        for k, nk in row:
+            b[k] = (minors[i + 1] * b[k] * prev // minors[step[k]] - nk * b[i]) // prev
+            step[k] = i + 1
+    det = minors[-1]
+    x = [0] * len(b)
+    for i in reversed(range(len(b))):
+        x[i] = (det * b[i] - sum(nij * x[j] for j, nij in pivots[i])) // minors[i + 1]
+    return x, det

@@ -33,6 +33,10 @@ class RankTooLarge(SeifertGateError):
     """The form's rank is above what the lattice searches can recurse through."""
 
 
+class CertificateViolation(SeifertGateError):
+    """A lattice identity that a derived result must satisfy does not hold."""
+
+
 class NotDiagonalizable(SeifertGateError):
     """The form admits no orthonormal basis, so the requested quantity is undefined."""
 

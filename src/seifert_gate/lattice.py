@@ -4,8 +4,8 @@ Two searches live here, each bounded by a configurable node cap, plus the
 assembly between them:
 
 * enumeration of the vectors of self-intersection -1 (bounded search on the
-  square completion of -Q that the form carries, walking each level outward
-  from its nearest integer until the square term exceeds what is left);
+  square completion of -Q, walking each level outward from its nearest
+  integer until the square term exceeds what is left);
 * assembly of an orthonormal change of basis from those vectors, which for a
   unimodular negative-definite form exists exactly when the form is
   diagonalizable over the integers;
@@ -13,12 +13,14 @@ assembly between them:
   orthogonal complement, which gives the correction-term invariant of the
   boundary under the sharpness hypothesis.
 
-Both searches scale the levels of the completion to integers once per form
-(_linalg.integer_levels), so every level is compared in integers and no
-Fraction arithmetic runs inside them.
+Both searches read form.levels, that completion scaled to integers from the
+form's one fraction-free elimination, so every level is compared in integers
+and no Fraction arithmetic runs inside them.
 
 Forms are negative definite and of rank at most plumbing.MAX_SEARCH_RANK,
 and certificates unimodular, by construction: the entry points check nothing.
+The identities the results must satisfy are checked where they are derived,
+and a failure raises CertificateViolation, also under python -O.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _linalg
-from .errors import EnumerationCapExceeded, NotDiagonalizable
+from .errors import CertificateViolation, EnumerationCapExceeded, NotDiagonalizable
 from .plumbing import IntersectionForm
 
 __all__ = [
@@ -114,7 +116,7 @@ class _NodeBudget:
 def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list[tuple[int, ...]]:
     """Bounded search for all v with v^T Q v = -1, one per +-pair."""
     m = form.m
-    scale, levels = _linalg.integer_levels(form.completion)
+    scale, levels = form.levels
     found: list[tuple[int, ...]] = []
     x = [0] * m
 
@@ -165,15 +167,9 @@ def norm_minus_one_vectors(
     return _fixed_norm_enumeration(form, _NodeBudget(cap))
 
 
-def _nonzero_rows(form: IntersectionForm) -> list[list[tuple[int, int]]]:
-    """The nonzero (j, Q_ij) of each row of Q."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in form.Q]
-
-
 def _images(form: IntersectionForm, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     """Q w for each w in vectors, over the nonzero entries of Q only."""
-    q = _nonzero_rows(form)
-    return [[sum(x * w[j] for j, x in row) for row in q] for w in vectors]
+    return [[sum(x * w[j] for j, x in row) for row in form.rows] for w in vectors]
 
 
 def _pairing(v: Sequence[int], qw: Sequence[int]) -> int:
@@ -200,32 +196,34 @@ def diagonalize(
 def dual_class(form: IntersectionForm) -> DualClass:
     """Coefficients of the class dual to the central vertex, with its self-intersection.
 
-    D = Q^{-1} e_1, solved through the form's square completion; Q D = e_1 is
-    re-checked over the nonzeros of Q.
+    D = Q^{-1} e_1 = X / det, solved in integers through the form's
+    elimination of -Q; Q X = det * e_1 is re-checked over the nonzeros of Q.
     """
-    e1 = [int(i == 0) for i in range(form.m)]
-    x = _linalg.solve_completion(*form.completion, [-b for b in e1])
-    for i, row in enumerate(form.Q):
-        assert sum(q * x[j] for j, q in enumerate(row) if q) == e1[i]
-    return DualClass(D=tuple(x), self_intersection=x[0])
+    x, det = _linalg.solve(form.elimination, [-int(i == 0) for i in range(form.m)])
+    if any(sum(q * x[j] for j, q in row) != det * (i == 0) for i, row in enumerate(form.rows)):
+        raise CertificateViolation("the solve for Q^-1 e_1 does not satisfy Q D = e_1")
+    d = tuple(Fraction(xi, det) for xi in x)
+    return DualClass(D=d, self_intersection=d[0])
 
 
 def max_sharp_pairing(cert: DiagonalizationCertificate, dual: DualClass) -> int:
     """Maximum pairing of a sharp characteristic vector with the dual class.
 
     In an orthonormal basis the sharp vectors have all coefficients +-1, so
-    the maximum is the L1 norm of the first row of E.  Sanity identities
-    (L2 norm squared equals -D.D, parity, lower bound) are asserted.
+    the maximum is the L1 norm of the first row of E.  The identities it must
+    satisfy (its L2 norm squared equals -D.D, an integer, which p^2 bounds
+    and shares p's parity) are checked; CertificateViolation if one fails.
     """
     if not cert.present:
         raise NotDiagonalizable("no orthonormal basis exists for this form")
     first_row = [v[0] for v in cert.units]
     p = sum(abs(e) for e in first_row)
     big_a = -dual.self_intersection
-    assert sum(e * e for e in first_row) == big_a
-    assert big_a.denominator == 1
-    a_int = int(big_a)
-    assert p * p >= a_int and (p - a_int) % 2 == 0
+    if sum(e * e for e in first_row) != big_a:
+        raise CertificateViolation(f"first row of E has squared norm != -D.D = {big_a}")
+    # big_a is now an integer, a sum of squares
+    if p * p < big_a or (p - big_a) % 2:
+        raise CertificateViolation(f"pairing {p} violates the bound or parity for A = {big_a}")
     return p
 
 
@@ -236,7 +234,7 @@ def _greedy_descent(form: IntersectionForm, v: list[int]) -> tuple[list[int], in
     of Q: a step s on coordinate i lowers the value by 2 s (Qv)_i + s^2 Q_ii,
     and is taken when that is positive.
     """
-    rows = _nonzero_rows(form)
+    rows = form.rows
     qv = _images(form, [v])[0]
     value = -_pairing(v, qv)
     improved = True
@@ -264,9 +262,10 @@ def _characteristic_parity(form: IntersectionForm) -> list[int]:
     the primal form with its small banded entries.
     """
     minus_diag = [-form.Q[i][i] for i in range(form.m)]  # (-Q) w = -diag(Q)
-    w = _linalg.solve_completion(*form.completion, minus_diag)
-    assert all(x.denominator == 1 for x in w)
-    return [int(x) % 2 for x in w]
+    x, det = _linalg.solve(form.elimination, minus_diag)
+    if any(xi % det for xi in x):
+        raise CertificateViolation("Q^-1 diag(Q) is not an integer vector")
+    return [xi // det % 2 for xi in x]
 
 
 def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
@@ -278,7 +277,7 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
     incumbent shrinks.  Values are kept times the scale of the integer levels.
     """
     m = form.m
-    scale, levels = _linalg.integer_levels(form.completion)
+    scale, levels = form.levels
     parity = _characteristic_parity(form)
     best = scale * _greedy_descent(form, parity[:])[1]
     x = [0] * m
@@ -349,11 +348,13 @@ def _split_off_units(
                 x[j] += p * uvec[j]
         projected.append(x)
     basis = _linalg.row_lattice_basis(projected)
-    assert len(basis) == m - len(units)
+    if len(basis) != m - len(units):
+        raise CertificateViolation(f"complement has rank {len(basis)}, not {m - len(units)}")
     basis_images = _images(form, basis)
     gram = [[_pairing(a, qb) for qb in basis_images] for a in basis]
     sub = IntersectionForm.from_matrix(gram)
-    assert abs(sub.det) == 1
+    if abs(sub.det) != 1:
+        raise CertificateViolation(f"complement has det {sub.det}, not +-1")
     return sub
 
 

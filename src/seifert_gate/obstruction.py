@@ -286,6 +286,10 @@ class ObstructionReport:
             assert self.gap_lower is not None and self.gap_lower >= 1
 
 
+# verify_twist_chain records, and a report serializes, one check per twist in
+# -1..kn_bound; 10^4 of them take a few hundredths of a second.
+MAX_TWISTS = 10**4
+
 _SHARPNESS_CAVEAT = (
     "d-invariant assumes a sharp spin-c structure; this holds for the "
     "star-shaped negative-definite plumbings built here but is not re-derived."
@@ -313,10 +317,12 @@ def verdict(
     Either way the tuple is obstructed; the report is the certificate.
     Each leg has a vertex, so n fibers give rank >= n + 1: RankTooLarge comes
     from n before validation, then from the plumbing tree before any matrix.
-    InvalidParameter unless kn_bound <= -1.
+    InvalidParameter unless -MAX_TWISTS <= kn_bound <= -1.
     """
     if kn_bound > -1:
         raise InvalidParameter(f"kn-range bound must be <= -1, got {kn_bound}")
+    if kn_bound < -MAX_TWISTS:
+        raise InvalidParameter(f"kn-range bound must be >= -{MAX_TWISTS} (the twist limit), got {kn_bound}")
     start = time.perf_counter()
     raw = tuple(m)
     if len(raw) + 1 > MAX_SEARCH_RANK:

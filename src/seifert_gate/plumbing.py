@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, prod
+from math import floor
 
 from . import _linalg
 from .errors import InvalidRange, RankTooLarge
@@ -91,16 +91,18 @@ class IntersectionForm:
 
     Building one raises RankTooLarge above MAX_SEARCH_RANK, and ValueError
     unless Q is square and symmetric, and unless it is negative definite,
-    that is unless -Q has a square completion, so no other form exists.
-    completion is that square completion (d, u) of -Q in index order, as
-    _linalg.cholesky_form returns it, computed once here, and
-    det Q = (-1)^m * prod(d).  The solves with Q and both lattice searches
-    read it.
+    that is unless its fraction-free elimination of -Q in index order
+    (_linalg.eliminate, over rows, the nonzero (j, Q_ij) of each row of Q)
+    finds every pivot positive, so no other form exists.  det Q is (-1)^m
+    times its last minor; the solves with Q read elimination, and both
+    lattice searches levels, its square completion scaled to integers.
     """
 
     Q: tuple[tuple[int, ...], ...]
     det: int = field(init=False)
-    completion: _linalg.Completion = field(init=False, compare=False, repr=False)
+    rows: list[list[tuple[int, int]]] = field(init=False, compare=False, repr=False)
+    elimination: _linalg.Elimination = field(init=False, compare=False, repr=False)
+    levels: _linalg.IntegerLevels = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         q = self.Q
@@ -110,14 +112,15 @@ class IntersectionForm:
             raise RankTooLarge(f"form of rank {len(q)} is above the search limit {MAX_SEARCH_RANK}")
         if any(q[i][j] != q[j][i] for i in range(len(q)) for j in range(i)):
             raise ValueError("matrix must be symmetric")
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in q]
         try:
-            completion = _linalg.cholesky_form([[-x for x in row] for row in q])
+            elimination = _linalg.eliminate([[(j, -x) for j, x in row] for row in rows])
         except ValueError:
             raise ValueError("form must be negative definite") from None
-        det = (-1) ** len(q) * prod(completion[0])
-        assert det.denominator == 1, "determinant of an integer matrix is an integer"
-        object.__setattr__(self, "det", int(det))
-        object.__setattr__(self, "completion", completion)
+        object.__setattr__(self, "det", (-1) ** len(q) * elimination[0][-1])
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "elimination", elimination)
+        object.__setattr__(self, "levels", _linalg.scaled_levels(elimination))
 
     @property
     def m(self) -> int:

@@ -2,18 +2,25 @@
 
 Everything here is deliberately written along a different route than the
 library code: cofactor determinants, Gauss-Jordan inverses, exhaustive box
-enumerations.  Slow but simple; correctness over speed.
+enumerations, and the square completion, its integer levels and its solves
+in ``Fraction`` arithmetic that the library's fraction-free elimination must
+reproduce.  Slow but simple; correctness over speed.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import floor, gcd, isqrt, prod
+from math import floor, gcd, isqrt, lcm, prod
+from typing import Sequence
 
 import numpy as np
 
+from seifert_gate._linalg import IntegerLevels
 from seifert_gate.lattice import _characteristic_parity, _greedy_descent
+
+# (d, u) with x^T G x = sum_i d[i] * (x_i + sum_{(j, u_ij) in u[i]} u_ij x_j)^2
+Completion = tuple[list[Fraction], list[list[tuple[int, Fraction]]]]
 
 
 def cofactor_det(rows):
@@ -257,7 +264,7 @@ def fraction_norm_enumeration(form, budget) -> list[tuple[int, ...]]:
     must find the same vectors and spend the same nodes from ``budget``.
     """
     m = form.m
-    d, u = form.completion
+    d, u = cholesky_form([[-x for x in row] for row in form.Q])
     found: list[tuple[int, ...]] = []
     x = [0] * m
 
@@ -303,7 +310,7 @@ def fraction_coset_minimum(form, budget) -> Fraction:
     must return the same minimum and spend the same nodes from ``budget``.
     """
     m = form.m
-    d, u = form.completion
+    d, u = cholesky_form([[-x for x in row] for row in form.Q])
     parity = _characteristic_parity(form)
     # a Fraction, so that d = (m - best) / 4 stays exact when no leaf beats the seed
     best = Fraction(_greedy_descent(form, parity[:])[1])
@@ -348,3 +355,70 @@ def fraction_coset_minimum(form, budget) -> Fraction:
 
     descend(m - 1, Fraction(0))
     return best
+
+
+def cholesky_form(g: Sequence[Sequence[Fraction | int]]) -> Completion:
+    """Rational square completion of a positive definite form, on sparse rows.
+
+    Returns (d, u) with x^T G x = sum_i d[i] * (x_i + sum_j u_ij x_j)^2,
+    eliminating in the given index order.  Each u[i] lists the nonzero
+    (j, u_ij), all with j > i, in increasing j.  Only nonzero and filled-in
+    entries are updated, so a tree form costs O(fill) rather than O(m^3).
+    Raises ValueError if G is not positive definite.
+    """
+    upper = [
+        {j: Fraction(x) for j, x in enumerate(row) if j >= i and x}
+        for i, row in enumerate(g)
+    ]
+    d: list[Fraction] = []
+    u: list[list[tuple[int, Fraction]]] = []
+    for i, row in enumerate(upper):
+        di = row.pop(i, Fraction(0))
+        if di <= 0:
+            raise ValueError("form is not positive definite")
+        ui = sorted((j, x / di) for j, x in row.items() if x)
+        for a, (k, uk) in enumerate(ui):
+            target = upper[k]
+            for l, ul in ui[a:]:
+                target[l] = target.get(l, 0) - di * uk * ul
+        d.append(di)
+        u.append(ui)
+    return d, u
+
+
+def integer_levels(completion: Completion) -> IntegerLevels:
+    """The levels of a square completion, scaled to integers once.
+
+    den_i is the lcm of the denominators of the u_ij, so U_i = den_i * u_i is
+    an integer row and d_i (x_i + shift)^2 = (d_i / den_i^2)(den_i x_i + S)^2
+    with S = U_i . x an integer; scale is the lcm of the denominators of the
+    d_i / den_i^2, and c_i = scale * d_i / den_i^2.  A search then compares
+    every level's term with its budget, times scale, in integers.
+    """
+    d, u = completion
+    dens = [lcm(*(x.denominator for _, x in row)) for row in u]
+    weights = [di / (den * den) for di, den in zip(d, dens)]
+    scale = lcm(*(w.denominator for w in weights))
+    levels = [
+        (den, int(w * scale), [(j, int(x * den)) for j, x in row])
+        for den, w, row in zip(dens, weights, u)
+    ]
+    return scale, levels
+
+
+def solve_completion(
+    d: list[Fraction], u: list[list[tuple[int, Fraction]]], rhs: Sequence[Fraction | int]
+) -> list[Fraction]:
+    """Solve G x = rhs, given the square completion (d, u) of G.
+
+    G = U^T diag(d) U with U unit upper triangular, so one forward pass over
+    the sparse rows of u, a division by d and one backward pass solve it.
+    """
+    y = [Fraction(b) for b in rhs]
+    for i, row in enumerate(u):
+        for j, uij in row:
+            y[j] -= uij * y[i]
+    x = [Fraction(0)] * len(y)
+    for i in reversed(range(len(y))):
+        x[i] = y[i] / d[i] - sum(uij * x[j] for j, uij in u[i])
+    return x

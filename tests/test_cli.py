@@ -185,6 +185,15 @@ class TestBatchMode:
         assert json.loads(lines[0])["error"]["type"] == "RankTooLarge"
         assert json.loads(lines[1])["verdict"] == "obstructed_floer_gap"
 
+    def test_twist_limit_is_a_line_error(self, tmp_path, capsys):
+        assert main(["2", "3", "5", "--kn-range", "-1000000000"]) == 2
+        assert "InvalidParameter" in capsys.readouterr().err
+        f = tmp_path / "batch.txt"
+        f.write_text("2 3 5\n")
+        code, out = run_json(capsys, ["--batch", str(f), "--json", "--kn-range", "-10001"])
+        assert code == 0
+        assert json.loads(out)["error"]["type"] == "InvalidParameter"
+
     def test_unparseable_line_sets_exit_code(self, tmp_path, capsys):
         f = tmp_path / "batch.txt"
         f.write_text("2 3 five\n2 3 7\n")

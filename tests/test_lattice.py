@@ -3,11 +3,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
 from seifert_gate import (
+    CertificateViolation,
     DiagonalizationCertificate,
     EnumerationCapExceeded,
     NotDiagonalizable,
@@ -37,8 +39,10 @@ from oracles import (
     box_d_invariant,
     box_norm_minus_one,
     brute_force_sharp_max,
+    cholesky_form,
     dense_cholesky,
     gauss_inverse,
+    integer_levels,
     mat_mul,
     quad_value,
     transpose,
@@ -104,7 +108,9 @@ class TestNormMinusOneVectors:
         # a completion entry of 1/2 puts some level's centre on a rounding tie
         f = IntersectionForm.from_matrix(rows)
         assert abs(f.det) == 1
-        assert any(x.denominator == 2 for row in f.completion[1] for _, x in row)
+        completion = cholesky_form([[-x for x in row] for row in rows])
+        assert any(x.denominator == 2 for row in completion[1] for _, x in row)
+        assert f.levels == integer_levels(completion)
         assert norm_minus_one_vectors(f) == box_norm_minus_one(rows)
 
     def test_box_enumeration_diagonal(self):
@@ -405,11 +411,15 @@ class TestSearchIsPinned:
         + [(5, 8, 13), (11, 14, 15), (2, 3, 5, 7, 11, 13)],
     )
     def test_sparse_square_completion_matches_dense(self, a):
+        # the sparse Fraction oracle against the dense one entry for entry,
+        # and the form's integer levels against both
         f = form_for(a)
         g = [[-x for x in row] for row in f.Q]
-        d, u = f.completion
+        d, u = cholesky_form(g)
         dense_d, dense_u = dense_cholesky(g)
         assert d == dense_d
+        assert f.levels == integer_levels((d, u))
+        assert f.det == (-1) ** f.m * prod(dense_d)
         for i, row in enumerate(u):
             columns = [j for j, _ in row]
             assert columns == sorted(columns)
@@ -475,8 +485,10 @@ def test_certificate_checks_survive_optimize():
 from fractions import Fraction
 
 from seifert_gate import (
-    DiagonalizationCertificate, InvalidParameter, RankTooLarge, diagonalize, verdict,
+    CertificateViolation, DiagonalizationCertificate, InvalidParameter, RankTooLarge, diagonalize,
+    verdict,
 )
+from seifert_gate.lattice import DualClass, max_sharp_pairing
 from seifert_gate.plumbing import IntersectionForm
 
 assert False, "asserts are stripped"
@@ -497,6 +509,9 @@ def certificate(form, units):
 f = verdict((2, 3, 13)).form
 u = diagonalize(f).units[0]
 refuse("forged certificate", ValueError, certificate, f, (u, u))
+# E's first row has squared norm 78 = -D.D; a dual class claiming 77 is refused
+forged = DualClass(D=(Fraction(-77),) + (Fraction(0),) * (f.m - 1), self_intersection=Fraction(-77))
+refuse("forged dual class", CertificateViolation, max_sharp_pairing, diagonalize(f), forged)
 minus_i2 = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
 rational = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
 refuse("rational units", ValueError, certificate, minus_i2, rational)
@@ -518,6 +533,18 @@ refuse("float multiplicity", TypeError, verdict, (2.5, 3, 5))
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize(
+    "call, numerators",
+    [(dual_class, lambda x, det: (x, det + 1)), (_characteristic_parity, lambda x, det: (x, 2 * det))],
+)
+def test_solve_results_are_checked(monkeypatch, call, numerators):
+    # a solve whose result breaks Q D = e_1, or makes Q^-1 diag(Q) fractional
+    real = lattice._linalg.solve
+    monkeypatch.setattr(lattice._linalg, "solve", lambda *args: numerators(*real(*args)))
+    with pytest.raises(CertificateViolation):
+        call(form_for((2, 3, 13)))
 
 
 def test_dual_inverse_consistency_with_oracle():

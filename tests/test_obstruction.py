@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import prod
 
@@ -181,6 +182,14 @@ class TestVerdict:
             verdict((2, 3, 5), kn_bound=0)
         assert str(excinfo.value) == "kn-range bound must be <= -1, got 0"
         assert verdict((2, 3, 5), kn_bound=-1).twist_certificate.all_checks_pass
+
+    def test_twist_chain_is_bounded(self):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match="10000"):
+            verdict((2, 3, 5), kn_bound=-10**9)
+        assert time.perf_counter() - start < 1
+        # the tcr check plus one per twist in -1..-10^4
+        assert len(verdict((2, 3, 5), kn_bound=-10**4).twist_certificate.checks) == 10**4 + 1
 
     def test_four_fiber_tuple(self):
         r = verdict((2, 3, 5, 7))

@@ -29,6 +29,7 @@ PUBLIC = {
     "EnumerationCapExceeded",
     "RankTooLarge",
     "NotDiagonalizable",
+    "CertificateViolation",
     "InvalidParameter",
 }
 
