@@ -30,7 +30,7 @@ class EnumerationCapExceeded(SeifertGateError):
 
 
 class RankTooLarge(SeifertGateError):
-    """The form's rank is above what the lattice searches can recurse through."""
+    """The form's rank is above plumbing.MAX_SEARCH_RANK, which bounds the size of E and the report."""
 
 
 class CertificateViolation(SeifertGateError):

@@ -4,8 +4,8 @@ Two searches live here, each bounded by a configurable node cap, plus the
 assembly between them:
 
 * enumeration of the vectors of self-intersection -1 (bounded search on the
-  square completion of -Q, walking each level outward from its nearest
-  integer until the square term exceeds what is left);
+  square completion of -Q, each level's feasible interval found with one
+  isqrt);
 * assembly of an orthonormal change of basis from those vectors, which for a
   unimodular negative-definite form exists exactly when the form is
   diagonalizable over the integers;
@@ -15,10 +15,14 @@ assembly between them:
 
 Both searches read form.levels, that completion scaled to integers from the
 form's one fraction-free elimination, so every level is compared in integers
-and no Fraction arithmetic runs inside them.
+and no Fraction arithmetic runs inside them.  Each is one loop over per-level
+arrays, with no recursion and no call per node; it counts its nodes in a
+local integer against the cap and writes the count back to its _NodeBudget.
 
 Forms are negative definite and of rank at most plumbing.MAX_SEARCH_RANK,
 and certificates unimodular, by construction: the entry points check nothing.
+That limit bounds the m x m certificate E and the report, not the searches,
+whose depth needs no call stack.
 The identities the results must satisfy are checked where they are derived,
 and a failure raises CertificateViolation, also under python -O.
 """
@@ -27,6 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from math import isqrt
+from operator import mul, neg
 from typing import Sequence
 
 from . import _linalg
@@ -45,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**6
+# the distance of a failed side of a coset-search level
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -70,11 +79,19 @@ class DiagonalizationCertificate:
         if abs(self.form.det) != 1:
             raise ValueError(f"form must be unimodular, det = {self.form.det}")
         m = self.form.m
-        if not all(len(v) == m and all(isinstance(c, int) for c in v) for v in self.units):
+        if not all(len(v) == m and all(map(isinstance, v, repeat(int))) for v in self.units):
             raise ValueError(f"units must be integer vectors of length {m}")
-        if any(_pairing(v, qv) != -1 for v, qv in zip(self.units, _images(self.form, self.units))):
-            raise ValueError("units must have self-intersection -1")
-        if len({max(v, tuple(-c for c in v)) for v in self.units}) != len(self.units):
+        # Q(u, u): the diagonal, plus twice the nonzeros above it
+        rows = self.form.rows
+        diag = _diagonal(rows)
+        upper = [(i, j, x) for i, row in enumerate(rows) for j, x in row if j > i]
+        cols, partners, entries = zip(*upper) if upper else ((), (), ())
+        for u in self.units:
+            on_diag = sum(map(mul, diag, map(mul, u, u)))
+            off_diag = sum(map(mul, entries, map(mul, map(u.__getitem__, cols), map(u.__getitem__, partners))))
+            if on_diag + 2 * off_diag != -1:
+                raise ValueError("units must have self-intersection -1")
+        if len({max(v, tuple(map(neg, v))) for v in self.units}) != len(self.units):
             raise ValueError("units must be distinct up to sign")
 
     @property
@@ -94,58 +111,87 @@ class DualClass:
     self_intersection: Fraction
 
 
+@dataclass
 class _NodeBudget:
-    """Counts search nodes against a cap; a start above the cap raises at once."""
+    """Search nodes used against a cap, shared by the searches of one tuple.
 
-    def __init__(self, cap: int, used: int = 0):
-        self.cap = cap
-        self.used = used
-        self._check()
+    A plain record: each search counts its nodes in a local integer, compares
+    it with cap, and writes it back here before it returns or raises (as
+    cap + 1 at the cap).  A start above the cap raises at once.
+    """
 
-    def spend(self) -> None:
-        self.used += 1
-        self._check()
+    cap: int
+    used: int = 0
 
-    def _check(self) -> None:
+    def __post_init__(self) -> None:
         if self.used > self.cap:
-            raise EnumerationCapExceeded(
-                f"lattice search exceeded {self.cap} nodes"
-            )
+            raise _exceeded(self)
+
+
+def _exceeded(budget: _NodeBudget) -> EnumerationCapExceeded:
+    budget.used = budget.cap + 1
+    return EnumerationCapExceeded(f"lattice search exceeded {budget.cap} nodes")
+
+
+def _split_levels(levels: _linalg.IntegerLevels) -> tuple[Sequence[int], Sequence[int], list[list[int]], list[list[int]]]:
+    """(den_i, c_i, columns of U_i, entries of U_i) per level, as parallel lists."""
+    dens, cs, rows = zip(*levels[1])
+    return dens, cs, [[j for j, _ in row] for row in rows], [[u for _, u in row] for row in rows]
 
 
 def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list[tuple[int, ...]]:
-    """Bounded search for all v with v^T Q v = -1, one per +-pair."""
+    """Bounded search for all v with v^T Q v = -1, one per +-pair.
+
+    Depth first from level m - 1 down to level 0, on per-level arrays.  At
+    level i, with R left of the scaled norm and s = U_i . x, the feasible x_i
+    are the interval c_i (den_i x_i + s)^2 <= R, that is |den_i x_i + s| <= r
+    with r = isqrt(R // c_i); its nodes are charged at once, as the search
+    visits all of them whatever its order.  While every higher coordinate is
+    0, which on a definite form is exactly when R is still the whole scale,
+    s is 0 and only x_i >= 0 is taken.  Level 0 is closed: its hits are
+    den_0 x_0 + s = +-r, when c_0 r^2 = R.
+    """
     m = form.m
-    scale, levels = form.levels
+    scale = form.levels[0]
+    dens, cs, cols, coefs = _split_levels(form.levels)
+    cap, used = budget.cap, budget.used
     found: list[tuple[int, ...]] = []
     x = [0] * m
-
-    def descend(level: int, remaining: int, leading_zero: bool) -> None:
-        if level < 0:
-            if remaining == 0 and not leading_zero:
-                found.append(tuple(x))
-            return
-        den, c, row = levels[level]
-        s = sum(uj * x[j] for j, uj in row)
-        # The feasible x_i form an interval around -s/den: walk up from the
-        # nearest integer, then down, each side to its first infeasible value.
-        # Any nearest integer will do at a tie, as both sides together walk
-        # the whole interval.  With every higher coordinate 0, s is 0 and only
-        # x_i >= 0 is walked.
-        if leading_zero:
-            sides: tuple[tuple[int, int], ...] = ((0, 1),)
-        else:
-            start = (den - 2 * s) // (2 * den)
-            sides = ((start, 1), (start - 1, -1))
-        for xi, step in sides:
-            while (term := c * (den * xi + s) ** 2) <= remaining:
-                budget.spend()
-                x[level] = xi
-                descend(level - 1, remaining - term, leading_zero and xi == 0)
-                xi += step
-        x[level] = 0
-
-    descend(m - 1, scale, True)
+    get = x.__getitem__
+    top, shift, left = [0] * m, [0] * m, [0] * m  # per level: last x_i, s, R
+    i, rest = m - 1, scale
+    while True:
+        den, c = dens[i], cs[i]
+        s = sum(map(mul, coefs[i], map(get, cols[i])))
+        r = isqrt(rest // c)
+        hi = (r - s) // den
+        lo = 0 if rest == scale else -((r + s) // den)
+        if lo <= hi:
+            used += hi - lo + 1
+            if used > cap:
+                raise _exceeded(budget)
+            if i:
+                x[i], top[i], shift[i], left[i] = lo, hi, s, rest
+                t = den * lo + s
+                rest -= c * t * t
+                i -= 1
+                continue
+            if c * r * r == rest:
+                for t in {r, -r}:
+                    if (t - s) % den == 0 and (t - s) // den >= lo:
+                        x[0] = (t - s) // den
+                        found.append(tuple(x))
+        # up to the deepest level with a value left, and on to that value
+        i += 1
+        while i < m and x[i] == top[i]:
+            i += 1
+        if i == m:
+            break
+        x[i] += 1
+        t = dens[i] * x[i] + shift[i]
+        rest = left[i] - cs[i] * t * t
+        i -= 1
+    budget.used = used
     normalized = []
     for v in found:
         lead = next(c for c in v if c != 0)
@@ -169,12 +215,18 @@ def norm_minus_one_vectors(
 
 def _images(form: IntersectionForm, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     """Q w for each w in vectors, over the nonzero entries of Q only."""
-    return [[sum(x * w[j] for j, x in row) for row in form.rows] for w in vectors]
+    split = [tuple(zip(*row)) for row in form.rows]
+    return [[sum(map(mul, coefs, map(w.__getitem__, cols))) for cols, coefs in split] for w in vectors]
 
 
 def _pairing(v: Sequence[int], qw: Sequence[int]) -> int:
     """v^T Q w, given the image Q w."""
-    return sum(a * b for a, b in zip(v, qw) if a)
+    return sum(map(mul, v, qw))
+
+
+def _diagonal(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """Q_ii for each i, from the nonzero rows (a definite form has no zero there)."""
+    return [x for i, row in enumerate(rows) for j, x in row if j == i]
 
 
 def diagonalize(
@@ -235,6 +287,7 @@ def _greedy_descent(form: IntersectionForm, v: list[int]) -> tuple[list[int], in
     and is taken when that is positive.
     """
     rows = form.rows
+    diag = _diagonal(rows)
     qv = _images(form, [v])[0]
     value = -_pairing(v, qv)
     improved = True
@@ -242,7 +295,7 @@ def _greedy_descent(form: IntersectionForm, v: list[int]) -> tuple[list[int], in
         improved = False
         for i, row in enumerate(rows):
             for step in (2, -2):
-                gain = 2 * step * qv[i] + step * step * form.Q[i][i]
+                gain = 2 * step * qv[i] + step * step * diag[i]
                 if gain > 0:
                     v[i] += step
                     value -= gain
@@ -261,7 +314,7 @@ def _characteristic_parity(form: IntersectionForm) -> list[int]:
     dual form, whose entries grow like the product of the multiplicities, to
     the primal form with its small banded entries.
     """
-    minus_diag = [-form.Q[i][i] for i in range(form.m)]  # (-Q) w = -diag(Q)
+    minus_diag = [-q for q in _diagonal(form.rows)]  # (-Q) w = -diag(Q)
     x, det = _linalg.solve(form.elimination, minus_diag)
     if any(xi % det for xi in x):
         raise CertificateViolation("Q^-1 diag(Q) is not an integer vector")
@@ -275,53 +328,77 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
     order: nearest coset point first, then outward; each side of a level is
     monotone in the partial value, so a failed side stays failed even as the
     incumbent shrinks.  Values are kept times the scale of the integer levels.
+    Depth first on per-level arrays: the partial value, and for each side its
+    next point and that point's distance den_i x_i + s from the centre, _INF
+    once the side has failed.  At level 0 only the nearest point can beat
+    the incumbent, which its two neighbours then cannot: 3 nodes.
     """
     m = form.m
-    scale, levels = form.levels
+    scale = form.levels[0]
+    dens, cs, cols, coefs = _split_levels(form.levels)
     parity = _characteristic_parity(form)
     best = scale * _greedy_descent(form, parity[:])[1]
+    cap, used = budget.cap, budget.used
     x = [0] * m
-
-    def descend(level: int, acc: int) -> None:
-        nonlocal best
-        if level < 0:
-            if acc < best:
-                best = acc
-            return
-        den, c, row = levels[level]
-        s = sum(uj * x[j] for j, uj in row)
-        p = parity[level]
-        # the coset point nearest the centre -s/den, and its two neighbours
+    get = x.__getitem__
+    acc, lo, hi, d_lo, d_hi = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
+    i, a = m - 1, 0
+    while True:
+        den, c, p = dens[i], cs[i], parity[i]
+        s = sum(map(mul, coefs[i], map(get, cols[i])))
+        # the coset point nearest the centre -s/den
         nearest = p + 2 * ((den - s - p * den) // (2 * den))
-        lo, hi = nearest - 2, nearest + 2
-        budget.spend()
-        term = c * (den * nearest + s) ** 2
-        if acc + term < best:
-            x[level] = nearest
-            descend(level - 1, acc + term)
-        lo_alive = hi_alive = True
-        while lo_alive or hi_alive:
-            # lo is at least as close to the centre as hi
-            if lo_alive and (not hi_alive or -s - lo * den <= hi * den + s):
-                xi, is_lo = lo, True
+        t = den * nearest + s
+        term = c * t * t
+        if i:
+            used += 1
+            if used > cap:
+                raise _exceeded(budget)
+            acc[i], lo[i], hi[i], d_lo[i], d_hi[i] = a, nearest - 2, nearest + 2, 2 * den - t, 2 * den + t
+            if a + term < best:
+                x[i] = nearest
+                a += term
+                i -= 1
+                continue
+        else:
+            used += 3
+            if used > cap:
+                raise _exceeded(budget)
+            if a + term < best:
+                best = a + term
+            i = 1
+        # the next point of the deepest level with one left, closer side first
+        while i < m:
+            if d_lo[i] <= d_hi[i]:
+                d, is_lo = d_lo[i], True
+                if d == _INF:
+                    i += 1
+                    continue
             else:
-                xi, is_lo = hi, False
-            budget.spend()
-            term = c * (den * xi + s) ** 2
-            if acc + term < best:
-                x[level] = xi
-                descend(level - 1, acc + term)
+                d, is_lo = d_hi[i], False
+            used += 1
+            if used > cap:
+                raise _exceeded(budget)
+            term = cs[i] * d * d
+            if acc[i] + term < best:
+                a = acc[i] + term
                 if is_lo:
-                    lo -= 2
+                    x[i] = lo[i]
+                    lo[i] -= 2
+                    d_lo[i] += 2 * dens[i]
                 else:
-                    hi += 2
-            elif is_lo:
-                lo_alive = False
+                    x[i] = hi[i]
+                    hi[i] += 2
+                    d_hi[i] += 2 * dens[i]
+                i -= 1
+                break
+            if is_lo:
+                d_lo[i] = _INF
             else:
-                hi_alive = False
-        x[level] = 0
-
-    descend(m - 1, 0)
+                d_hi[i] = _INF
+        else:
+            break
+    budget.used = used
     # a Fraction, so that d = (m - k - minimum) / 4 stays exact
     return Fraction(best, scale)
 
@@ -335,8 +412,12 @@ def _split_off_units(
     x -> x + sum_i Q(x, u_i) u_i; a basis comes from echelon-reducing the
     projected standard basis.  The complement is again unimodular and
     negative definite, now with no (-1)-vectors at all.  With no units the
-    projected basis is the standard one, and the complement is Q itself.
+    projected basis is the standard one, so the complement is the form itself,
+    returned as it is.  The Gram matrix pairs each basis vector with the ones
+    from it on, and mirrors.
     """
+    if not units:
+        return form
     m = form.m
     images = _images(form, units)
     projected = []
@@ -351,7 +432,10 @@ def _split_off_units(
     if len(basis) != m - len(units):
         raise CertificateViolation(f"complement has rank {len(basis)}, not {m - len(units)}")
     basis_images = _images(form, basis)
-    gram = [[_pairing(a, qb) for qb in basis_images] for a in basis]
+    gram = [[0] * len(basis) for _ in basis]
+    for i, a in enumerate(basis):
+        for j in range(i, len(basis)):
+            gram[i][j] = gram[j][i] = _pairing(a, basis_images[j])
     sub = IntersectionForm.from_matrix(gram)
     if abs(sub.det) != 1:
         raise CertificateViolation(f"complement has det {sub.det}, not +-1")

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from functools import cached_property
 
 from . import _linalg
-from .errors import InvalidRange, RankTooLarge
+from .errors import CertificateViolation, DivisionByZero, InvalidRange, RankTooLarge
 from .seifert import Multiplicities, NormalizedPresentation
 
 __all__ = [
@@ -25,8 +25,9 @@ __all__ = [
     "intersection_form",
 ]
 
-# The lattice searches recurse once per level, and Python stops at 1000 frames
-# by default; 900 leaves room for the frames of the callers.
+# The limit bounds the report, not the searches, which keep per-level arrays
+# and no call stack: the certificate's E is m x m, and at m = 891 the report
+# is already 2.4 MB of JSON, O(m^2) in the rank.
 MAX_SEARCH_RANK = 900
 
 
@@ -37,15 +38,24 @@ class NegContinuedFraction:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert self.entries, "empty expansion"
-        assert all(k <= -2 for k in self.entries)
+        if not self.entries:
+            raise ValueError("empty expansion")
+        if max(self.entries) > -2:
+            raise ValueError(f"expansion entries must be <= -2, got {self.entries}")
+
+    def pair(self) -> tuple[int, int]:
+        """(p, q) with p/q the nested fraction, evaluated from the last entry inward.
+
+        k - 1/(p/q) = (k p - q)/p; the pair is not sign-normalized.
+        """
+        p, q = self.entries[-1], 1
+        for k in reversed(self.entries[:-1]):
+            p, q = k * p - q, p
+        return p, q
 
     def value(self) -> Fraction:
         """Evaluate the nested fraction back to the rational it expands."""
-        x = Fraction(self.entries[-1])
-        for k in reversed(self.entries[:-1]):
-            x = k - Fraction(1) / x
-        return x
+        return Fraction(*self.pair())
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,10 @@ class PlumbingGraph:
 
     def __post_init__(self) -> None:
         for leg in self.legs:
-            assert leg, "empty leg"
-            assert all(w <= -2 for w in leg), "leg weights must be <= -2"
+            if not leg:
+                raise ValueError("empty leg")
+            if max(leg) > -2:
+                raise ValueError(f"leg weights must be <= -2, got {leg}")
 
     @property
     def size(self) -> int:
@@ -87,49 +99,58 @@ class PlumbingGraph:
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Symmetric negative-definite integer matrix of the plumbing, with exact determinant.
+    """Symmetric negative-definite integer form of the plumbing, with exact determinant.
 
-    Building one raises RankTooLarge above MAX_SEARCH_RANK, and ValueError
-    unless Q is square and symmetric, and unless it is negative definite,
+    rows lists the nonzero (j, Q_ij) of each row of Q in increasing j; Q is
+    the dense matrix they describe, derived on first read.  Building one
+    raises RankTooLarge above MAX_SEARCH_RANK, and ValueError unless rows is
+    symmetric over its nonzeros, and unless the form is negative definite,
     that is unless its fraction-free elimination of -Q in index order
-    (_linalg.eliminate, over rows, the nonzero (j, Q_ij) of each row of Q)
-    finds every pivot positive, so no other form exists.  det Q is (-1)^m
-    times its last minor; the solves with Q read elimination, and both
-    lattice searches levels, its square completion scaled to integers.
+    (_linalg.eliminate) finds every pivot positive, so no other form exists.
+    det Q is (-1)^m times its last minor; the solves with Q read elimination,
+    and both lattice searches levels, its square completion scaled to integers.
     """
 
-    Q: tuple[tuple[int, ...], ...]
+    rows: list[list[tuple[int, int]]]
     det: int = field(init=False)
-    rows: list[list[tuple[int, int]]] = field(init=False, compare=False, repr=False)
     elimination: _linalg.Elimination = field(init=False, compare=False, repr=False)
     levels: _linalg.IntegerLevels = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        q = self.Q
-        if any(len(row) != len(q) for row in q):
-            raise ValueError("matrix must be square")
-        if len(q) > MAX_SEARCH_RANK:
-            raise RankTooLarge(f"form of rank {len(q)} is above the search limit {MAX_SEARCH_RANK}")
-        if any(q[i][j] != q[j][i] for i in range(len(q)) for j in range(i)):
+        rows = self.rows
+        if len(rows) > MAX_SEARCH_RANK:
+            raise RankTooLarge(f"form of rank {len(rows)} is above the search limit {MAX_SEARCH_RANK}")
+        upper = {(i, j, x) for i, row in enumerate(rows) for j, x in row if j > i}
+        if upper != {(j, i, x) for i, row in enumerate(rows) for j, x in row if j < i}:
             raise ValueError("matrix must be symmetric")
-        rows = [[(j, x) for j, x in enumerate(row) if x] for row in q]
         try:
             elimination = _linalg.eliminate([[(j, -x) for j, x in row] for row in rows])
         except ValueError:
             raise ValueError("form must be negative definite") from None
-        object.__setattr__(self, "det", (-1) ** len(q) * elimination[0][-1])
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "det", (-1) ** len(rows) * elimination[0][-1])
         object.__setattr__(self, "elimination", elimination)
         object.__setattr__(self, "levels", _linalg.scaled_levels(elimination))
 
     @property
     def m(self) -> int:
-        return len(self.Q)
+        return len(self.rows)
+
+    @cached_property
+    def Q(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix, for readers that want one; nothing on the verdict path reads it."""
+        dense = [[0] * self.m for _ in self.rows]
+        for out, row in zip(dense, self.rows):
+            for j, x in row:
+                out[j] = x
+        return tuple(map(tuple, dense))
 
     @classmethod
-    def from_matrix(cls, rows) -> "IntersectionForm":
-        """Build a form from an explicit symmetric integer matrix, as tuples of ints."""
-        return cls(Q=tuple(tuple(int(x) for x in row) for row in rows))
+    def from_matrix(cls, matrix) -> "IntersectionForm":
+        """Build a form from an explicit square integer matrix, as the nonzeros of its rows."""
+        q = [list(map(int, row)) for row in matrix]
+        if any(len(row) != len(q) for row in q):
+            raise ValueError("matrix must be square")
+        return cls(rows=[[(j, x) for j, x in enumerate(row) if x] for row in q])
 
 
 def neg_cf(numerator: int, denominator: int) -> NegContinuedFraction:
@@ -137,21 +158,25 @@ def neg_cf(numerator: int, denominator: int) -> NegContinuedFraction:
 
     Defined for rationals x < -1, where the expansion with all entries <= -2
     exists and is unique: take k = floor(x) (or x itself when integral) and
-    recurse on -1/(x - k).
+    recurse on -1/(x - k).  Runs on the integer pair p/q, q > 0, which one
+    step maps to -q/(p - k q); the expansion is evaluated back and compared
+    with the input, CertificateViolation if they differ.
     """
-    x = Fraction(numerator, denominator)
-    if x >= -1:
-        raise InvalidRange(f"{x} >= -1 has no all-(<= -2) expansion")
+    if denominator == 0:
+        raise DivisionByZero(f"{numerator}/0 has no expansion")
+    p, q = (numerator, denominator) if denominator > 0 else (-numerator, -denominator)
+    if p >= -q:
+        raise InvalidRange(f"{Fraction(p, q)} >= -1 has no all-(<= -2) expansion")
     entries = []
-    while True:
-        if x.denominator == 1:
-            entries.append(int(x))
-            break
-        k = floor(x)
+    while p % q:
+        k = p // q
         entries.append(k)
-        x = -1 / (x - k)
+        p, q = -q, p - k * q
+    entries.append(p // q)
     out = NegContinuedFraction(entries=tuple(entries))
-    assert out.value() == Fraction(numerator, denominator)
+    num, den = out.pair()
+    if num * denominator != numerator * den:
+        raise CertificateViolation(f"expansion {out.entries} does not evaluate to {numerator}/{denominator}")
     return out
 
 
@@ -189,12 +214,15 @@ def build_plumbing(norm: NormalizedPresentation, m: Multiplicities) -> PlumbingG
 
 
 def intersection_form(g: PlumbingGraph) -> IntersectionForm:
-    """Intersection matrix of the plumbing: weights on the diagonal, 1 for each edge."""
-    m = g.size
-    rows = [[0] * m for _ in range(m)]
-    for i, w in enumerate(g.weights):
-        rows[i][i] = w
-    for a, b in g.edges:
-        rows[a][b] = rows[b][a] = 1
-    return IntersectionForm.from_matrix(rows)
+    """Intersection form of the plumbing: weights on the diagonal, 1 for each edge.
 
+    The sparse rows come from the weights and edges in O(m); no dense matrix
+    is built.
+    """
+    rows = [[(i, w)] for i, w in enumerate(g.weights)]
+    for a, b in g.edges:
+        rows[a].append((b, 1))
+        rows[b].append((a, 1))
+    for row in rows:
+        row.sort()
+    return IntersectionForm(rows=rows)

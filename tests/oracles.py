@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from seifert_gate import EnumerationCapExceeded
 from seifert_gate._linalg import IntegerLevels
 from seifert_gate.lattice import _characteristic_parity, _greedy_descent
 
@@ -240,6 +241,29 @@ def dense_cholesky(g):
     return d, u
 
 
+def dense_intersection_matrix(graph):
+    """The plumbing's m x m matrix, dense: weights on the diagonal, 1 for each edge."""
+    m = graph.size
+    rows = [[0] * m for _ in range(m)]
+    for i, w in enumerate(graph.weights):
+        rows[i][i] = w
+    for a, b in graph.edges:
+        rows[a][b] = rows[b][a] = 1
+    return rows
+
+
+def fraction_neg_cf(numerator, denominator):
+    """Entries of the negative continued fraction of numerator/denominator < -1, in Fractions."""
+    x = Fraction(numerator, denominator)
+    entries = []
+    while x.denominator != 1:
+        k = floor(x)
+        entries.append(k)
+        x = -1 / (x - k)
+    entries.append(int(x))
+    return tuple(entries)
+
+
 def transverse_search(r):
     """(a, m, searched_m_below) of the transverse criterion, by walking every m with m*r3 < 1.
 
@@ -255,6 +279,18 @@ def transverse_search(r):
             a += 1
         m += 1
     return None, None, m
+
+
+def spend(budget) -> None:
+    """Charge one node to a lattice._NodeBudget, raising at the first node past its cap.
+
+    The oracles charge one node at a time, so their cap outcome leaves
+    used == cap + 1; the library's searches charge in batches and must end
+    with the same count.
+    """
+    budget.used += 1
+    if budget.used > budget.cap:
+        raise EnumerationCapExceeded(f"lattice search exceeded {budget.cap} nodes")
 
 
 def fraction_norm_enumeration(form, budget) -> list[tuple[int, ...]]:
@@ -284,7 +320,7 @@ def fraction_norm_enumeration(form, budget) -> list[tuple[int, ...]]:
             sides = ((start, 1), (start - 1, -1))
         for xi, step in sides:
             while (term := d[level] * (xi + shift) ** 2) <= remaining:
-                budget.spend()
+                spend(budget)
                 x[level] = xi
                 descend(level - 1, remaining - term, leading_zero and xi == 0)
                 xi += step
@@ -327,7 +363,7 @@ def fraction_coset_minimum(form, budget) -> Fraction:
         center = -shift
         nearest = parity[level] + 2 * floor((center - parity[level]) / 2 + half)
         lo, hi = nearest - 2, nearest + 2
-        budget.spend()
+        spend(budget)
         term = d[level] * (nearest + shift) ** 2
         if acc + term < best:
             x[level] = nearest
@@ -338,7 +374,7 @@ def fraction_coset_minimum(form, budget) -> Fraction:
                 xi, is_lo = lo, True
             else:
                 xi, is_lo = hi, False
-            budget.spend()
+            spend(budget)
             term = d[level] * (xi + shift) ** 2
             if acc + term < best:
                 x[level] = xi

@@ -201,7 +201,7 @@ class TestCertificateCheck:
     def test_no_form_exists_where_cauchy_schwarz_fails(self):
         # on diag(-1, -1, 1), (1, 0, 0) and (1, 1, 1) have norm -1 and pair to -1
         with pytest.raises(ValueError, match="negative definite"):
-            IntersectionForm(Q=((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
+            IntersectionForm.from_matrix(((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
 
 
 class TestDualClass:
@@ -431,8 +431,7 @@ class TestSearchIsPinned:
 
 
 def test_rank_limit():
-    # the first path descends through every level, so the cap stops the search
-    # only after the deepest recursion the limit allows
+    # the first path descends through all 900 levels before the cap stops it
     with pytest.raises(EnumerationCapExceeded):
         norm_minus_one_vectors(minus_identity(MAX_SEARCH_RANK), cap=2 * MAX_SEARCH_RANK)
     # no form above the limit exists to search
@@ -441,6 +440,19 @@ def test_rank_limit():
     assert str(excinfo.value) == f"form of rank 901 is above the search limit {MAX_SEARCH_RANK}"
     with pytest.raises(RankTooLarge, match="rank 1003 "):
         verdict((2, 3, 6001))
+
+
+def test_searches_do_not_recurse():
+    # far below the rank of either form, so any recursion per level would fail
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        with pytest.raises(EnumerationCapExceeded):
+            norm_minus_one_vectors(minus_identity(MAX_SEARCH_RANK), cap=2 * MAX_SEARCH_RANK)
+        report = verdict((2, 3, 1801))
+    finally:
+        sys.setrecursionlimit(old)
+    assert report.form.m == 303 and report.certificate.present and report.d_inv == 0
 
 
 def test_rank_is_rejected_before_the_legs_are_expanded(monkeypatch):
@@ -489,7 +501,7 @@ from seifert_gate import (
     verdict,
 )
 from seifert_gate.lattice import DualClass, max_sharp_pairing
-from seifert_gate.plumbing import IntersectionForm
+from seifert_gate.plumbing import IntersectionForm, NegContinuedFraction, PlumbingGraph, neg_cf
 
 assert False, "asserts are stripped"
 
@@ -522,7 +534,13 @@ for rows in ([[-2, 1], [0, -2]], [[-1, 0]]):
 rank_901 = [[-int(i == j) for j in range(901)] for i in range(901)]
 refuse("rank 901", RankTooLarge, IntersectionForm.from_matrix, rank_901)
 refuse("kn_bound 0", InvalidParameter, verdict, (2, 3, 5), kn_bound=0)
+refuse("empty expansion", ValueError, NegContinuedFraction, ())
+refuse("expansion entry -1", ValueError, NegContinuedFraction, (-3, -1))
+refuse("empty leg", ValueError, PlumbingGraph, -1, ((-2,), ()))
+refuse("leg weight -1", ValueError, PlumbingGraph, -1, ((-2, -1),))
 refuse("float multiplicity", TypeError, verdict, (2.5, 3, 5))
+NegContinuedFraction.pair = lambda self: (1, 1)
+refuse("expansion that does not evaluate back", CertificateViolation, neg_cf, 13, -2)
 """
     src = str(Path(lattice.__file__).parents[1])
     proc = subprocess.run(

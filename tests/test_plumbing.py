@@ -5,6 +5,8 @@ from math import gcd
 import pytest
 
 from seifert_gate import (
+    CertificateViolation,
+    DivisionByZero,
     InvalidRange,
     diagonalize,
     validate_multiplicities,
@@ -12,6 +14,7 @@ from seifert_gate import (
 from seifert_gate.seifert import normalize, solve_unnormalized
 from seifert_gate.plumbing import (
     IntersectionForm,
+    NegContinuedFraction,
     PlumbingGraph,
     _leg_length,
     build_plumbing,
@@ -20,7 +23,14 @@ from seifert_gate.plumbing import (
 )
 from seifert_gate.lattice import dual_class
 from seifert_gate.lattice import _split_off_units
-from oracles import cofactor_det, gauss_inverse, random_coprime_tuples
+from oracles import (
+    cofactor_det,
+    dense_intersection_matrix,
+    fraction_neg_cf,
+    gauss_inverse,
+    random_coprime_tuples,
+)
+from test_golden import CORPORA
 
 
 def graph_for(a):
@@ -93,6 +103,33 @@ class TestBuildPlumbing:
         assert g.center_weight == -1
         assert g.legs == ((-2,), (-3,), (-7,))
 
+    def test_matches_the_fraction_expansion(self):
+        # the integer-pair expansion against the Fraction loop, on reduced and
+        # unreduced pairs with either sign of the denominator
+        rng = random.Random(8)
+        for _ in range(300):
+            q = rng.randrange(1, 400)
+            p = -rng.randrange(q + 1, 5000)
+            k = rng.choice((1, 1, 3, -1, -4))
+            cf = neg_cf(k * p, k * q)
+            assert cf.entries == fraction_neg_cf(p, q)
+            assert cf.value() == Fraction(p, q)
+
+    def test_malformed_expansions_and_legs_raise(self):
+        for entries in [(), (-3, -1), (-2, 0)]:
+            with pytest.raises(ValueError):
+                NegContinuedFraction(entries=entries)
+        for legs in [((),), ((-2,), (-3, -1))]:
+            with pytest.raises(ValueError):
+                PlumbingGraph(center_weight=-1, legs=legs)
+        with pytest.raises(DivisionByZero):
+            neg_cf(3, 0)
+
+    def test_round_trip_is_checked(self, monkeypatch):
+        monkeypatch.setattr(NegContinuedFraction, "pair", lambda self: (1, 1))
+        with pytest.raises(CertificateViolation):
+            neg_cf(13, -2)
+
     def test_2_3_13(self):
         m = validate_multiplicities((2, 3, 13))
         g = build_plumbing(normalize(solve_unnormalized(m)), m)
@@ -101,6 +138,19 @@ class TestBuildPlumbing:
 
 
 class TestIntersectionForm:
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_tree_form_equals_the_dense_route(self, name):
+        # the O(m) rows from the tree against from_matrix of the dense matrix
+        for values in CORPORA[name]:
+            g = graph_for(values)
+            f, dense = intersection_form(g), IntersectionForm.from_matrix(dense_intersection_matrix(g))
+            assert f == dense
+            assert (f.rows, f.det, f.elimination, f.levels, f.Q) == (
+                dense.rows, dense.det, dense.elimination, dense.levels, dense.Q
+            )
+            assert f.Q == tuple(map(tuple, dense_intersection_matrix(g)))
+            assert _split_off_units(f, ()).levels == f.levels
+
     def test_2_3_7_matrix(self):
         f = form_for((2, 3, 7))
         assert f.Q == (

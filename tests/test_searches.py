@@ -91,6 +91,24 @@ def test_cap_is_reached_on_both_sides():
     assert minimum == (EnumerationCapExceeded, 10**5 + 1)
 
 
+# Each search charges nodes in batches (the enumeration a level's whole
+# interval, the coset search its last level's 3 nodes) where the oracles
+# charge one at a time; a cap that falls inside a batch must still stop both
+# at cap + 1.  The examples put the cap one short of and at the nodes each
+# search needs: (5, 8, 13)'s enumeration spends 168, and (3, 4, 11)'s coset
+# search 3950 after its enumeration's 93.
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(coprime_triples(20)), st.integers(0, 2000))
+@example((5, 8, 13), 167)
+@example((5, 8, 13), 168)
+@example((3, 4, 11), 3949)
+@example((3, 4, 11), 3950)
+def test_cap_outcomes_match_the_oracle_under_batched_charging(a, cap):
+    units, minimum = compare_searches(form_for(a), cap)
+    for result, used in filter(None, (units, minimum)):
+        assert used <= cap or (result is EnumerationCapExceeded and used == cap + 1)
+
+
 # The completion of Sigma(2, 5, 9) has u_ij = -1/2 at three levels, the
 # central one among them, and both searches meet centres on exact rounding
 # ties (test_tie_example_meets_exact_ties_in_both_searches).
