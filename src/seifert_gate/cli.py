@@ -40,15 +40,12 @@ class RunConfig:
     """Validated run parameters shared by the single and batch modes."""
 
     cap: int
-    kn_bound: int
     jobs: int = 1
     json_output: bool = False
 
     def __post_init__(self) -> None:
         if self.cap < MIN_CAP:
             raise InvalidParameter(f"cap must be >= {MIN_CAP}, got {self.cap}")
-        if self.kn_bound > -1:
-            raise InvalidParameter(f"kn-range bound must be <= -1, got {self.kn_bound}")
         if self.jobs < 1:
             raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
 
@@ -166,12 +163,12 @@ def format_text(d: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _evaluate_tuple(payload: tuple[tuple[int, ...], int, int]) -> tuple[dict[str, Any], bool]:
+def _evaluate_tuple(payload: tuple[tuple[int, ...], int]) -> tuple[dict[str, Any], bool]:
     """Batch worker: the report dict or any exception as the line's error, and
     whether that error is not one of the package's own."""
-    values, cap, kn_bound = payload
+    values, cap = payload
     try:
-        return report_to_dict(verdict(values, cap=cap, kn_bound=kn_bound)), False
+        return report_to_dict(verdict(values, cap=cap)), False
     except Exception as exc:
         unexpected = not isinstance(exc, SeifertGateError)
         if unexpected:
@@ -204,13 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"lattice search node cap (default {DEFAULT_ENUMERATION_CAP})",
     )
     parser.add_argument(
-        "--kn-range",
-        type=int,
-        default=-10,
-        metavar="K",
-        help="verify the last-fiber slope inequality for twists -1..K (K <= -1)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -240,7 +230,7 @@ def _emit(d: dict[str, Any], json_output: bool, compact: bool = False) -> None:
 
 def _run_single(values: Sequence[int], config: RunConfig) -> int:
     try:
-        report = verdict(tuple(values), cap=config.cap, kn_bound=config.kn_bound)
+        report = verdict(tuple(values), cap=config.cap)
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -285,7 +275,7 @@ def _run_batch(path: str, config: RunConfig) -> int:
             continue
         tasks.append(parsed)
         records.append(None)  # placeholder, filled after evaluation
-    payloads = [(t, config.cap, config.kn_bound) for t in tasks]
+    payloads = [(t, config.cap) for t in tasks]
     # The pool starts all its workers at the first submit, so it gets no more
     # than there are CPUs and tuples.
     workers = min(config.jobs, len(payloads), os.cpu_count() or 1)
@@ -370,12 +360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = RunConfig(
-            cap=args.cap,
-            kn_bound=args.kn_range,
-            jobs=args.jobs,
-            json_output=args.json,
-        )
+        config = RunConfig(cap=args.cap, jobs=args.jobs, json_output=args.json)
     except InvalidParameter as exc:
         print(f"error: InvalidParameter: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ class DivisionByZero(SeifertGateError, ZeroDivisionError):
 
 
 class InvalidRange(SeifertGateError, ValueError):
-    """A rational lies outside the domain of the requested expansion."""
+    """An argument lies outside the domain of the requested function or expansion."""
 
 
 class EnumerationCapExceeded(SeifertGateError):
@@ -42,4 +42,4 @@ class NotDiagonalizable(SeifertGateError):
 
 
 class InvalidParameter(SeifertGateError, ValueError):
-    """A family parameter is outside its allowed range."""
+    """A family or run parameter (p, ell, cap, jobs) is outside its allowed range."""

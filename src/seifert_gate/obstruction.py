@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import isqrt, prod
 from typing import Iterable, Sequence
 
-from .errors import InvalidParameter, NotDiagonalizable, RankTooLarge
+from .errors import CertificateViolation, InvalidRange, NotDiagonalizable, RankTooLarge
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     DiagonalizationCertificate,
@@ -58,8 +58,9 @@ __all__ = [
 
 
 def ceil_sqrt(n: int) -> int:
-    """Exact ceiling of sqrt(n) for n >= 1."""
-    assert n >= 1
+    """Exact ceiling of sqrt(n) for n >= 1; InvalidRange otherwise."""
+    if n < 1:
+        raise InvalidRange(f"ceil_sqrt needs n >= 1, got {n}")
     return isqrt(n - 1) + 1
 
 
@@ -67,9 +68,10 @@ def twist_lower_bound(big_a: int) -> int:
     """Least integer strictly greater than -sqrt(A): -isqrt(A - 1).
 
     The closed form is correct for perfect squares as well, e.g. A = 900
-    gives -29 because the bound is strict.
+    gives -29 because the bound is strict.  InvalidRange unless A >= 1.
     """
-    assert big_a >= 1
+    if big_a < 1:
+        raise InvalidRange(f"the twist bound needs A >= 1, got {big_a}")
     return -isqrt(big_a - 1)
 
 
@@ -82,8 +84,8 @@ class TwistBound:
 
     def __post_init__(self) -> None:
         t = self.tw_min
-        assert t <= 0 and t * t < self.A
-        assert (1 - t) * (1 - t) >= self.A
+        if not (t <= 0 and t * t < self.A <= (1 - t) * (1 - t)):
+            raise CertificateViolation(f"tw_min = {t} is not the least integer > -sqrt({self.A})")
 
     @classmethod
     def for_product(cls, big_a: int) -> "TwistBound":
@@ -103,8 +105,8 @@ class TauBounds:
     P: int | None
 
     def __post_init__(self) -> None:
-        if self.P is not None:
-            assert self.smooth_tau_upper_sharp <= self.smooth_tau_upper_paper
+        if self.P is not None and self.smooth_tau_upper_sharp > self.smooth_tau_upper_paper:
+            raise CertificateViolation(f"P = {self.P} is below ceil(sqrt({self.A}))")
 
     @property
     def smooth_tau_upper_paper(self) -> Fraction:
@@ -131,19 +133,21 @@ def tau_gap_lower(big_a: int, p: int | None) -> int:
     if p is None:
         raise NotDiagonalizable("tau gap needs a diagonalizable form")
     gap = twist_lower_bound(big_a) + p + 1
-    assert gap >= 1
+    if gap < 1:
+        raise CertificateViolation(f"gap {gap} is not positive for A = {big_a}, P = {p}")
     return gap
 
 
 def fiber_boundary_slope(a: int, b: int, u: int, v: int, k: int) -> Fraction:
-    """Dividing slope (b*k + v)/(a*k + u) seen from the outside torus."""
-    assert a * k + u != 0
+    """Dividing slope (b*k + v)/(a*k + u) seen from the outside torus; InvalidRange at the pole."""
+    if a * k + u == 0:
+        raise InvalidRange(f"k = {k} is the pole -u/a of the slope")
     return Fraction(b * k + v, a * k + u)
 
 
 @dataclass(frozen=True)
 class TwistCertificate:
-    """Balanced twist data for a subset of singular fibers, with named checks.
+    """Balanced twist data for the first n-1 singular fibers, with named checks.
 
     indices is the 1-based fiber subset I; d is the common value a_i*k_i + u_i
     (the largest negative solution of the congruences); checks record the
@@ -154,10 +158,10 @@ class TwistCertificate:
     indices: tuple[int, ...]
     d: int
     k: tuple[int, ...]
-    slopes: tuple[Fraction, ...] = ()
-    s_tcr: Fraction | None = None
-    vertical_twist: int | None = None
-    checks: tuple[tuple[str, bool], ...] = ()
+    slopes: tuple[Fraction, ...]
+    s_tcr: Fraction
+    vertical_twist: int
+    checks: tuple[tuple[str, bool], ...]
 
     @property
     def all_checks_pass(self) -> bool:
@@ -176,79 +180,81 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
 
 def balanced_twists(
     p: SeifertPresentation, g: GluingData, indices: Iterable[int]
-) -> TwistCertificate:
+) -> tuple[int, tuple[int, ...]]:
     """Largest negative d with d = u_i mod a_i on the index set, and the twists k_i.
 
-    indices are 1-based fiber numbers.  The k_i = (d - u_i)/a_i are all <= -1.
+    indices are at least two 1-based fiber numbers (InvalidRange otherwise).
+    The k_i = (d - u_i)/a_i are integers <= -1, so a_i*k_i + u_i = d;
+    CertificateViolation if not.
     """
     idx = tuple(indices)
-    assert len(idx) >= 2
-    assert all(1 <= i <= len(p.pairs) for i in idx)
+    if len(idx) < 2 or not all(1 <= i <= len(p.pairs) for i in idx):
+        raise InvalidRange(f"need at least two fiber numbers in 1..{len(p.pairs)}, got {idx}")
     moduli = [p.pairs[i - 1][0] for i in idx]
     residues = [g.u[i - 1] for i in idx]
     x = _crt(residues, moduli)
     modulus = prod(moduli)
-    assert 0 < x < modulus, "0 < u_i < a_i forces a nonzero residue"
+    if not 0 < x < modulus:
+        raise CertificateViolation("0 < u_i < a_i forces a nonzero residue")
     d = x - modulus
     ks = []
     for i in idx:
-        ai = p.pairs[i - 1][0]
-        ki, rem = divmod(d - g.u[i - 1], ai)
-        assert rem == 0 and ki <= -1
-        assert ai * ki + g.u[i - 1] == d
+        ki, rem = divmod(d - g.u[i - 1], p.pairs[i - 1][0])
+        if rem != 0 or ki > -1:
+            raise CertificateViolation(f"d = {d} gives no twist k_{i} <= -1 with a_i*k_i + u_i = d")
         ks.append(ki)
-    return TwistCertificate(indices=idx, d=d, k=tuple(ks))
+    return d, tuple(ks)
 
 
 def cut_and_round_slope(s: Sequence[Fraction], d: int, n: int) -> Fraction:
-    """Slope after cutting along the n-1 vertical annuli and rounding: sum(s) - (n-2)/d."""
-    assert len(s) == n - 1
-    assert d < 0
+    """Slope after cutting along the n-1 vertical annuli and rounding: sum(s) - (n-2)/d.
+
+    InvalidRange unless there are n-1 slopes and d < 0.
+    """
+    if len(s) != n - 1 or d >= 0:
+        raise InvalidRange(f"need {n - 1} slopes and d < 0, got {len(s)} slopes and d = {d}")
     return sum(s, Fraction(0)) - Fraction(n - 2, d)
 
 
-def verify_twist_chain(
-    p: SeifertPresentation, g: GluingData, kn_range: Iterable[int]
-) -> TwistCertificate:
+def verify_twist_chain(p: SeifertPresentation, g: GluingData) -> TwistCertificate:
     """Balance the first n-1 fibers and verify the slope inequalities.
 
     Checks, all exact:
       (i)  the cut-and-round slope dominates sum(b_i/a_i) over the balanced set;
-      (ii) 1 - b_n/a_n >= -s_n(k_n) for every requested twist k_n <= -1 of the
-           last fiber.
+      (ii) 1 - b_n/a_n >= -s_n(k) for every twist k <= -1 of the last fiber.
+    One comparison at k = -1 proves (ii) on the whole half-line.  The slope
+    s_n(k) = (b_n*k + v_n)/(a_n*k + u_n) has derivative
+    (b_n*u_n - a_n*v_n)/(a_n*k + u_n)^2 = -1/(a_n*k + u_n)^2, because
+    gluing_data solves a_n*v_n - b_n*u_n = 1 with 0 < u_n < a_n.  The pole
+    -u_n/a_n therefore lies in (-1, 0), so on k <= -1 the map is defined and
+    -s_n increases with k; its largest value is -s_n(-1).  (The same identity
+    gives the margin 1 - b_n/a_n + s_n(k) = 1 + 1/(a_n*(a_n*k + u_n)), at
+    least 1 - 1/a_n >= 1/2 on k <= -1, so the check holds on all gluing data.)
     The vertical regular-fiber twist value -a_1*...*a_{n-1} is recorded; the
     existence of a Legendrian achieving it is contact-geometric input, not
     something this arithmetic certifies.
     """
-    kn_list = tuple(kn_range)
-    assert kn_list and all(kn <= -1 for kn in kn_list)
     n = len(p.pairs)
-    base = balanced_twists(p, g, range(1, n))
+    indices = tuple(range(1, n))
+    d, ks = balanced_twists(p, g, indices)
     slopes = tuple(
-        fiber_boundary_slope(p.pairs[i - 1][0], p.pairs[i - 1][1], g.u[i - 1], g.v[i - 1], ki)
-        for i, ki in zip(base.indices, base.k)
+        fiber_boundary_slope(a, b, u, v, k) for (a, b), u, v, k in zip(p.pairs, g.u, g.v, ks)
     )
-    s_tcr = cut_and_round_slope(slopes, base.d, n)
-    singular_sum = sum(
-        (Fraction(p.pairs[i - 1][1], p.pairs[i - 1][0]) for i in base.indices),
-        Fraction(0),
-    )
-    checks = [("tcr_slope_dominates_singular_sum", s_tcr >= singular_sum)]
+    s_tcr = cut_and_round_slope(slopes, d, n)
+    singular_sum = sum((Fraction(b, a) for a, b in p.pairs[: n - 1]), Fraction(0))
     an, bn = p.pairs[n - 1]
-    un, vn = g.u[n - 1], g.v[n - 1]
-    lhs = 1 - Fraction(bn, an)
-    for kn in kn_list:
-        rhs = -fiber_boundary_slope(an, bn, un, vn, kn)
-        checks.append((f"last_fiber_slope_bound_k={kn}", lhs >= rhs))
-    vertical = -prod(p.pairs[i - 1][0] for i in base.indices)
+    last_bound = 1 - Fraction(bn, an) >= -fiber_boundary_slope(an, bn, g.u[n - 1], g.v[n - 1], -1)
     return TwistCertificate(
-        indices=base.indices,
-        d=base.d,
-        k=base.k,
+        indices=indices,
+        d=d,
+        k=ks,
         slopes=slopes,
         s_tcr=s_tcr,
-        vertical_twist=vertical,
-        checks=tuple(checks),
+        vertical_twist=-prod(a for a, _ in p.pairs[: n - 1]),
+        checks=(
+            ("tcr_slope_dominates_singular_sum", s_tcr >= singular_sum),
+            ("last_fiber_slope_bound_k<=-1", last_bound),
+        ),
     )
 
 
@@ -279,16 +285,11 @@ class ObstructionReport:
     elapsed_ms: float
 
     def __post_init__(self) -> None:
-        assert (self.verdict is Verdict.OBSTRUCTED_DONALDSON) == (
-            not self.certificate.present
-        )
-        if self.verdict is Verdict.OBSTRUCTED_FLOER_GAP:
-            assert self.gap_lower is not None and self.gap_lower >= 1
+        if (self.verdict is Verdict.OBSTRUCTED_DONALDSON) == self.certificate.present:
+            raise CertificateViolation(f"verdict {self.verdict.value} contradicts diagonalizability")
+        if self.verdict is Verdict.OBSTRUCTED_FLOER_GAP and (self.gap_lower is None or self.gap_lower < 1):
+            raise CertificateViolation(f"gap branch with gap lower bound {self.gap_lower}")
 
-
-# verify_twist_chain records, and a report serializes, one check per twist in
-# -1..kn_bound; 10^4 of them take a few hundredths of a second.
-MAX_TWISTS = 10**4
 
 _SHARPNESS_CAVEAT = (
     "d-invariant assumes a sharp spin-c structure; this holds for the "
@@ -304,11 +305,7 @@ _DONALDSON_CAVEAT = (
 )
 
 
-def verdict(
-    m: Iterable[int],
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    kn_bound: int = -10,
-) -> ObstructionReport:
+def verdict(m: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> ObstructionReport:
     """Run the full pipeline on one tuple of multiplicities.
 
     Non-diagonalizable form: the obstruction is immediate (Donaldson branch).
@@ -317,12 +314,7 @@ def verdict(
     Either way the tuple is obstructed; the report is the certificate.
     Each leg has a vertex, so n fibers give rank >= n + 1: RankTooLarge comes
     from n before validation, then from the plumbing tree before any matrix.
-    InvalidParameter unless -MAX_TWISTS <= kn_bound <= -1.
     """
-    if kn_bound > -1:
-        raise InvalidParameter(f"kn-range bound must be <= -1, got {kn_bound}")
-    if kn_bound < -MAX_TWISTS:
-        raise InvalidParameter(f"kn-range bound must be >= -{MAX_TWISTS} (the twist limit), got {kn_bound}")
     start = time.perf_counter()
     raw = tuple(m)
     if len(raw) + 1 > MAX_SEARCH_RANK:
@@ -336,10 +328,11 @@ def verdict(
     cert = diagonalize(form, cap)
     dual = dual_class(form)
     big_a = mult.product
-    assert dual.self_intersection == -big_a
+    if dual.self_intersection != -big_a:
+        raise CertificateViolation(f"D.D = {dual.self_intersection}, not -A = {-big_a}")
     d_val = d_invariant(cert, cap)
     bound = TwistBound.for_product(big_a)
-    twist_cert = verify_twist_chain(pres, glue, range(-1, kn_bound - 1, -1))
+    twist_cert = verify_twist_chain(pres, glue)
     caveats = [_SHARPNESS_CAVEAT, _VERTICAL_TWIST_CAVEAT]
     if cert.present:
         p = max_sharp_pairing(cert, dual)

@@ -19,6 +19,7 @@ import numpy as np
 from seifert_gate import EnumerationCapExceeded
 from seifert_gate._linalg import IntegerLevels
 from seifert_gate.lattice import _characteristic_parity, _greedy_descent
+from seifert_gate.obstruction import fiber_boundary_slope
 
 # (d, u) with x^T G x = sum_i d[i] * (x_i + sum_{(j, u_ij) in u[i]} u_ij x_j)^2
 Completion = tuple[list[Fraction], list[list[tuple[int, Fraction]]]]
@@ -217,6 +218,25 @@ def random_coprime_tuples(rng, count, max_product=10**4, length=3, lo=2, hi=120)
         seen.add(t)
         out.append(t)
     return out
+
+
+def per_twist_slope_checks(p, g, kn_range):
+    """The last-fiber slope bound 1 - b_n/a_n >= -s_n(k_n), one named check per twist.
+
+    The sampled form of the check that verify_twist_chain proves for the
+    whole half-line k_n <= -1 at once.
+    """
+    kn_list = tuple(kn_range)
+    assert kn_list and all(kn <= -1 for kn in kn_list)
+    n = len(p.pairs)
+    checks = []
+    an, bn = p.pairs[n - 1]
+    un, vn = g.u[n - 1], g.v[n - 1]
+    lhs = 1 - Fraction(bn, an)
+    for kn in kn_list:
+        rhs = -fiber_boundary_slope(an, bn, un, vn, kn)
+        checks.append((f"last_fiber_slope_bound_k={kn}", lhs >= rhs))
+    return tuple(checks)
 
 
 def dense_cholesky(g):

@@ -155,13 +155,14 @@ def test_criterion_5_twist_arithmetic():
     for t in tuples:
         p = solve_unnormalized(validate_multiplicities(t))
         g = gluing_data(p)
-        base = balanced_twists(p, g, range(1, len(t)))
-        for i, ki in zip(base.indices, base.k):
-            ok &= p.pairs[i - 1][0] * ki + g.u[i - 1] == base.d
-        chain = verify_twist_chain(p, g, range(-1, -11, -1))
-        ok &= chain.all_checks_pass
+        d, ks = balanced_twists(p, g, range(1, len(t)))
+        for (ai, _), ui, ki in zip(p.pairs, g.u, ks):
+            ok &= ai * ki + ui == d
+        chain = verify_twist_chain(p, g)
+        ok &= (chain.d, chain.k) == (d, ks)
+        ok &= chain.all_checks_pass and len(chain.checks) == 2
     p = solve_unnormalized(validate_multiplicities((2, 3, 5)))
-    chain = verify_twist_chain(p, gluing_data(p), range(-1, -11, -1))
+    chain = verify_twist_chain(p, gluing_data(p))
     ok &= chain.slopes == (Fraction(-1), Fraction(0)) and chain.s_tcr == 0
     gate(f"criterion 5: balanced twists and slope chain on {len(tuples)} triples", ok)
 

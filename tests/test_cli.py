@@ -126,8 +126,9 @@ class TestSingleMode:
     def test_cap_floor_enforced(self, capsys):
         assert main(["2", "3", "5", "--cap", "500"]) == 2
 
-    def test_kn_range_validated(self, capsys):
-        assert main(["2", "3", "5", "--kn-range", "0"]) == 2
+    def test_kn_range_is_an_unknown_option(self, capsys):
+        assert main(["2", "3", "5", "--kn-range", "-5"]) == 2
+        assert "unrecognized arguments: --kn-range" in capsys.readouterr().err
 
     def test_json_deterministic_modulo_elapsed(self, capsys):
         _, out1 = run_json(capsys, ["2", "3", "13", "--json"])
@@ -184,15 +185,6 @@ class TestBatchMode:
         lines = out.strip().splitlines()
         assert json.loads(lines[0])["error"]["type"] == "RankTooLarge"
         assert json.loads(lines[1])["verdict"] == "obstructed_floer_gap"
-
-    def test_twist_limit_is_a_line_error(self, tmp_path, capsys):
-        assert main(["2", "3", "5", "--kn-range", "-1000000000"]) == 2
-        assert "InvalidParameter" in capsys.readouterr().err
-        f = tmp_path / "batch.txt"
-        f.write_text("2 3 5\n")
-        code, out = run_json(capsys, ["--batch", str(f), "--json", "--kn-range", "-10001"])
-        assert code == 0
-        assert json.loads(out)["error"]["type"] == "InvalidParameter"
 
     def test_unparseable_line_sets_exit_code(self, tmp_path, capsys):
         f = tmp_path / "batch.txt"

@@ -497,10 +497,10 @@ def test_certificate_checks_survive_optimize():
 from fractions import Fraction
 
 from seifert_gate import (
-    CertificateViolation, DiagonalizationCertificate, InvalidParameter, RankTooLarge, diagonalize,
-    verdict,
+    CertificateViolation, DiagonalizationCertificate, RankTooLarge, diagonalize, verdict,
 )
 from seifert_gate.lattice import DualClass, max_sharp_pairing
+from seifert_gate.obstruction import TwistBound, ceil_sqrt
 from seifert_gate.plumbing import IntersectionForm, NegContinuedFraction, PlumbingGraph, neg_cf
 
 assert False, "asserts are stripped"
@@ -533,7 +533,8 @@ for rows in ([[-2, 1], [0, -2]], [[-1, 0]]):
     refuse(f"malformed matrix {rows}", ValueError, IntersectionForm.from_matrix, rows)
 rank_901 = [[-int(i == j) for j in range(901)] for i in range(901)]
 refuse("rank 901", RankTooLarge, IntersectionForm.from_matrix, rank_901)
-refuse("kn_bound 0", InvalidParameter, verdict, (2, 3, 5), kn_bound=0)
+refuse("forged twist bound", CertificateViolation, TwistBound, A=10, tw_min=5)
+refuse("ceil_sqrt(0)", ValueError, ceil_sqrt, 0)
 refuse("empty expansion", ValueError, NegContinuedFraction, ())
 refuse("expansion entry -1", ValueError, NegContinuedFraction, (-3, -1))
 refuse("empty leg", ValueError, PlumbingGraph, -1, ((-2,), ()))

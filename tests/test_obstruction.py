@@ -1,30 +1,35 @@
 import random
-import time
+from dataclasses import replace
 from fractions import Fraction
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
 from seifert_gate import (
-    InvalidParameter,
+    CertificateViolation,
+    InvalidRange,
     NotCoprime,
     NotDiagonalizable,
     Verdict,
     validate_multiplicities,
     verdict,
 )
-from seifert_gate.seifert import gluing_data, solve_unnormalized
+from seifert_gate.seifert import GluingData, gluing_data, solve_unnormalized
 from seifert_gate.obstruction import (
     TauBounds,
     TwistBound,
     balanced_twists,
+    ceil_sqrt,
     cut_and_round_slope,
     fiber_boundary_slope,
     tau_gap_lower,
     twist_lower_bound,
     verify_twist_chain,
 )
-from oracles import random_coprime_tuples
+from oracles import per_twist_slope_checks, random_coprime_tuples
+
+TWIST_CHECKS = ["tcr_slope_dominates_singular_sum", "last_fiber_slope_bound_k<=-1"]
 
 
 def presentation(a):
@@ -89,52 +94,47 @@ class TestSlopes:
 class TestBalancedTwists:
     def test_poincare_pair(self):
         p, g = presentation((2, 3, 5))
-        cert = balanced_twists(p, g, [1, 2])
-        assert cert.d == -1
-        assert cert.k == (-1, -1)
+        assert balanced_twists(p, g, [1, 2]) == (-1, (-1, -1))
 
     def test_2_3_13_pair(self):
         p, g = presentation((2, 3, 13))
-        cert = balanced_twists(p, g, [1, 2])
-        assert cert.d == -5
-        assert cert.k == (-3, -2)
+        assert balanced_twists(p, g, [1, 2]) == (-5, (-3, -2))
 
     def test_poincare_full(self):
         p, g = presentation((2, 3, 5))
-        cert = balanced_twists(p, g, [1, 2, 3])
-        assert cert.d == -1
-        assert cert.k == (-1, -1, -1)
+        assert balanced_twists(p, g, [1, 2, 3]) == (-1, (-1, -1, -1))
 
     def test_common_value_identity_randomized(self):
         rng = random.Random(33)
         for t in random_coprime_tuples(rng, 30):
             p, g = presentation(t)
-            cert = balanced_twists(p, g, range(1, len(t)))
-            for i, ki in zip(cert.indices, cert.k):
-                ai = p.pairs[i - 1][0]
-                assert ai * ki + g.u[i - 1] == cert.d
+            d, ks = balanced_twists(p, g, range(1, len(t)))
+            for (ai, _), ui, ki in zip(p.pairs, g.u, ks):
+                assert ai * ki + ui == d
                 assert ki <= -1
-            assert cert.d < 0
+            assert d < 0
 
 
 class TestVerifyTwistChain:
     def test_poincare_concrete_values(self):
         p, g = presentation((2, 3, 5))
-        cert = verify_twist_chain(p, g, range(-1, -6, -1))
+        cert = verify_twist_chain(p, g)
         assert cert.slopes == (Fraction(-1), Fraction(0))
         assert cert.s_tcr == 0
         assert cert.s_tcr >= Fraction(-1, 6)
         assert cert.vertical_twist == -6
+        assert [name for name, _ in cert.checks] == TWIST_CHECKS
         assert cert.all_checks_pass
 
     def test_2_3_7(self):
         p, g = presentation((2, 3, 7))
-        cert = verify_twist_chain(p, g, [-1])
+        cert = verify_twist_chain(p, g)
         assert cert.all_checks_pass
 
-    def test_2_3_13_deep_range(self):
+    def test_2_3_13(self):
         p, g = presentation((2, 3, 13))
-        cert = verify_twist_chain(p, g, range(-1, -11, -1))
+        cert = verify_twist_chain(p, g)
+        assert (cert.d, cert.k) == balanced_twists(p, g, [1, 2])
         assert cert.all_checks_pass
 
     def test_checks_pass_randomized(self):
@@ -143,9 +143,39 @@ class TestVerifyTwistChain:
         tuples += random_coprime_tuples(rng, 5, length=4, hi=40)
         for t in tuples:
             p, g = presentation(t)
-            cert = verify_twist_chain(p, g, range(-1, -11, -1))
+            cert = verify_twist_chain(p, g)
             assert cert.all_checks_pass
             assert cert.vertical_twist == -prod(t[:-1])
+
+    def test_half_line_check_matches_per_twist_oracle(self):
+        """The one check at k = -1 decides the bound for every sampled twist k <= -1."""
+        triples = [
+            t
+            for t in combinations(range(2, 30), 3)
+            if all(gcd(x, y) == 1 for x, y in combinations(t, 2))
+        ]
+        assert len(triples) == 1016
+        rng = random.Random(36)
+        tuples = triples + random_coprime_tuples(rng, 5, length=4, hi=40)
+        tuples += random_coprime_tuples(rng, 3, max_product=10**6, length=5, hi=40)
+        for t in tuples:
+            p, g = presentation(t)
+            half_line = dict(verify_twist_chain(p, g).checks)["last_fiber_slope_bound_k<=-1"]
+            oracle = per_twist_slope_checks(p, g, range(-1, -201, -1))
+            assert half_line == all(ok for _, ok in oracle), t
+
+    def test_last_slope_is_monotone_on_the_half_line(self):
+        """-s_n(k) falls as k falls below -1, so k = -1 carries the largest right side,
+        and the margin has the closed form the verify_twist_chain docstring gives."""
+        rng = random.Random(37)
+        for t in random_coprime_tuples(rng, 30) + random_coprime_tuples(rng, 5, length=4, hi=40):
+            p, g = presentation(t)
+            (an, bn), un, vn = p.pairs[-1], g.u[-1], g.v[-1]
+            twists = range(-1, -101, -1)
+            rhs = [-fiber_boundary_slope(an, bn, un, vn, k) for k in twists]
+            assert all(x > y for x, y in zip(rhs, rhs[1:])), t
+            for k, r in zip(twists, rhs):
+                assert 1 - Fraction(bn, an) - r == 1 + Fraction(1, an * (an * k + un)), (t, k)
 
 
 class TestVerdict:
@@ -166,6 +196,7 @@ class TestVerdict:
         assert r.twist_bound.tw_min == -8
         assert r.tau.P == 16
         assert r.d_inv == 0
+        assert [name for name, _ in r.twist_certificate.checks] == TWIST_CHECKS
         assert r.twist_certificate.all_checks_pass
 
     def test_invalid_input_propagates(self):
@@ -177,19 +208,12 @@ class TestVerdict:
         with pytest.raises(TypeError):
             verdict(values)
 
-    def test_kn_bound_must_be_negative(self):
-        with pytest.raises(InvalidParameter) as excinfo:
-            verdict((2, 3, 5), kn_bound=0)
-        assert str(excinfo.value) == "kn-range bound must be <= -1, got 0"
-        assert verdict((2, 3, 5), kn_bound=-1).twist_certificate.all_checks_pass
-
-    def test_twist_chain_is_bounded(self):
-        start = time.perf_counter()
-        with pytest.raises(InvalidParameter, match="10000"):
-            verdict((2, 3, 5), kn_bound=-10**9)
-        assert time.perf_counter() - start < 1
-        # the tcr check plus one per twist in -1..-10^4
-        assert len(verdict((2, 3, 5), kn_bound=-10**4).twist_certificate.checks) == 10**4 + 1
+    def test_inconsistent_report_is_refused(self):
+        r = verdict((2, 3, 13))
+        with pytest.raises(CertificateViolation):
+            replace(r, verdict=Verdict.OBSTRUCTED_DONALDSON)
+        with pytest.raises(CertificateViolation):
+            replace(r, gap_lower=0)
 
     def test_four_fiber_tuple(self):
         r = verdict((2, 3, 5, 7))
@@ -208,3 +232,28 @@ class TestVerdict:
             else:
                 assert r.gap_lower is None
         assert count >= 5  # sampling must actually hit the branch
+
+
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (InvalidRange, lambda: ceil_sqrt(0)),
+        (InvalidRange, lambda: twist_lower_bound(0)),
+        (InvalidRange, lambda: fiber_boundary_slope(2, 1, 2, 1, -1)),  # a*k + u = 0
+        (InvalidRange, lambda: cut_and_round_slope([Fraction(0)], -1, 3)),
+        (InvalidRange, lambda: cut_and_round_slope([Fraction(0), Fraction(0)], 1, 3)),
+        (InvalidRange, lambda: balanced_twists(*presentation((2, 3, 5)), [1])),
+        (InvalidRange, lambda: balanced_twists(*presentation((2, 3, 5)), [1, 4])),
+        (CertificateViolation, lambda: TwistBound(A=10, tw_min=5)),
+        (CertificateViolation, lambda: TwistBound(A=10, tw_min=-2)),
+        (CertificateViolation, lambda: TauBounds(A=78, P=8)),  # P < ceil(sqrt(78)) = 9
+        (CertificateViolation, lambda: tau_gap_lower(78, 6)),  # -8 + 6 + 1 < 1
+        # u = 0 breaks 0 < u_i < a_i, so the congruences have residue 0
+        (CertificateViolation, lambda: balanced_twists(
+            presentation((2, 3, 5))[0], GluingData(u=(0, 0, 1), v=(1, 1, 1)), [1, 2]
+        )),
+    ],
+)
+def test_domain_and_identity_errors(error, call):
+    with pytest.raises(error):
+        call()
