@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .errors import InvalidParameter
+from .errors import CertificateViolation, InvalidParameter, InvalidRange
 
 __all__ = [
     "SmallSeifertData",
@@ -32,7 +32,8 @@ class SmallSeifertData:
     r: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        assert all(0 < ri < 1 for ri in self.r)
+        if not all(0 < ri < 1 for ri in self.r):
+            raise InvalidRange(f"fiber fractions {self.r} are not all in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -76,14 +77,16 @@ def transverse_contact_exists(data: SmallSeifertData) -> TransverseWitness:
     that interval, as its simplest fraction; if m*r3 >= 1, or r1 + r2 >= 1
     leaves the interval empty, every m with m*r3 < 1 has been exhausted.
     """
-    assert len(data.r) == 3, "criterion applies to three singular fibers"
+    if len(data.r) != 3:
+        raise InvalidRange(f"the criterion applies to three singular fibers, got {len(data.r)}")
     r1, r2, r3 = sorted(data.r, reverse=True)
     s = _simplest_between(r1, 1 - r2) if r1 + r2 < 1 else None
     if s is None or s.denominator * r3 >= 1:
         return TransverseWitness(a=None, m=None, searched_m_below=ceil(1 / r3))
     a, m = s.numerator, s.denominator
     witness = TransverseWitness(a=a, m=m, searched_m_below=m + 1)
-    assert 0 < a < m and m * r1 < a < m * (1 - r2) and m * r3 < 1
+    if not (0 < a < m and m * r1 < a < m * (1 - r2) and m * r3 < 1):
+        raise CertificateViolation(f"witness (a, m) = ({a}, {m}) fails the criterion")
     return witness
 
 

@@ -1,9 +1,10 @@
 """Seifert invariants of Brieskorn homology spheres.
 
 All arithmetic is exact: multiplicities are arbitrary-precision integers and
-fiber sums are ``fractions.Fraction``.  Every defining identity is asserted at
-construction time rather than trusted, so an instance of one of these types is
-itself a small certificate.
+fiber sums are ``fractions.Fraction``.  Every defining identity is checked at
+construction time rather than trusted, and a failure raises
+CertificateViolation, also under python -O, so an instance of one of these
+types is itself a small certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import gcd, prod
 from operator import index
 from typing import Iterable, Sequence
 
-from .errors import DivisionByZero, MultiplicityTooSmall, NotCoprime, TooFewFibers
+from .errors import CertificateViolation, DivisionByZero, MultiplicityTooSmall, NotCoprime, TooFewFibers
 
 __all__ = [
     "Multiplicities",
@@ -71,12 +72,12 @@ class SeifertPresentation:
 
     def __post_init__(self) -> None:
         a = self.multiplicities.a
-        assert len(self.pairs) == len(a)
-        assert all(p[0] == ai for p, ai in zip(self.pairs, a))
+        if tuple(ak for ak, _ in self.pairs) != a:
+            raise CertificateViolation(f"pairs {self.pairs} do not carry the multiplicities {a}")
         big_a = self.multiplicities.product
         total = sum(Fraction(bk, ak) for ak, bk in self.pairs)
         if big_a * total != 1:
-            raise AssertionError(f"presentation identity violated: {big_a}*{total} != 1")
+            raise CertificateViolation(f"presentation identity violated: {big_a}*{total} != 1")
 
     @property
     def coefficients(self) -> tuple[int, ...]:
@@ -92,7 +93,8 @@ class NormalizedPresentation:
     r: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        assert all(0 < rj < 1 for rj in self.r)
+        if not all(0 < rj < 1 for rj in self.r):
+            raise CertificateViolation(f"normalized fractions {self.r} are not all in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,8 @@ def solve_unnormalized(m: Multiplicities) -> SeifertPresentation:
         coeffs.append(pow(cofactor, -1, aj) % aj)
     total = sum(bj * (big_a // aj) for bj, aj in zip(coeffs, m.a))
     shift, rem = divmod(total - 1, big_a)
-    assert rem == 0, "residue sum must be 1 mod A by construction"
+    if rem != 0:
+        raise CertificateViolation("the residue sum is not 1 mod A")
     coeffs[0] -= shift * m.a[0]
     pairs = tuple(zip(m.a, coeffs))
     return SeifertPresentation(multiplicities=m, pairs=pairs)
@@ -138,17 +141,19 @@ def normalize(p: SeifertPresentation) -> NormalizedPresentation:
 
     b~_j is the representative of b_j mod a_j in (-a_j, 0) and
     e0 = sum(floor(-b_j / a_j)).  The identity
-    sum(r_j) == -e0 - 1/A is asserted exactly.
+    sum(r_j) == -e0 - 1/A is checked exactly.
     """
     tilde = []
     for aj, bj in p.pairs:
         res = bj % aj
-        assert res != 0, "b_j is a unit mod a_j for a homology sphere"
+        if res == 0:
+            raise CertificateViolation(f"b = {bj} is not a unit mod a = {aj}")
         tilde.append(res - aj)
     e0 = sum((-bj) // aj for aj, bj in p.pairs)
     r = tuple(Fraction(-tb, aj) for tb, (aj, _) in zip(tilde, p.pairs))
     big_a = p.multiplicities.product
-    assert sum(r) == -e0 - Fraction(1, big_a)
+    if sum(r) != -e0 - Fraction(1, big_a):
+        raise CertificateViolation(f"sum(r) = {sum(r)} is not -e0 - 1/A for e0 = {e0}, A = {big_a}")
     return NormalizedPresentation(e0=e0, tilde_b=tuple(tilde), r=r)
 
 
@@ -161,8 +166,8 @@ def gluing_data(p: SeifertPresentation) -> GluingData:
     for ai, bi in p.pairs:
         ui = (-pow(bi, -1, ai)) % ai
         vi, rem = divmod(1 + bi * ui, ai)
-        assert rem == 0 and 0 < ui < ai
-        assert ai * vi - bi * ui == 1
+        if rem != 0 or not 0 < ui < ai:
+            raise CertificateViolation(f"no column a*v - b*u = 1 with 0 < u < a for (a, b) = ({ai}, {bi})")
         us.append(ui)
         vs.append(vi)
     return GluingData(u=tuple(us), v=tuple(vs))

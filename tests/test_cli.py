@@ -1,13 +1,18 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from seifert_gate import cli
 from seifert_gate.cli import main, report_to_dict
+from seifert_gate.errors import SeifertGateError
 from seifert_gate.obstruction import verdict
+
+SRC = str(Path(cli.__file__).parents[1])
 
 
 class SerialPool:
@@ -22,8 +27,11 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
         return map(fn, items)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 SCHEMA_KEYS_DONALDSON = [
@@ -258,7 +266,7 @@ class TestBatchMode:
             written_before.append(out.getvalue().count("\n"))
             return real(values, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_process_pool", SerialPool)
         monkeypatch.setattr(cli, "verdict", observed)
         monkeypatch.setattr(sys, "stdout", out)
         f = tmp_path / "batch.txt"
@@ -274,13 +282,17 @@ class TestBatchMode:
     def test_pool_size_is_capped(self, tmp_path, monkeypatch, capsys, cpus, jobs, lines, workers):
         # The pool starts all its workers at once, so --jobs asks for no more
         # than there are CPUs and tuples; the stand-in pool starts none.
-        sizes = []
+        sizes, chunksizes = [], []
 
         class RecordingPool(SerialPool):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+            def map(self, fn, items, chunksize=1):
+                chunksizes.append(chunksize)
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         f = tmp_path / "batch.txt"
         f.write_text("".join(f"2 3 {c}\n" for c in (5, 7, 11, 13, 17, 19)[:lines]))
@@ -288,9 +300,182 @@ class TestBatchMode:
         assert code == 0
         assert len(out.splitlines()) == lines
         assert sizes == ([] if workers is None else [workers])
+        assert chunksizes == ([] if workers is None else [cli.CHUNKSIZE])
 
     def test_missing_file(self, capsys):
         assert main(["--batch", "/nonexistent/nope.txt"]) == 2
+
+    def test_summary_line_ends_the_batch(self, tmp_path, capsys):
+        f = tmp_path / "batch.txt"
+        f.write_text("2 3 5\n2 3 five\n2 4 5\n2 3 13\n2 3 5\n")
+        assert main(["--batch", str(f), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 5
+        summary = err.splitlines()[-1]
+        assert summary.startswith(
+            "batch: 5 lines, 1 reused; verdicts: obstructed_donaldson=2 obstructed_floer_gap=1; "
+            "errors: NotCoprime=1 ParseError=1; elapsed_ms over 2 evaluated: median="
+        )
+        assert " p90=" in summary and " max=" in summary
+
+    def test_summary_of_an_empty_batch(self, tmp_path, capsys):
+        f = tmp_path / "empty.txt"
+        f.write_text("# nothing\n")
+        assert main(["--batch", str(f)]) == 0
+        assert capsys.readouterr().err == (
+            "batch: 0 lines, 0 reused; verdicts: none; errors: none; elapsed_ms: none evaluated\n"
+        )
+
+
+# Repeats, a parse error, a validation error and a cap error at cap 10^3.
+MIXED_BATCH = "2 3 5\n2 3 7  # repeated below\n2 3 five\n2 4 5\n5 7 11 13\n2 3 5\n2  3 7\n2 3 13\n2 4 5\n"
+
+
+def expected_lines(text, json_output):
+    """One `verdict` per line, rendered as the batch renders it."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        try:
+            values = cli._parse_batch_line(raw)
+        except ValueError:
+            error = {"type": "ParseError", "message": "not a whitespace-separated integer tuple"}
+            doc = {"line": lineno, "raw": raw, "error": error}
+        else:
+            if values is None:
+                continue
+            try:
+                doc = report_to_dict(verdict(values, cap=1000))
+            except SeifertGateError as exc:
+                doc = {"input": list(values), "error": {"type": type(exc).__name__, "message": str(exc)}}
+        lines.append(json.dumps(doc, separators=(",", ":")) if json_output else cli.format_text(doc))
+    return lines
+
+
+def without_elapsed(line):
+    doc = json.loads(line)
+    doc.pop("elapsed_ms", None)
+    return doc
+
+
+class TestBatchEquivalence:
+    """--jobs 1, --jobs 2 and one `verdict` per tuple print the same lines."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_json_lines_match_one_verdict_per_tuple(self, tmp_path, capsys, jobs):
+        f = tmp_path / "batch.txt"
+        f.write_text(MIXED_BATCH)
+        code = main(["--batch", str(f), "--json", "--cap", "1000", "--jobs", jobs])
+        got = capsys.readouterr().out.splitlines()
+        assert code == 2  # the parse error, as before
+        want = expected_lines(MIXED_BATCH, json_output=True)
+        assert [without_elapsed(line) for line in got] == [without_elapsed(line) for line in want]
+        assert json.loads(got[4])["error"]["type"] == "EnumerationCapExceeded"
+        # a repeated tuple prints its first evaluation's line again
+        assert got[5] == got[0] and got[6] == got[1] and got[8] == got[3]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_text_lines_match_one_verdict_per_tuple(self, tmp_path, capsys, jobs):
+        f = tmp_path / "batch.txt"
+        f.write_text(MIXED_BATCH)
+        code = main(["--batch", str(f), "--cap", "1000", "--jobs", jobs])
+        assert code == 2
+        want = "".join(line + "\n" for line in expected_lines(MIXED_BATCH, json_output=False))
+        assert capsys.readouterr().out == want
+
+    def test_each_distinct_tuple_is_evaluated_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = cli.verdict
+
+        def counted(values, **kwargs):
+            calls.append(tuple(values))
+            return real(values, **kwargs)
+
+        monkeypatch.setattr(cli, "_process_pool", SerialPool)
+        monkeypatch.setattr(cli, "verdict", counted)
+        f = tmp_path / "batch.txt"
+        f.write_text(MIXED_BATCH)
+        assert main(["--batch", str(f), "--json", "--cap", "1000", "--jobs", "2"]) == 2
+        assert len(capsys.readouterr().out.splitlines()) == 9
+        assert calls == [(2, 3, 5), (2, 3, 7), (2, 4, 5), (5, 7, 11, 13), (2, 3, 13)]
+
+    def test_unexpected_error_in_a_repeat_keeps_exit_code_1(self, tmp_path, monkeypatch, capsys):
+        def failing(values, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "verdict", failing)
+        f = tmp_path / "batch.txt"
+        f.write_text("2 3 7\n2 3 7\n")
+        assert main(["--batch", str(f), "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ['{"input":[2,3,7],"error":{"type":"RuntimeError","message":"boom"}}'] * 2
+        assert err.count("Traceback") == 1
+
+
+def test_no_pool_module_for_a_single_tuple():
+    script = (
+        "import sys\n"
+        "import seifert_gate.cli as cli\n"
+        "after_import = 'concurrent.futures' in sys.modules\n"
+        "code = cli.main(['2', '3', '5', '--json'])\n"
+        "print(after_import, 'concurrent.futures' in sys.modules, code, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "obstructed_donaldson"
+    assert proc.stderr.split() == ["False", "False", "0"]
+
+
+def test_closed_stdout_stops_the_batch(tmp_path):
+    # Every tuple after the first sleeps 50 ms in a worker; a forked worker
+    # inherits the patched verdict and logs each call to a file.  The reader
+    # takes one line and closes the pipe, and the CLI must then cancel what
+    # no worker has started, exit with its code for a closed stdout and print
+    # no traceback.
+    distinct = [(2, 3, 5)] + [(2, 3, c) for c in range(7, 700, 6)][:99]
+    batch = tmp_path / "batch.txt"
+    batch.write_text("".join(" ".join(map(str, t)) + "\n" for t in distinct))
+    log = tmp_path / "calls.log"
+    script = (
+        "import os, sys, time\n"
+        "import seifert_gate.cli as cli\n"
+        "real = cli.verdict\n"
+        "def slow(values, **kwargs):\n"
+        f"    with open({str(log)!r}, 'a') as fh:\n"
+        "        fh.write(' '.join(map(str, values)) + '\\n')\n"
+        "    if tuple(values) != (2, 3, 5):\n"
+        "        time.sleep(0.05)\n"
+        "    return real(values, **kwargs)\n"
+        "cli.verdict = slow\n"
+        f"sys.exit(cli.main(['--batch', {str(batch)!r}, '--json', '--jobs', '2']))\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    assert json.loads(first)["input"] == [2, 3, 5]
+    assert code == cli.EXIT_STDOUT_CLOSED == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    # Of the 25 hand-outs of 4 tuples, only those done before the failed write
+    # (at most 2), running (2) or queued for a worker (3) are evaluated.
+    evaluated = log.read_text().splitlines()
+    assert 0 < len(evaluated) <= 4 * (2 + 2 + 3) < len(distinct)
 
 
 class TestFamilyMode:

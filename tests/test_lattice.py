@@ -497,11 +497,13 @@ def test_certificate_checks_survive_optimize():
 from fractions import Fraction
 
 from seifert_gate import (
-    CertificateViolation, DiagonalizationCertificate, RankTooLarge, diagonalize, verdict,
+    CertificateViolation, DiagonalizationCertificate, InvalidRange, RankTooLarge, diagonalize, verdict,
 )
 from seifert_gate.lattice import DualClass, max_sharp_pairing
 from seifert_gate.obstruction import TwistBound, ceil_sqrt
+from seifert_gate.families import SmallSeifertData, mpl_family, transverse_contact_exists
 from seifert_gate.plumbing import IntersectionForm, NegContinuedFraction, PlumbingGraph, neg_cf
+from seifert_gate.seifert import NormalizedPresentation, SeifertPresentation, validate_multiplicities
 
 assert False, "asserts are stripped"
 
@@ -540,6 +542,13 @@ refuse("expansion entry -1", ValueError, NegContinuedFraction, (-3, -1))
 refuse("empty leg", ValueError, PlumbingGraph, -1, ((-2,), ()))
 refuse("leg weight -1", ValueError, PlumbingGraph, -1, ((-2, -1),))
 refuse("float multiplicity", TypeError, verdict, (2.5, 3, 5))
+# 30 * (1/2 + 1/3 + 1/5) = 31, not 1
+m235 = validate_multiplicities((2, 3, 5))
+refuse("forged presentation", CertificateViolation, SeifertPresentation, m235, ((2, 1), (3, 1), (5, 1)))
+refuse("pairs of other multiplicities", CertificateViolation, SeifertPresentation, m235, ((2, -1), (3, 1)))
+refuse("normalized fraction 1", CertificateViolation, NormalizedPresentation, -2, (-1,), (Fraction(1),))
+refuse("fiber fraction 0", InvalidRange, SmallSeifertData, -1, (Fraction(1, 2), Fraction(0), Fraction(1, 3)))
+refuse("five-fiber transverse test", InvalidRange, transverse_contact_exists, mpl_family(3, 2))
 NegContinuedFraction.pair = lambda self: (1, 1)
 refuse("expansion that does not evaluate back", CertificateViolation, neg_cf, 13, -2)
 """
