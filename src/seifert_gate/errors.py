@@ -30,7 +30,10 @@ class EnumerationCapExceeded(SeifertGateError):
 
 
 class RankTooLarge(SeifertGateError):
-    """The form's rank is above plumbing.MAX_SEARCH_RANK, which bounds the size of E and the report."""
+    """The rank, from the fiber count, the leg lengths or the form, is above plumbing.MAX_SEARCH_RANK.
+
+    The limit bounds the report and validation, and the form build only in part.
+    """
 
 
 class CertificateViolation(SeifertGateError):

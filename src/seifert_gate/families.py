@@ -20,7 +20,6 @@ __all__ = [
     "transverse_contact_exists",
     "mp_family",
     "mpl_family",
-    "theta_invariant",
 ]
 
 
@@ -114,8 +113,3 @@ def mpl_family(p: int, ell: int) -> SmallSeifertData:
         for i in range(2 * ell + 1)
     )
     return SmallSeifertData(e=-ell, r=entries)
-
-
-def theta_invariant(c1_sq: int, sigma: int, chi: int) -> int:
-    """Homotopy invariant of a filling's plane field: c1^2 - 3*sigma - 2*chi."""
-    return c1_sq - 3 * sigma - 2 * chi

@@ -17,7 +17,7 @@ Both searches read form.levels, that completion scaled to integers from the
 form's one fraction-free elimination, so every level is compared in integers
 and no Fraction arithmetic runs inside them.  Each is one loop over per-level
 arrays, with no recursion and no call per node; it counts its nodes in a
-local integer against the cap and writes the count back to its _NodeBudget.
+local integer against the cap and returns the count with its result.
 
 Forms are negative definite and of rank at most plumbing.MAX_SEARCH_RANK,
 and certificates unimodular, by construction: the entry points check nothing.
@@ -43,7 +43,6 @@ from .plumbing import IntersectionForm
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "DiagonalizationCertificate",
-    "DualClass",
     "norm_minus_one_vectors",
     "diagonalize",
     "dual_class",
@@ -103,34 +102,8 @@ class DiagonalizationCertificate:
         return tuple(zip(*self.units)) if self.present else None
 
 
-@dataclass(frozen=True)
-class DualClass:
-    """The class pairing to delta_{1j} with the vertex basis: coefficients Q^{-1} e_1."""
-
-    D: tuple[Fraction, ...]
-    self_intersection: Fraction
-
-
-@dataclass
-class _NodeBudget:
-    """Search nodes used against a cap, shared by the searches of one tuple.
-
-    A plain record: each search counts its nodes in a local integer, compares
-    it with cap, and writes it back here before it returns or raises (as
-    cap + 1 at the cap).  A start above the cap raises at once.
-    """
-
-    cap: int
-    used: int = 0
-
-    def __post_init__(self) -> None:
-        if self.used > self.cap:
-            raise _exceeded(self)
-
-
-def _exceeded(budget: _NodeBudget) -> EnumerationCapExceeded:
-    budget.used = budget.cap + 1
-    return EnumerationCapExceeded(f"lattice search exceeded {budget.cap} nodes")
+def _exceeded(cap: int) -> EnumerationCapExceeded:
+    return EnumerationCapExceeded(f"lattice search exceeded {cap} nodes")
 
 
 def _split_levels(levels: _linalg.IntegerLevels) -> tuple[Sequence[int], Sequence[int], list[list[int]], list[list[int]]]:
@@ -139,8 +112,8 @@ def _split_levels(levels: _linalg.IntegerLevels) -> tuple[Sequence[int], Sequenc
     return dens, cs, [[j for j, _ in row] for row in rows], [[u for _, u in row] for row in rows]
 
 
-def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list[tuple[int, ...]]:
-    """Bounded search for all v with v^T Q v = -1, one per +-pair.
+def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tuple[int, ...]], int]:
+    """Bounded search for all v with v^T Q v = -1, one per +-pair, and the nodes it spent.
 
     Depth first from level m - 1 down to level 0, on per-level arrays.  At
     level i, with R left of the scaled norm and s = U_i . x, the feasible x_i
@@ -154,7 +127,7 @@ def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list
     m = form.m
     scale = form.levels[0]
     dens, cs, cols, coefs = _split_levels(form.levels)
-    cap, used = budget.cap, budget.used
+    used = 0
     found: list[tuple[int, ...]] = []
     x = [0] * m
     get = x.__getitem__
@@ -169,7 +142,7 @@ def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list
         if lo <= hi:
             used += hi - lo + 1
             if used > cap:
-                raise _exceeded(budget)
+                raise _exceeded(cap)
             if i:
                 x[i], top[i], shift[i], left[i] = lo, hi, s, rest
                 t = den * lo + s
@@ -191,12 +164,11 @@ def _fixed_norm_enumeration(form: IntersectionForm, budget: _NodeBudget) -> list
         t = dens[i] * x[i] + shift[i]
         rest = left[i] - cs[i] * t * t
         i -= 1
-    budget.used = used
     normalized = []
     for v in found:
         lead = next(c for c in v if c != 0)
         normalized.append(v if lead > 0 else tuple(-c for c in v))
-    return sorted(normalized, reverse=True)
+    return sorted(normalized, reverse=True), used
 
 
 def norm_minus_one_vectors(
@@ -210,7 +182,7 @@ def norm_minus_one_vectors(
     EnumerationCapExceeded if the bounded search visits more than ``cap``
     nodes.
     """
-    return _fixed_norm_enumeration(form, _NodeBudget(cap))
+    return _fixed_norm_enumeration(form, cap)[0]
 
 
 def _images(form: IntersectionForm, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -240,13 +212,12 @@ def diagonalize(
     vectors, checks the norms and signs that make their Gram matrix (with m of
     them E^T Q E) -I, and keeps the nodes spent on them for d_invariant.
     """
-    budget = _NodeBudget(cap)
-    units = tuple(_fixed_norm_enumeration(form, budget))
-    return DiagonalizationCertificate(form=form, units=units, nodes=budget.used)
+    units, used = _fixed_norm_enumeration(form, cap)
+    return DiagonalizationCertificate(form=form, units=tuple(units), nodes=used)
 
 
-def dual_class(form: IntersectionForm) -> DualClass:
-    """Coefficients of the class dual to the central vertex, with its self-intersection.
+def dual_class(form: IntersectionForm) -> Fraction:
+    """Self-intersection D.D = (Q^{-1})_11 of the class D dual to the central vertex.
 
     D = Q^{-1} e_1 = X / det, solved in integers through the form's
     elimination of -Q; Q X = det * e_1 is re-checked over the nonzeros of Q.
@@ -254,12 +225,11 @@ def dual_class(form: IntersectionForm) -> DualClass:
     x, det = _linalg.solve(form.elimination, [-int(i == 0) for i in range(form.m)])
     if any(sum(q * x[j] for j, q in row) != det * (i == 0) for i, row in enumerate(form.rows)):
         raise CertificateViolation("the solve for Q^-1 e_1 does not satisfy Q D = e_1")
-    d = tuple(Fraction(xi, det) for xi in x)
-    return DualClass(D=d, self_intersection=d[0])
+    return Fraction(x[0], det)
 
 
-def max_sharp_pairing(cert: DiagonalizationCertificate, dual: DualClass) -> int:
-    """Maximum pairing of a sharp characteristic vector with the dual class.
+def max_sharp_pairing(cert: DiagonalizationCertificate, dual: Fraction) -> int:
+    """Maximum pairing of a sharp characteristic vector with the dual class, given D.D.
 
     In an orthonormal basis the sharp vectors have all coefficients +-1, so
     the maximum is the L1 norm of the first row of E.  The identities it must
@@ -270,7 +240,7 @@ def max_sharp_pairing(cert: DiagonalizationCertificate, dual: DualClass) -> int:
         raise NotDiagonalizable("no orthonormal basis exists for this form")
     first_row = [v[0] for v in cert.units]
     p = sum(abs(e) for e in first_row)
-    big_a = -dual.self_intersection
+    big_a = -dual
     if sum(e * e for e in first_row) != big_a:
         raise CertificateViolation(f"first row of E has squared norm != -D.D = {big_a}")
     # big_a is now an integer, a sum of squares
@@ -321,7 +291,7 @@ def _characteristic_parity(form: IntersectionForm) -> list[int]:
     return [xi // det % 2 for xi in x]
 
 
-def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
+def _coset_minimum(form: IntersectionForm, cap: int, used: int = 0) -> tuple[Fraction, int]:
     """Exact minimum of z^T(-Q)z over the characteristic coset z = Q^{-1}diag(Q) mod 2.
 
     Branch and bound over the form's square completion of -Q, in zig-zag
@@ -331,14 +301,14 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
     Depth first on per-level arrays: the partial value, and for each side its
     next point and that point's distance den_i x_i + s from the centre, _INF
     once the side has failed.  At level 0 only the nearest point can beat
-    the incumbent, which its two neighbours then cannot: 3 nodes.
+    the incumbent, which its two neighbours then cannot: 3 nodes.  Returns
+    the minimum with the node count, which starts at used.
     """
     m = form.m
     scale = form.levels[0]
     dens, cs, cols, coefs = _split_levels(form.levels)
     parity = _characteristic_parity(form)
     best = scale * _greedy_descent(form, parity[:])[1]
-    cap, used = budget.cap, budget.used
     x = [0] * m
     get = x.__getitem__
     acc, lo, hi, d_lo, d_hi = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
@@ -353,7 +323,7 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
         if i:
             used += 1
             if used > cap:
-                raise _exceeded(budget)
+                raise _exceeded(cap)
             acc[i], lo[i], hi[i], d_lo[i], d_hi[i] = a, nearest - 2, nearest + 2, 2 * den - t, 2 * den + t
             if a + term < best:
                 x[i] = nearest
@@ -363,7 +333,7 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
         else:
             used += 3
             if used > cap:
-                raise _exceeded(budget)
+                raise _exceeded(cap)
             if a + term < best:
                 best = a + term
             i = 1
@@ -378,7 +348,7 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
                 d, is_lo = d_hi[i], False
             used += 1
             if used > cap:
-                raise _exceeded(budget)
+                raise _exceeded(cap)
             term = cs[i] * d * d
             if acc[i] + term < best:
                 a = acc[i] + term
@@ -398,9 +368,8 @@ def _coset_minimum(form: IntersectionForm, budget: _NodeBudget) -> Fraction:
                 d_hi[i] = _INF
         else:
             break
-    budget.used = used
     # a Fraction, so that d = (m - k - minimum) / 4 stays exact
-    return Fraction(best, scale)
+    return Fraction(best, scale), used
 
 
 def _split_off_units(
@@ -455,9 +424,10 @@ def d_invariant(cert: DiagonalizationCertificate, cap: int = DEFAULT_ENUMERATION
     negative-definite plumbings produced by this package.
     """
     form = cert.form
-    budget = _NodeBudget(cap, cert.nodes)
+    if cert.nodes > cap:
+        raise _exceeded(cap)
     k = len(cert.units)
     if k == form.m:
         return Fraction(0)
     sub = _split_off_units(form, cert.units)
-    return (form.m - k - _coset_minimum(sub, budget)) / 4
+    return (form.m - k - _coset_minimum(sub, cap, cert.nodes)[0]) / 4

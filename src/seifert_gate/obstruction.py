@@ -22,7 +22,6 @@ from .errors import CertificateViolation, InvalidRange, NotDiagonalizable, RankT
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     DiagonalizationCertificate,
-    DualClass,
     d_invariant,
     diagonalize,
     dual_class,
@@ -46,7 +45,6 @@ __all__ = [
     "TwistCertificate",
     "Verdict",
     "ObstructionReport",
-    "ceil_sqrt",
     "twist_lower_bound",
     "tau_gap_lower",
     "fiber_boundary_slope",
@@ -55,13 +53,6 @@ __all__ = [
     "verify_twist_chain",
     "verdict",
 ]
-
-
-def ceil_sqrt(n: int) -> int:
-    """Exact ceiling of sqrt(n) for n >= 1; InvalidRange otherwise."""
-    if n < 1:
-        raise InvalidRange(f"ceil_sqrt needs n >= 1, got {n}")
-    return isqrt(n - 1) + 1
 
 
 def twist_lower_bound(big_a: int) -> int:
@@ -110,8 +101,8 @@ class TauBounds:
 
     @property
     def smooth_tau_upper_paper(self) -> Fraction:
-        """(A - ceil(sqrt(A))) / 2, the square-root form of the upper bound."""
-        return Fraction(self.A - ceil_sqrt(self.A), 2)
+        """(A - ceil(sqrt(A))) / 2, the square-root form of the upper bound; ceil(sqrt(A)) = 1 - tw_min."""
+        return Fraction(self.A - 1 + twist_lower_bound(self.A), 2)
 
     @property
     def smooth_tau_upper_sharp(self) -> Fraction | None:
@@ -151,8 +142,11 @@ class TwistCertificate:
 
     indices is the 1-based fiber subset I; d is the common value a_i*k_i + u_i
     (the largest negative solution of the congruences); checks record the
-    slope inequalities that were verified.  Failures are data, not errors:
-    with valid inputs they would indicate an implementation bug.
+    slope inequalities that were verified.  Failures are data, not errors.
+    Both checks follow from the gluing identity a_i*v_i - b_i*u_i = 1, which
+    gives s_tcr - sum_{i<n} b_i/a_i = (sum_{i<n} 1/a_i - (n - 2))/d and the
+    last fiber's margin (see verify_twist_chain), so on gluing data that
+    satisfies it all_checks_pass guards the slope arithmetic, not the input.
     """
 
     indices: tuple[int, ...]
@@ -229,7 +223,7 @@ def verify_twist_chain(p: SeifertPresentation, g: GluingData) -> TwistCertificat
     -u_n/a_n therefore lies in (-1, 0), so on k <= -1 the map is defined and
     -s_n increases with k; its largest value is -s_n(-1).  (The same identity
     gives the margin 1 - b_n/a_n + s_n(k) = 1 + 1/(a_n*(a_n*k + u_n)), at
-    least 1 - 1/a_n >= 1/2 on k <= -1, so the check holds on all gluing data.)
+    least 1 - 1/a_n >= 1/2 on k <= -1, so it holds wherever the identity does.)
     The vertical regular-fiber twist value -a_1*...*a_{n-1} is recorded; the
     existence of a Legendrian achieving it is contact-geometric input, not
     something this arithmetic certifies.
@@ -274,7 +268,7 @@ class ObstructionReport:
     graph: PlumbingGraph
     form: IntersectionForm
     certificate: DiagonalizationCertificate
-    dual: DualClass
+    dual: Fraction
     d_inv: Fraction
     twist_bound: TwistBound
     tau: TauBounds
@@ -328,8 +322,8 @@ def verdict(m: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Obstruction
     cert = diagonalize(form, cap)
     dual = dual_class(form)
     big_a = mult.product
-    if dual.self_intersection != -big_a:
-        raise CertificateViolation(f"D.D = {dual.self_intersection}, not -A = {-big_a}")
+    if dual != -big_a:
+        raise CertificateViolation(f"D.D = {dual}, not -A = {-big_a}")
     d_val = d_invariant(cert, cap)
     bound = TwistBound.for_product(big_a)
     twist_cert = verify_twist_chain(pres, glue)

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import _linalg
 from .errors import CertificateViolation, DivisionByZero, InvalidRange, RankTooLarge
 from .seifert import Multiplicities, NormalizedPresentation
 
 __all__ = [
-    "NegContinuedFraction",
     "PlumbingGraph",
     "IntersectionForm",
     "neg_cf",
@@ -25,37 +23,14 @@ __all__ = [
     "intersection_form",
 ]
 
-# The limit bounds the report, not the searches, which keep per-level arrays
-# and no call stack: the certificate's E is m x m, and at m = 891 the report
-# is already 2.4 MB of JSON, O(m^2) in the rank.
+# The searches need no call stack; the limit bounds what grows with the rank m
+# (measured on 2 CPUs, Python 3.11.7).  The report is O(m^2): E makes 2.4 MB of
+# JSON at m = 891.  The fiber count n is refused before validation, whose
+# pairwise gcds are O(n^2): 1.5 s for the first 4000 primes.  The form build is
+# bounded only in part: its centre-first elimination fills a star densely, and
+# stars with n one-vertex legs took 0.12, 1.1, 12.5 and 187 s for n = 100, 200,
+# 400 and 800 (the first 80 primes, rank 671, took 1.5 s).
 MAX_SEARCH_RANK = 900
-
-
-@dataclass(frozen=True)
-class NegContinuedFraction:
-    """Expansion x = k_1 - 1/(k_2 - 1/(...)) with every k_i <= -2."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("empty expansion")
-        if max(self.entries) > -2:
-            raise ValueError(f"expansion entries must be <= -2, got {self.entries}")
-
-    def pair(self) -> tuple[int, int]:
-        """(p, q) with p/q the nested fraction, evaluated from the last entry inward.
-
-        k - 1/(p/q) = (k p - q)/p; the pair is not sign-normalized.
-        """
-        p, q = self.entries[-1], 1
-        for k in reversed(self.entries[:-1]):
-            p, q = k * p - q, p
-        return p, q
-
-    def value(self) -> Fraction:
-        """Evaluate the nested fraction back to the rational it expands."""
-        return Fraction(*self.pair())
 
 
 @dataclass(frozen=True)
@@ -72,37 +47,12 @@ class PlumbingGraph:
             if max(leg) > -2:
                 raise ValueError(f"leg weights must be <= -2, got {leg}")
 
-    @property
-    def size(self) -> int:
-        return 1 + sum(len(leg) for leg in self.legs)
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        out = [self.center_weight]
-        for leg in self.legs:
-            out.extend(leg)
-        return tuple(out)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Tree edges as index pairs into the canonical vertex order."""
-        out = []
-        idx = 1
-        for leg in self.legs:
-            prev = 0
-            for _ in leg:
-                out.append((prev, idx))
-                prev = idx
-                idx += 1
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class IntersectionForm:
     """Symmetric negative-definite integer form of the plumbing, with exact determinant.
 
-    rows lists the nonzero (j, Q_ij) of each row of Q in increasing j; Q is
-    the dense matrix they describe, derived on first read.  Building one
+    rows lists the nonzero (j, Q_ij) of each row of Q in increasing j.  Building one
     raises RankTooLarge above MAX_SEARCH_RANK, and ValueError unless rows is
     symmetric over its nonzeros, and unless the form is negative definite,
     that is unless its fraction-free elimination of -Q in index order
@@ -135,15 +85,6 @@ class IntersectionForm:
     def m(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def Q(self) -> tuple[tuple[int, ...], ...]:
-        """The dense matrix, for readers that want one; nothing on the verdict path reads it."""
-        dense = [[0] * self.m for _ in self.rows]
-        for out, row in zip(dense, self.rows):
-            for j, x in row:
-                out[j] = x
-        return tuple(map(tuple, dense))
-
     @classmethod
     def from_matrix(cls, matrix) -> "IntersectionForm":
         """Build a form from an explicit square integer matrix, as the nonzeros of its rows."""
@@ -153,8 +94,19 @@ class IntersectionForm:
         return cls(rows=[[(j, x) for j, x in enumerate(row) if x] for row in q])
 
 
-def neg_cf(numerator: int, denominator: int) -> NegContinuedFraction:
-    """Negative continued fraction expansion of numerator/denominator.
+def _evaluate_cf(entries: tuple[int, ...]) -> tuple[int, int]:
+    """(p, q) with p/q = k_1 - 1/(k_2 - 1/(...)), evaluated from the last entry inward.
+
+    k - 1/(p/q) = (k p - q)/p; the pair is not sign-normalized.
+    """
+    p, q = entries[-1], 1
+    for k in reversed(entries[:-1]):
+        p, q = k * p - q, p
+    return p, q
+
+
+def neg_cf(numerator: int, denominator: int) -> tuple[int, ...]:
+    """Entries of the negative continued fraction expansion of numerator/denominator.
 
     Defined for rationals x < -1, where the expansion with all entries <= -2
     exists and is unique: take k = floor(x) (or x itself when integral) and
@@ -173,15 +125,15 @@ def neg_cf(numerator: int, denominator: int) -> NegContinuedFraction:
         entries.append(k)
         p, q = -q, p - k * q
     entries.append(p // q)
-    out = NegContinuedFraction(entries=tuple(entries))
-    num, den = out.pair()
+    out = tuple(entries)
+    num, den = _evaluate_cf(out)
     if num * denominator != numerator * den:
-        raise CertificateViolation(f"expansion {out.entries} does not evaluate to {numerator}/{denominator}")
+        raise CertificateViolation(f"expansion {out} does not evaluate to {numerator}/{denominator}")
     return out
 
 
 def _leg_length(p: int, q: int) -> int:
-    """len(neg_cf(p, -q).entries) for coprime 0 < q < p, without expanding it.
+    """len(neg_cf(p, -q)) for coprime 0 < q < p, without expanding it.
 
     One step maps -p/q to -q/(k*q - p) with k = ceil(p/q); an entry -2 (k = 2)
     maps (p, q) to (p - d, q - d) with d = p - q, so a run of -2 entries keeps
@@ -208,7 +160,7 @@ def build_plumbing(norm: NormalizedPresentation, m: Multiplicities) -> PlumbingG
     if rank > MAX_SEARCH_RANK:
         raise RankTooLarge(f"form of rank {rank} is above the search limit {MAX_SEARCH_RANK}")
     legs = tuple(
-        neg_cf(aj, tbj).entries for aj, tbj in zip(m.a, norm.tilde_b)
+        neg_cf(aj, tbj) for aj, tbj in zip(m.a, norm.tilde_b)
     )
     return PlumbingGraph(center_weight=norm.e0, legs=legs)
 
@@ -216,13 +168,16 @@ def build_plumbing(norm: NormalizedPresentation, m: Multiplicities) -> PlumbingG
 def intersection_form(g: PlumbingGraph) -> IntersectionForm:
     """Intersection form of the plumbing: weights on the diagonal, 1 for each edge.
 
-    The sparse rows come from the weights and edges in O(m); no dense matrix
-    is built.
+    The sparse rows are written while the legs are walked, in O(m); no dense
+    matrix is built.  A vertex's inner neighbour comes before it and its outer
+    one after, so every row comes out sorted.
     """
-    rows = [[(i, w)] for i, w in enumerate(g.weights)]
-    for a, b in g.edges:
-        rows[a].append((b, 1))
-        rows[b].append((a, 1))
-    for row in rows:
-        row.sort()
+    rows = [[(0, g.center_weight)]]
+    for leg in g.legs:
+        prev = 0
+        for w in leg:
+            i = len(rows)
+            rows[prev].append((i, 1))
+            rows.append([(prev, 1), (i, w)])
+            prev = i
     return IntersectionForm(rows=rows)

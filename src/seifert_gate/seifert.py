@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import CertificateViolation, DivisionByZero, MultiplicityTooSmall, NotCoprime, TooFewFibers
+from .errors import CertificateViolation, MultiplicityTooSmall, NotCoprime, TooFewFibers
 
 __all__ = [
     "Multiplicities",
@@ -26,7 +26,6 @@ __all__ = [
     "solve_unnormalized",
     "normalize",
     "gluing_data",
-    "h1_order",
 ]
 
 
@@ -171,17 +170,3 @@ def gluing_data(p: SeifertPresentation) -> GluingData:
         us.append(ui)
         vs.append(vi)
     return GluingData(u=tuple(us), v=tuple(vs))
-
-
-def h1_order(pairs: Sequence[tuple[int, int]]) -> int:
-    """Order of the first homology of the surgery diagram with the given (a, b) pairs.
-
-    Returns |a_1*...*a_n * sum(b_k / a_k)| as an exact integer; the value 0
-    encodes infinite first homology.  Raises DivisionByZero if some a is 0.
-    """
-    for a, _ in pairs:
-        if a == 0:
-            raise DivisionByZero("surgery coefficient with a = 0")
-    big_a = prod(a for a, _ in pairs)
-    total = sum(b * (big_a // a) for a, b in pairs)
-    return abs(total)

@@ -10,6 +10,7 @@ reproduce.  Slow but simple; correctness over speed.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
 from typing import Sequence
@@ -23,6 +24,15 @@ from seifert_gate.obstruction import fiber_boundary_slope
 
 # (d, u) with x^T G x = sum_i d[i] * (x_i + sum_{(j, u_ij) in u[i]} u_ij x_j)^2
 Completion = tuple[list[Fraction], list[list[tuple[int, Fraction]]]]
+
+
+def dense(form):
+    """The form's m x m matrix Q as lists, written out from its sparse rows."""
+    out = [[0] * form.m for _ in form.rows]
+    for row, sparse in zip(out, form.rows):
+        for j, x in sparse:
+            row[j] = x
+    return out
 
 
 def cofactor_det(rows):
@@ -88,7 +98,7 @@ def units_are_orthonormal(form, units):
     images Q u; it now checks only entries, norms and signs, which imply this
     on a negative definite form.
     """
-    images = [[sum(x * w[j] for j, x in enumerate(row)) for row in form.Q] for w in units]
+    images = [[sum(x * w[j] for j, x in enumerate(row)) for row in dense(form)] for w in units]
     return all(
         sum(a * b for a, b in zip(v, images[j])) == (-1 if i == j else 0)
         for i, v in enumerate(units)
@@ -262,13 +272,22 @@ def dense_cholesky(g):
 
 
 def dense_intersection_matrix(graph):
-    """The plumbing's m x m matrix, dense: weights on the diagonal, 1 for each edge."""
-    m = graph.size
+    """The plumbing's m x m matrix, dense: weights on the diagonal, 1 for each edge.
+
+    Vertices are numbered centre first, then leg by leg from the centre
+    outward; each leg's first vertex meets the centre.
+    """
+    weights = [graph.center_weight] + [w for leg in graph.legs for w in leg]
+    m = len(weights)
     rows = [[0] * m for _ in range(m)]
-    for i, w in enumerate(graph.weights):
+    for i, w in enumerate(weights):
         rows[i][i] = w
-    for a, b in graph.edges:
-        rows[a][b] = rows[b][a] = 1
+    start = 1
+    for leg in graph.legs:
+        path = [0] + list(range(start, start + len(leg)))
+        for a, b in zip(path, path[1:]):
+            rows[a][b] = rows[b][a] = 1
+        start += len(leg)
     return rows
 
 
@@ -301,26 +320,34 @@ def transverse_search(r):
     return None, None, m
 
 
-def spend(budget) -> None:
-    """Charge one node to a lattice._NodeBudget, raising at the first node past its cap.
+@dataclass
+class Budget:
+    """Search nodes used against a cap, as the oracles count them."""
+
+    cap: int
+    used: int = 0
+
+
+def spend(budget: Budget) -> None:
+    """Charge one node to budget, raising at the first node past its cap.
 
     The oracles charge one node at a time, so their cap outcome leaves
-    used == cap + 1; the library's searches charge in batches and must end
-    with the same count.
+    used == cap + 1; the library's searches charge in batches and must stop
+    at the same node.
     """
     budget.used += 1
     if budget.used > budget.cap:
         raise EnumerationCapExceeded(f"lattice search exceeded {budget.cap} nodes")
 
 
-def fraction_norm_enumeration(form, budget) -> list[tuple[int, ...]]:
+def fraction_norm_enumeration(form, budget: Budget) -> list[tuple[int, ...]]:
     """Bounded search for all v with v^T Q v = -1, one per +-pair, in Fraction levels.
 
     The library's enumeration before its levels were scaled to integers; it
     must find the same vectors and spend the same nodes from ``budget``.
     """
     m = form.m
-    d, u = cholesky_form([[-x for x in row] for row in form.Q])
+    d, u = cholesky_form([[-x for x in row] for row in dense(form)])
     found: list[tuple[int, ...]] = []
     x = [0] * m
 
@@ -354,7 +381,7 @@ def fraction_norm_enumeration(form, budget) -> list[tuple[int, ...]]:
     return sorted(normalized, reverse=True)
 
 
-def fraction_coset_minimum(form, budget) -> Fraction:
+def fraction_coset_minimum(form, budget: Budget) -> Fraction:
     """Exact minimum of z^T(-Q)z over the characteristic coset z = Q^{-1}diag(Q) mod 2.
 
     Branch and bound over the form's square completion of -Q, in zig-zag
@@ -366,7 +393,7 @@ def fraction_coset_minimum(form, budget) -> Fraction:
     must return the same minimum and spend the same nodes from ``budget``.
     """
     m = form.m
-    d, u = cholesky_form([[-x for x in row] for row in form.Q])
+    d, u = cholesky_form([[-x for x in row] for row in dense(form)])
     parity = _characteristic_parity(form)
     # a Fraction, so that d = (m - best) / 4 stays exact when no leaf beats the seed
     best = Fraction(_greedy_descent(form, parity[:])[1])

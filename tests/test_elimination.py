@@ -18,16 +18,17 @@ from hypothesis import strategies as st
 from seifert_gate import _linalg
 from seifert_gate.lattice import _split_off_units
 from seifert_gate.plumbing import IntersectionForm
-from oracles import cholesky_form, integer_levels, solve_completion
+from oracles import cholesky_form, dense, integer_levels, solve_completion
 from test_golden import CORPORA, corpus_certificates
 
 
 def assert_matches_oracle(form):
     """det, levels and the solves for -e_1 and -diag(Q) agree with the oracle."""
-    d, u = cholesky_form([[-x for x in row] for row in form.Q])
+    q = dense(form)
+    d, u = cholesky_form([[-x for x in row] for row in q])
     assert form.det == (-1) ** form.m * prod(d)
     assert form.levels == integer_levels((d, u))
-    for rhs in ([-int(i == 0) for i in range(form.m)], [-form.Q[i][i] for i in range(form.m)]):
+    for rhs in ([-int(i == 0) for i in range(form.m)], [-q[i][i] for i in range(form.m)]):
         x, det = _linalg.solve(form.elimination, rhs)
         assert det == prod(d)
         assert [Fraction(xi, det) for xi in x] == solve_completion(d, u, rhs)

@@ -6,7 +6,7 @@ from math import floor
 import pytest
 
 from seifert_gate import InvalidParameter, mp_family, transverse_contact_exists
-from seifert_gate.families import SmallSeifertData, mpl_family, theta_invariant
+from seifert_gate.families import SmallSeifertData, mpl_family
 from oracles import transverse_search
 
 
@@ -132,13 +132,3 @@ class TestTransverseSearchBound:
         w = transverse_contact_exists(mp_family(10**9))
         assert not w.present and w.searched_m_below == 10**9
 
-
-class TestTheta:
-    def test_homology_ball(self):
-        assert theta_invariant(0, 0, 1) == -2
-
-    def test_zero(self):
-        assert theta_invariant(0, 0, 0) == 0
-
-    def test_e8_filling_arithmetic(self):
-        assert theta_invariant(-8, -8, 9) == -2

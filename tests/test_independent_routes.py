@@ -1,0 +1,89 @@
+"""Reports against routes that do not go through the lattice searches.
+
+The torus-knot surgery family has a closed form for d, and every report
+must satisfy the identities that tie its fields together.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seifert_gate import EnumerationCapExceeded, verdict
+from seifert_gate.cli import format_text, report_to_dict
+
+CAP = 3 * 10**4
+
+
+def semigroup_gaps(p, q):
+    """The positive integers that are not i*p + j*q with i, j >= 0, for coprime p, q."""
+    top = (p - 1) * (q - 1)  # the conductor: every larger integer is in the semigroup
+    members = {i * p + j * q for i in range(q) for j in range(p)}
+    return [x for x in range(1, top) if x not in members]
+
+
+def torus_family():
+    """(triple, expected d) for Sigma(p, q, pqn -+ 1), coprime 2 <= p < q < 12, n = 1, 2, 3.
+
+    Sigma(p, q, pqn - 1) is -1/n surgery on the (p, q) torus knot, an L-space
+    knot, with d = 2 V_0 = 2 #{gaps >= g}, g = (p - 1)(q - 1)/2
+    (Borodzik-Livingston); Sigma(p, q, pqn + 1) is +1/n surgery, with d = 0
+    (Ni-Wu).
+    """
+    out = []
+    for p, q in combinations(range(2, 12), 2):
+        if gcd(p, q) != 1:
+            continue
+        genus = (p - 1) * (q - 1) // 2
+        v0 = sum(1 for x in semigroup_gaps(p, q) if x >= genus)
+        for n in (1, 2, 3):
+            out.append((tuple(sorted((p, q, p * q * n - 1))), 2 * v0))
+            out.append((tuple(sorted((p, q, p * q * n + 1))), 0))
+    return out
+
+
+def test_torus_knot_family_matches_the_closed_form():
+    family = torus_family()
+    assert len(family) == 186
+    matched = 0
+    for triple, expected in family:
+        try:
+            report = verdict(triple, cap=CAP)
+        except EnumerationCapExceeded:
+            continue
+        assert report.d_inv == expected, triple
+        matched += 1
+    assert matched >= 156
+
+
+COPRIME_TRIPLES = [
+    t for t in combinations(range(2, 30), 3) if all(gcd(x, y) == 1 for x, y in combinations(t, 2))
+]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from(COPRIME_TRIPLES))
+def test_report_invariants(triple):
+    try:
+        report = verdict(triple, cap=CAP)
+    except EnumerationCapExceeded:
+        return
+    d, cert = report.d_inv, report.certificate
+    assert d >= 0 and d.denominator == 1 and d.numerator % 2 == 0
+    assert (d == 0) == cert.present
+    if cert.present:
+        big_a, p = report.multiplicities.product, report.tau.P
+        assert p == sum(abs(e) for e in cert.E[0])
+        assert p * p >= big_a and (p - big_a) % 2 == 0
+        assert report.gap_lower == report.twist_bound.tw_min + p + 1
+    doc = report_to_dict(report)
+    assert json.loads(json.dumps(doc)) == doc
+    text = format_text(doc).splitlines()
+    assert f"  verdict: {doc['verdict']}" in text
+    value = Fraction(int(doc["d_invariant"]["num"]), int(doc["d_invariant"]["den"]))
+    assert value == d and f"  d-invariant = {value}" in text

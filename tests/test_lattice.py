@@ -34,12 +34,13 @@ from seifert_gate.lattice import (
     dual_class,
     max_sharp_pairing,
 )
-from seifert_gate.obstruction import ceil_sqrt, verdict
+from seifert_gate.obstruction import twist_lower_bound, verdict
 from oracles import (
     box_d_invariant,
     box_norm_minus_one,
     brute_force_sharp_max,
     cholesky_form,
+    dense,
     dense_cholesky,
     gauss_inverse,
     integer_levels,
@@ -85,14 +86,14 @@ class TestNormMinusOneVectors:
             vs = norm_minus_one_vectors(f)
             assert vs == sorted(vs, reverse=True)
             for v in vs:
-                assert quad_value(f.Q, v) == -1
+                assert quad_value(dense(f), v) == -1
                 assert next(c for c in v if c != 0) > 0
 
     @pytest.mark.parametrize("a", [(2, 3, 7), (2, 3, 13), (3, 4, 5), (2, 5, 7), (2, 3, 19)])
     def test_matches_box_enumeration_up_to_rank_six(self, a):
         f = form_for(a)
         assert f.m <= 6
-        assert norm_minus_one_vectors(f) == box_norm_minus_one([list(r) for r in f.Q])
+        assert norm_minus_one_vectors(f) == box_norm_minus_one(dense(f))
 
     @pytest.mark.parametrize(
         "rows",
@@ -137,7 +138,7 @@ class TestDiagonalize:
         assert cert.present
         e_cols = [list(col) for col in zip(*cert.E)]
         # E^T Q E == -I, checked entry-exactly via plain matrix products
-        et_q_e = mat_mul(mat_mul(transpose([list(r) for r in cert.E]), [list(r) for r in f.Q]), [list(r) for r in cert.E])
+        et_q_e = mat_mul(mat_mul(transpose([list(r) for r in cert.E]), dense(f)), [list(r) for r in cert.E])
         minus_identity = [[-1 if i == j else 0 for j in range(f.m)] for i in range(f.m)]
         assert et_q_e == minus_identity
         assert len(e_cols) == f.m
@@ -206,14 +207,14 @@ class TestCertificateCheck:
 
 class TestDualClass:
     def test_defining_property(self):
+        # D = Q^-1 e_1 pairs to delta_1j with the vertex basis, so D.D = D_1
         for a in [(2, 3, 7), (2, 3, 13), (3, 4, 5)]:
             f = form_for(a)
-            d = dual_class(f)
-            m = f.m
-            for j in range(m):
-                pairing = sum(d.D[i] * f.Q[i][j] for i in range(m))
-                assert pairing == (1 if j == 0 else 0)
-            assert d.self_intersection == d.D[0]
+            q = dense(f)
+            d = [row[0] for row in gauss_inverse(q)]
+            for j in range(f.m):
+                assert sum(d[i] * q[i][j] for i in range(f.m)) == (j == 0)
+            assert dual_class(f) == d[0]
 
 
 class TestMaxSharpPairing:
@@ -245,17 +246,15 @@ class TestMaxSharpPairing:
             cert = diagonalize(f)
             assert f.m <= 12
             p = max_sharp_pairing(cert, dual_class(f))
-            oracle = brute_force_sharp_max(
-                [list(r) for r in f.Q], [list(r) for r in cert.E]
-            )
+            oracle = brute_force_sharp_max(dense(f), [list(r) for r in cert.E])
             assert p == oracle
 
     def test_l1_l2_inequalities(self):
         for a in DIAGONALIZABLE_SMALL:
             f = form_for(a)
-            big_a = -int(dual_class(f).self_intersection)
+            big_a = -int(dual_class(f))
             p = max_sharp_pairing(diagonalize(f), dual_class(f))
-            assert p >= ceil_sqrt(big_a)
+            assert p >= 1 - twist_lower_bound(big_a)
             assert (p - big_a) % 2 == 0
 
 
@@ -267,7 +266,7 @@ class TestDInvariant:
         assert d_of(E8) == 2
 
     def test_e8_matches_box_search(self):
-        assert box_d_invariant([list(r) for r in E8.Q]) == 2
+        assert box_d_invariant(dense(E8)) == 2
 
     def test_diagonalizable_cases_are_zero(self):
         for a in DIAGONALIZABLE_SMALL:
@@ -289,7 +288,7 @@ class TestDInvariant:
     def test_plumbing_forms_match_box_search(self):
         for a in [(2, 3, 7), (2, 3, 13), (3, 4, 5), (2, 3, 11)]:
             f = form_for(a)
-            assert d_of(f) == box_d_invariant([list(r) for r in f.Q])
+            assert d_of(f) == box_d_invariant(dense(f))
 
     def test_known_correction_terms(self):
         # frozen values for the standard orientation (singularity link)
@@ -298,11 +297,11 @@ class TestDInvariant:
             assert d_of(form_for(a)) == value
 
     def test_unit_splitting_agrees_with_direct_search(self):
-        from seifert_gate.lattice import _coset_minimum, _NodeBudget
+        from seifert_gate.lattice import _coset_minimum
 
         for a in [(2, 3, 11), (2, 3, 23), (2, 5, 13), (2, 7, 9)]:
             f = form_for(a)
-            direct = (f.m - _coset_minimum(f, _NodeBudget(10**8))) / 4
+            direct = (f.m - _coset_minimum(f, 10**8)[0]) / 4
             assert d_of(f) == direct
 
     def test_rejects_non_unimodular(self):
@@ -331,7 +330,7 @@ class TestDInvariant:
             f = _split_off_units(f, units)
         parity = _characteristic_parity(f)
         seed, value = _greedy_descent(f, parity[:])
-        assert value == quad_value([[-x for x in row] for row in f.Q], seed)
+        assert value == quad_value([[-x for x in row] for row in dense(f)], seed)
         assert [c % 2 for c in seed] == parity
 
     @pytest.mark.parametrize("f", [form_for((2, 3, 13)), form_for((2, 3, 23)), E8])
@@ -387,7 +386,7 @@ class TestSearchIsPinned:
 
     def test_certificate_of_an_equal_form_is_reused(self):
         f = form_for((2, 3, 23))
-        copy = IntersectionForm.from_matrix(f.Q)
+        copy = IntersectionForm.from_matrix(dense(f))
         assert copy is not f
         assert d_invariant(diagonalize(copy)) == d_of(f) == 2
 
@@ -414,7 +413,7 @@ class TestSearchIsPinned:
         # the sparse Fraction oracle against the dense one entry for entry,
         # and the form's integer levels against both
         f = form_for(a)
-        g = [[-x for x in row] for row in f.Q]
+        g = [[-x for x in row] for row in dense(f)]
         d, u = cholesky_form(g)
         dense_d, dense_u = dense_cholesky(g)
         assert d == dense_d
@@ -499,10 +498,11 @@ from fractions import Fraction
 from seifert_gate import (
     CertificateViolation, DiagonalizationCertificate, InvalidRange, RankTooLarge, diagonalize, verdict,
 )
-from seifert_gate.lattice import DualClass, max_sharp_pairing
-from seifert_gate.obstruction import TwistBound, ceil_sqrt
+from seifert_gate import plumbing
+from seifert_gate.lattice import max_sharp_pairing
+from seifert_gate.obstruction import TwistBound, twist_lower_bound
 from seifert_gate.families import SmallSeifertData, mpl_family, transverse_contact_exists
-from seifert_gate.plumbing import IntersectionForm, NegContinuedFraction, PlumbingGraph, neg_cf
+from seifert_gate.plumbing import IntersectionForm, PlumbingGraph, neg_cf
 from seifert_gate.seifert import NormalizedPresentation, SeifertPresentation, validate_multiplicities
 
 assert False, "asserts are stripped"
@@ -523,9 +523,8 @@ def certificate(form, units):
 f = verdict((2, 3, 13)).form
 u = diagonalize(f).units[0]
 refuse("forged certificate", ValueError, certificate, f, (u, u))
-# E's first row has squared norm 78 = -D.D; a dual class claiming 77 is refused
-forged = DualClass(D=(Fraction(-77),) + (Fraction(0),) * (f.m - 1), self_intersection=Fraction(-77))
-refuse("forged dual class", CertificateViolation, max_sharp_pairing, diagonalize(f), forged)
+# E's first row has squared norm 78 = -D.D; a dual class claiming D.D = -77 is refused
+refuse("forged dual class", CertificateViolation, max_sharp_pairing, diagonalize(f), Fraction(-77))
 minus_i2 = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
 rational = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
 refuse("rational units", ValueError, certificate, minus_i2, rational)
@@ -536,9 +535,7 @@ for rows in ([[-2, 1], [0, -2]], [[-1, 0]]):
 rank_901 = [[-int(i == j) for j in range(901)] for i in range(901)]
 refuse("rank 901", RankTooLarge, IntersectionForm.from_matrix, rank_901)
 refuse("forged twist bound", CertificateViolation, TwistBound, A=10, tw_min=5)
-refuse("ceil_sqrt(0)", ValueError, ceil_sqrt, 0)
-refuse("empty expansion", ValueError, NegContinuedFraction, ())
-refuse("expansion entry -1", ValueError, NegContinuedFraction, (-3, -1))
+refuse("twist_lower_bound(0)", ValueError, twist_lower_bound, 0)
 refuse("empty leg", ValueError, PlumbingGraph, -1, ((-2,), ()))
 refuse("leg weight -1", ValueError, PlumbingGraph, -1, ((-2, -1),))
 refuse("float multiplicity", TypeError, verdict, (2.5, 3, 5))
@@ -549,7 +546,7 @@ refuse("pairs of other multiplicities", CertificateViolation, SeifertPresentatio
 refuse("normalized fraction 1", CertificateViolation, NormalizedPresentation, -2, (-1,), (Fraction(1),))
 refuse("fiber fraction 0", InvalidRange, SmallSeifertData, -1, (Fraction(1, 2), Fraction(0), Fraction(1, 3)))
 refuse("five-fiber transverse test", InvalidRange, transverse_contact_exists, mpl_family(3, 2))
-NegContinuedFraction.pair = lambda self: (1, 1)
+plumbing._evaluate_cf = lambda entries: (1, 1)
 refuse("expansion that does not evaluate back", CertificateViolation, neg_cf, 13, -2)
 """
     src = str(Path(lattice.__file__).parents[1])
@@ -577,7 +574,6 @@ def test_solve_results_are_checked(monkeypatch, call, numerators):
 
 def test_dual_inverse_consistency_with_oracle():
     f = form_for((2, 3, 13))
-    inv = gauss_inverse([list(r) for r in f.Q])
     d = dual_class(f)
-    assert list(d.D) == [inv[0][j] for j in range(f.m)]
-    assert d.self_intersection == Fraction(-78)
+    assert d == gauss_inverse(dense(f))[0][0]
+    assert d == Fraction(-78)

@@ -20,7 +20,6 @@ from seifert_gate.obstruction import (
     TauBounds,
     TwistBound,
     balanced_twists,
-    ceil_sqrt,
     cut_and_round_slope,
     fiber_boundary_slope,
     tau_gap_lower,
@@ -28,6 +27,7 @@ from seifert_gate.obstruction import (
     verify_twist_chain,
 )
 from oracles import per_twist_slope_checks, random_coprime_tuples
+from test_golden import CORPORA
 
 TWIST_CHECKS = ["tcr_slope_dominates_singular_sum", "last_fiber_slope_bound_k<=-1"]
 
@@ -177,6 +177,27 @@ class TestVerifyTwistChain:
             for k, r in zip(twists, rhs):
                 assert 1 - Fraction(bn, an) - r == 1 + Fraction(1, an * (an * k + un)), (t, k)
 
+    def test_last_fiber_bound_is_evaluated_at_minus_one(self):
+        # gluing data off the identity a_n v_n - b_n u_n = 1: with (u_3, v_3) =
+        # (4, 2) for the fiber (5, 1), -s_3(-1) = 1 > 4/5 but -s_3(-2) = 0, so
+        # only the check at k_n = -1 fails
+        p, _ = presentation((2, 3, 5))
+        forged = GluingData(u=(1, 2, 4), v=(0, 1, 2))
+        assert -fiber_boundary_slope(5, 1, 4, 2, -2) <= Fraction(4, 5) < -fiber_boundary_slope(5, 1, 4, 2, -1)
+        checks = dict(verify_twist_chain(p, forged).checks)
+        assert checks == {"tcr_slope_dominates_singular_sum": True, "last_fiber_slope_bound_k<=-1": False}
+
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_cut_and_round_margin_has_its_closed_form(self, name):
+        # s_i - b_i/a_i = 1/(a_i d) for each balanced fiber, by the gluing identity
+        for t in CORPORA[name]:
+            p, g = presentation(t)
+            cert = verify_twist_chain(p, g)
+            n = len(t)
+            singular_sum = sum(Fraction(b, a) for a, b in p.pairs[: n - 1])
+            margin = (sum(Fraction(1, a) for a in t[: n - 1]) - (n - 2)) / cert.d
+            assert cert.s_tcr - singular_sum == margin, t
+
 
 class TestVerdict:
     def test_poincare_donaldson_branch(self):
@@ -237,7 +258,7 @@ class TestVerdict:
 @pytest.mark.parametrize(
     "error, call",
     [
-        (InvalidRange, lambda: ceil_sqrt(0)),
+        (InvalidRange, lambda: TauBounds(A=0, P=None).smooth_tau_upper_paper),
         (InvalidRange, lambda: twist_lower_bound(0)),
         (InvalidRange, lambda: fiber_boundary_slope(2, 1, 2, 1, -1)),  # a*k + u = 0
         (InvalidRange, lambda: cut_and_round_slope([Fraction(0)], -1, 3)),

@@ -3,10 +3,14 @@
 The root keeps the entry points the README shows, the two lattice calls and
 the report types, and the error classes; every other name is imported from
 its module.  The benchmark's session and tracer reach verdict,
-EnumerationCapExceeded and norm_minus_one_vectors through the root.
+EnumerationCapExceeded and norm_minus_one_vectors through the root.  Each
+module's __all__ lists the public functions and classes it defines.
 """
 
+import importlib
 import inspect
+
+import pytest
 
 import seifert_gate
 
@@ -42,3 +46,20 @@ def test_public_names_are_pinned():
     }
     assert names == PUBLIC
 
+
+
+@pytest.mark.parametrize("name", ["seifert", "plumbing", "lattice", "obstruction", "families", "cli"])
+def test_module_all_lists_what_the_module_defines(name):
+    # every entry names something in the module, and the functions and
+    # classes among them are exactly the public ones the module defines
+    module = importlib.import_module(f"seifert_gate.{name}")
+    assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
+    exported = {entry for entry in module.__all__ if _defined_here(module, getattr(module, entry))}
+    defined = {
+        key for key, value in vars(module).items() if not key.startswith("_") and _defined_here(module, value)
+    }
+    assert exported == defined
+
+
+def _defined_here(module, value):
+    return (inspect.isfunction(value) or inspect.isclass(value)) and value.__module__ == module.__name__

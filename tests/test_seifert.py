@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from seifert_gate import (
-    DivisionByZero,
     MultiplicityTooSmall,
     NotCoprime,
     TooFewFibers,
     validate_multiplicities,
 )
-from seifert_gate.seifert import gluing_data, h1_order, normalize, solve_unnormalized
+from seifert_gate.plumbing import PlumbingGraph, build_plumbing, intersection_form
+from seifert_gate.seifert import gluing_data, normalize, solve_unnormalized
 from oracles import random_coprime_tuples
 
 
@@ -142,23 +142,19 @@ class TestGluing:
 
 
 class TestH1Order:
-    def test_examples(self):
-        assert h1_order([(2, -1), (3, 1), (5, 1)]) == 1
-        assert h1_order([(2, -1), (3, 1), (5, 1), (1, 1)]) == 31
-        assert h1_order([(2, 1), (3, 1)]) == 5
-
-    def test_zero_coefficient_rejected(self):
-        with pytest.raises(DivisionByZero):
-            h1_order([(0, 1), (3, 1)])
+    """|H_1| of the surgery diagram (a_k, b_k) is |a_1*...*a_n * sum(b_k / a_k)|."""
 
     def test_canonical_presentation_is_homology_sphere(self):
         rng = random.Random(40)
         for t in random_coprime_tuples(rng, 60):
             p = solve_unnormalized(validate_multiplicities(t))
-            assert h1_order(p.pairs) == 1
+            assert abs(sum(b * (prod(t) // a) for a, b in p.pairs)) == 1
 
     def test_appending_unit_fiber_adds_one(self):
+        # a (1, 1) fiber lowers e0 by one, and |H_1| is |det Q| of the plumbing
         rng = random.Random(41)
         for t in random_coprime_tuples(rng, 25):
-            p = solve_unnormalized(validate_multiplicities(t))
-            assert h1_order(list(p.pairs) + [(1, 1)]) == prod(t) + 1
+            m = validate_multiplicities(t)
+            g = build_plumbing(normalize(solve_unnormalized(m)), m)
+            shifted = PlumbingGraph(center_weight=g.center_weight - 1, legs=g.legs)
+            assert abs(intersection_form(shifted).det) == prod(t) + 1
