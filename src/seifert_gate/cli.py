@@ -450,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidParameter as exc:
         print(f"error: InvalidParameter: {exc}", file=sys.stderr)
         return 2
-    if not args.batch and len(args.multiplicities) == 0:
+    if bool(args.batch) == bool(args.multiplicities):  # a tuple or --batch, not both
         parser.print_usage(sys.stderr)
         return 2
     try:

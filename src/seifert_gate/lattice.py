@@ -375,37 +375,30 @@ def _coset_minimum(form: IntersectionForm, cap: int, used: int = 0) -> tuple[Fra
 def _split_off_units(
     form: IntersectionForm, units: Sequence[Sequence[int]]
 ) -> IntersectionForm:
-    """Gram matrix of the orthogonal complement of the (-1)-vectors inside Z^m.
+    """The orthogonal complement of the (-1)-vectors inside Z^m, as a form.
 
     The complement lattice is the image of the integral projection
     x -> x + sum_i Q(x, u_i) u_i; a basis comes from echelon-reducing the
-    projected standard basis.  The complement is again unimodular and
-    negative definite, now with no (-1)-vectors at all.  With no units the
-    projected basis is the standard one, so the complement is the form itself,
-    returned as it is.  The Gram matrix pairs each basis vector with the ones
-    from it on, and mirrors.
+    projected standard basis, row i being e_i + sum_u Q(e_i, u) u, each entry
+    one product of the images' entries i with a column of the units.  The
+    complement is again unimodular and negative definite, now with no
+    (-1)-vectors at all.  With no units it is the form itself, returned as it
+    is.  Its row i is the nonzero pairings of basis vector i with the basis
+    images.
     """
     if not units:
         return form
     m = form.m
-    images = _images(form, units)
-    projected = []
-    for i in range(m):
-        x = [int(i == j) for j in range(m)]
-        for uvec, qu in zip(units, images):
-            p = qu[i]  # Q(e_i, u)
-            for j in range(m):
-                x[j] += p * uvec[j]
-        projected.append(x)
+    unit_cols = list(zip(*units))
+    projected = [[sum(map(mul, qe, col)) for col in unit_cols] for qe in zip(*_images(form, units))]
+    for i, row in enumerate(projected):
+        row[i] += 1
     basis = _linalg.row_lattice_basis(projected)
     if len(basis) != m - len(units):
         raise CertificateViolation(f"complement has rank {len(basis)}, not {m - len(units)}")
     basis_images = _images(form, basis)
-    gram = [[0] * len(basis) for _ in basis]
-    for i, a in enumerate(basis):
-        for j in range(i, len(basis)):
-            gram[i][j] = gram[j][i] = _pairing(a, basis_images[j])
-    sub = IntersectionForm.from_matrix(gram)
+    rows = [[(j, x) for j, qb in enumerate(basis_images) if (x := _pairing(b, qb))] for b in basis]
+    sub = IntersectionForm(rows=rows)
     if abs(sub.det) != 1:
         raise CertificateViolation(f"complement has det {sub.det}, not +-1")
     return sub

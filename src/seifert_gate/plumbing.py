@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import lt
 
 from . import _linalg
 from .errors import CertificateViolation, DivisionByZero, InvalidRange, RankTooLarge
@@ -52,11 +53,12 @@ class PlumbingGraph:
 class IntersectionForm:
     """Symmetric negative-definite integer form of the plumbing, with exact determinant.
 
-    rows lists the nonzero (j, Q_ij) of each row of Q in increasing j.  Building one
-    raises RankTooLarge above MAX_SEARCH_RANK, and ValueError unless rows is
-    symmetric over its nonzeros, and unless the form is negative definite,
-    that is unless its fraction-free elimination of -Q in index order
-    (_linalg.eliminate) finds every pivot positive, so no other form exists.
+    rows, the only input a form is built from, lists the nonzero (j, Q_ij) of
+    each row of Q in strictly increasing j.  Building one raises RankTooLarge
+    above MAX_SEARCH_RANK, and ValueError unless rows is so written and
+    symmetric, and unless the form is negative definite, that is unless its
+    fraction-free elimination of -Q in index order (_linalg.eliminate) finds
+    every pivot positive, so no other form exists.
     det Q is (-1)^m times its last minor; the solves with Q read elimination,
     and both lattice searches levels, its square completion scaled to integers.
     """
@@ -70,6 +72,10 @@ class IntersectionForm:
         rows = self.rows
         if len(rows) > MAX_SEARCH_RANK:
             raise RankTooLarge(f"form of rank {len(rows)} is above the search limit {MAX_SEARCH_RANK}")
+        for i, row in enumerate(rows):
+            cols = [j for j, x in row if x]
+            if len(cols) != len(row) or not all(map(lt, cols, cols[1:])):
+                raise ValueError(f"row {i} must list nonzero entries in strictly increasing columns")
         upper = {(i, j, x) for i, row in enumerate(rows) for j, x in row if j > i}
         if upper != {(j, i, x) for i, row in enumerate(rows) for j, x in row if j < i}:
             raise ValueError("matrix must be symmetric")
@@ -84,14 +90,6 @@ class IntersectionForm:
     @property
     def m(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "IntersectionForm":
-        """Build a form from an explicit square integer matrix, as the nonzeros of its rows."""
-        q = [list(map(int, row)) for row in matrix]
-        if any(len(row) != len(q) for row in q):
-            raise ValueError("matrix must be square")
-        return cls(rows=[[(j, x) for j, x in enumerate(row) if x] for row in q])
 
 
 def _evaluate_cf(entries: tuple[int, ...]) -> tuple[int, int]:

@@ -50,10 +50,6 @@ class Multiplicities:
                     )
 
     @property
-    def n(self) -> int:
-        return len(self.a)
-
-    @property
     def product(self) -> int:
         """The exact product A = a_1 * ... * a_n."""
         return prod(self.a)

@@ -17,10 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from seifert_gate import EnumerationCapExceeded
+from seifert_gate import EnumerationCapExceeded, _linalg, validate_multiplicities
 from seifert_gate._linalg import IntegerLevels
 from seifert_gate.lattice import _characteristic_parity, _greedy_descent
 from seifert_gate.obstruction import fiber_boundary_slope
+from seifert_gate.plumbing import IntersectionForm, build_plumbing, intersection_form
+from seifert_gate.seifert import normalize, solve_unnormalized
 
 # (d, u) with x^T G x = sum_i d[i] * (x_i + sum_{(j, u_ij) in u[i]} u_ij x_j)^2
 Completion = tuple[list[Fraction], list[list[tuple[int, Fraction]]]]
@@ -33,6 +35,34 @@ def dense(form):
         for j, x in sparse:
             row[j] = x
     return out
+
+
+def form_from_matrix(matrix):
+    """The form of a dense square integer matrix, built from the nonzeros of its rows."""
+    q = [list(map(int, row)) for row in matrix]
+    if any(len(row) != len(q) for row in q):
+        raise ValueError("matrix must be square")
+    return IntersectionForm(rows=[[(j, x) for j, x in enumerate(row) if x] for row in q])
+
+
+def complement_by_gram(form, units):
+    """The units' orthogonal complement by the dense route.
+
+    Each projected basis vector is written out coordinate by coordinate, and
+    the complement's Gram matrix B Q B^T, over the dense Q, is turned into a
+    form by form_from_matrix; the library writes its sparse rows directly.
+    """
+    m, q = form.m, dense(form)
+    projected = []
+    for i in range(m):
+        x = [int(i == j) for j in range(m)]
+        for u in units:
+            p = sum(q[i][j] * u[j] for j in range(m))  # Q(e_i, u)
+            for j in range(m):
+                x[j] += p * u[j]
+        projected.append(x)
+    basis = _linalg.row_lattice_basis(projected)
+    return form_from_matrix(mat_mul(mat_mul(basis, q), transpose(basis)))
 
 
 def cofactor_det(rows):
@@ -505,3 +535,30 @@ def solve_completion(
     for i in reversed(range(len(y))):
         x[i] = y[i] / d[i] - sum(uij * x[j] for j, uij in u[i])
     return x
+
+
+def tau_d_invariant(values):
+    """d of Sigma(values) from Laufer's computation sequence, with no lattice search.
+
+    tau(0) = 0 and tau(n + 1) = tau(n) + 1 - e0 n - sum_i ceil(n w_i / a_i),
+    w_i = -b~_i; then d = (K^2 + m)/4 - 2 min tau, with K^2 = k^T Q^-1 k and
+    k_i = -Q_ii - 2 on the plumbing's form (Nemethi; Can-Karakurt).  Past
+    N = ceil(A (sum_i (1 - 1/a_i) - 1)) + 1 every step is at least
+    1 + n/A - sum_i (1 - 1/a_i) > 0, so the scan stops there.  K^2 comes from
+    one integer solve on the form's elimination, re-checked against its rows.
+    """
+    mult = validate_multiplicities(values)
+    norm = normalize(solve_unnormalized(mult))
+    form = intersection_form(build_plumbing(norm, mult))
+    k = [-x - 2 for i, row in enumerate(form.rows) for j, x in row if j == i]
+    x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
+    assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k))
+    k2 = Fraction(sum(ki * xi for ki, xi in zip(k, x)), det)
+    big_a = mult.product
+    stop = big_a * len(mult.a) - sum(big_a // a for a in mult.a) - big_a + 1
+    omegas = [(-tb, a) for tb, a in zip(norm.tilde_b, mult.a)]
+    tau = lowest = 0
+    for n in range(stop):
+        tau += 1 - norm.e0 * n + sum((-n * w) // a for w, a in omegas)
+        lowest = min(lowest, tau)
+    return (k2 + form.m) / 4 - 2 * lowest

@@ -168,6 +168,14 @@ class TestBatchMode:
         assert doc["A"] == 2310
         assert len(doc["plumbing"]["legs"]) == 5
 
+    def test_positional_tuple_with_batch_is_a_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "batch.txt"
+        f.write_text("2 3 7\n")
+        assert main(["2", "3", "5", "--batch", str(f), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: obstruct")
+
     def test_empty_file(self, tmp_path, capsys):
         f = tmp_path / "empty.txt"
         f.write_text("")

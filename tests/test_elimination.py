@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from seifert_gate import _linalg
 from seifert_gate.lattice import _split_off_units
-from seifert_gate.plumbing import IntersectionForm
-from oracles import cholesky_form, dense, integer_levels, solve_completion
+from oracles import cholesky_form, dense, form_from_matrix, integer_levels, solve_completion
 from test_golden import CORPORA, corpus_certificates
 
 
@@ -61,7 +60,7 @@ def symmetric(draw):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(negative_definite())
 def test_elimination_matches_the_oracle_on_definite_forms(rows):
-    assert_matches_oracle(IntersectionForm.from_matrix(rows))
+    assert_matches_oracle(form_from_matrix(rows))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -74,9 +73,9 @@ def test_elimination_refuses_what_the_oracle_refuses(rows):
         with pytest.raises(ValueError, match="not positive definite"):
             _linalg.eliminate([[(j, x) for j, x in enumerate(row) if x] for row in g])
         with pytest.raises(ValueError, match="negative definite"):
-            IntersectionForm.from_matrix(rows)
+            form_from_matrix(rows)
     else:
-        assert_matches_oracle(IntersectionForm.from_matrix(rows))
+        assert_matches_oracle(form_from_matrix(rows))
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
@@ -89,5 +88,5 @@ def test_elimination_matches_the_oracle_on_the_corpus(name):
 
 def test_rows_are_the_nonzeros_of_q():
     rows = [[-2, 1, 0], [1, -3, 0], [0, 0, -1]]
-    f = IntersectionForm.from_matrix(rows)
+    f = form_from_matrix(rows)
     assert f.rows == [[(0, -2), (1, 1)], [(0, 1), (1, -3)], [(2, -1)]]

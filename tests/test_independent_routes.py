@@ -1,7 +1,8 @@
 """Reports against routes that do not go through the lattice searches.
 
-The torus-knot surgery family has a closed form for d, and every report
-must satisfy the identities that tie its fields together.
+The torus-knot surgery family has a closed form for d, Laufer's computation
+sequence gives d with no search at all, and every report must satisfy the
+identities that tie its fields together.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from seifert_gate import EnumerationCapExceeded, verdict
 from seifert_gate.cli import format_text, report_to_dict
+from oracles import tau_d_invariant
+from test_golden import CORPORA
 
 CAP = 3 * 10**4
 
@@ -59,6 +62,26 @@ def test_torus_knot_family_matches_the_closed_form():
         assert report.d_inv == expected, triple
         matched += 1
     assert matched >= 156
+
+
+def test_computation_sequence_matches_the_closed_form():
+    # all 186, the 30 whose lattice search reaches the cap included
+    for triple, expected in torus_family():
+        assert tau_d_invariant(triple) == expected, triple
+
+
+def test_computation_sequence_matches_verdict_on_the_corpus():
+    # the golden corpus holds every triple the census draws from
+    tuples = sorted({t for ts in CORPORA.values() for t in ts})
+    assert len(tuples) == 110
+    capped = []
+    for values in tuples:
+        d = tau_d_invariant(values)
+        try:
+            assert verdict(values, cap=CAP).d_inv == d, values
+        except EnumerationCapExceeded:
+            capped.append((values, d))
+    assert capped == [((5, 8, 13), 4)]
 
 
 COPRIME_TRIPLES = [

@@ -3,7 +3,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,6 @@ from seifert_gate import lattice, obstruction, plumbing
 from seifert_gate.seifert import normalize, solve_unnormalized
 from seifert_gate.plumbing import (
     MAX_SEARCH_RANK,
-    IntersectionForm,
     build_plumbing,
     intersection_form,
 )
@@ -40,8 +40,10 @@ from oracles import (
     box_norm_minus_one,
     brute_force_sharp_max,
     cholesky_form,
+    complement_by_gram,
     dense,
     dense_cholesky,
+    form_from_matrix,
     gauss_inverse,
     integer_levels,
     mat_mul,
@@ -61,7 +63,7 @@ def d_of(f, cap=lattice.DEFAULT_ENUMERATION_CAP):
 
 
 def minus_identity(n):
-    return IntersectionForm.from_matrix([[-int(i == j) for j in range(n)] for i in range(n)])
+    return form_from_matrix([[-int(i == j) for j in range(n)] for i in range(n)])
 
 
 E8 = form_for((2, 3, 5))
@@ -70,14 +72,14 @@ DIAGONALIZABLE_SMALL = [(2, 3, 7), (2, 3, 13), (3, 4, 5), (2, 5, 7), (2, 3, 19),
 
 class TestNormMinusOneVectors:
     def test_rank_one(self):
-        f = IntersectionForm.from_matrix([[-1]])
+        f = form_from_matrix([[-1]])
         assert norm_minus_one_vectors(f) == [(1,)]
 
     def test_e8_has_none(self):
         assert norm_minus_one_vectors(E8) == []
 
     def test_diagonal_rank_two(self):
-        f = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
+        f = form_from_matrix([[-1, 0], [0, -1]])
         assert norm_minus_one_vectors(f) == [(1, 0), (0, 1)]
 
     def test_norms_and_sign_normalization(self):
@@ -107,7 +109,7 @@ class TestNormMinusOneVectors:
     )
     def test_matches_box_enumeration_with_half_integer_centres(self, rows):
         # a completion entry of 1/2 puts some level's centre on a rounding tie
-        f = IntersectionForm.from_matrix(rows)
+        f = form_from_matrix(rows)
         assert abs(f.det) == 1
         completion = cholesky_form([[-x for x in row] for row in rows])
         assert any(x.denominator == 2 for row in completion[1] for _, x in row)
@@ -115,7 +117,7 @@ class TestNormMinusOneVectors:
         assert norm_minus_one_vectors(f) == box_norm_minus_one(rows)
 
     def test_box_enumeration_diagonal(self):
-        f = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
+        f = form_from_matrix([[-1, 0], [0, -1]])
         assert norm_minus_one_vectors(f) == box_norm_minus_one([[-1, 0], [0, -1]])
 
     def test_cap_is_enforced(self):
@@ -128,7 +130,7 @@ class TestNormMinusOneVectors:
     def test_rejects_indefinite(self):
         # no indefinite form exists to search
         with pytest.raises(ValueError, match="negative definite"):
-            IntersectionForm.from_matrix([[1, 0], [0, -1]])
+            form_from_matrix([[1, 0], [0, -1]])
 
 
 class TestDiagonalize:
@@ -149,7 +151,7 @@ class TestDiagonalize:
         assert len(cert.units) == 0
 
     def test_diagonal_gives_identity(self):
-        f = IntersectionForm.from_matrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+        f = form_from_matrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
         cert = diagonalize(f)
         assert cert.present
         assert cert.E == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -166,12 +168,12 @@ class TestDiagonalize:
         assert len(cert.units) == 3
 
     def test_rejects_non_unimodular(self):
-        f = IntersectionForm.from_matrix([[-2]])
+        f = form_from_matrix([[-2]])
         with pytest.raises(ValueError):
             diagonalize(f)
 
 
-MINUS_I2 = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
+MINUS_I2 = form_from_matrix([[-1, 0], [0, -1]])
 
 
 class TestCertificateCheck:
@@ -191,7 +193,7 @@ class TestCertificateCheck:
             (MINUS_I2, ((1, 0), (1, 0))),  # repeated
             (MINUS_I2, ((1, 0), (-1, 0))),  # with its negative
             (MINUS_I2, ((1,),)),  # short
-            (IntersectionForm.from_matrix([[-2, 1], [1, -2]]), ()),  # det 3
+            (form_from_matrix([[-2, 1], [1, -2]]), ()),  # det 3
         ],
         ids=["rational", "float", "norm-2", "repeated", "negated", "short", "det-3"],
     )
@@ -202,7 +204,7 @@ class TestCertificateCheck:
     def test_no_form_exists_where_cauchy_schwarz_fails(self):
         # on diag(-1, -1, 1), (1, 0, 0) and (1, 1, 1) have norm -1 and pair to -1
         with pytest.raises(ValueError, match="negative definite"):
-            IntersectionForm.from_matrix(((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
+            form_from_matrix(((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
 
 
 class TestDualClass:
@@ -219,11 +221,11 @@ class TestDualClass:
 
 class TestMaxSharpPairing:
     def test_rank_one(self):
-        f = IntersectionForm.from_matrix([[-1]])
+        f = form_from_matrix([[-1]])
         assert max_sharp_pairing(diagonalize(f), dual_class(f)) == 1
 
     def test_diagonal_rank_two(self):
-        f = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
+        f = form_from_matrix([[-1, 0], [0, -1]])
         assert max_sharp_pairing(diagonalize(f), dual_class(f)) == 1
 
     def test_2_3_7_value(self):
@@ -260,7 +262,7 @@ class TestMaxSharpPairing:
 
 class TestDInvariant:
     def test_rank_one(self):
-        assert d_of(IntersectionForm.from_matrix([[-1]])) == 0
+        assert d_of(form_from_matrix([[-1]])) == 0
 
     def test_e8_value(self):
         assert d_of(E8) == 2
@@ -281,7 +283,7 @@ class TestDInvariant:
         ],
     )
     def test_small_forms_match_box_search(self, rows):
-        f = IntersectionForm.from_matrix(rows)
+        f = form_from_matrix(rows)
         if abs(f.det) == 1:
             assert d_of(f) == box_d_invariant(rows)
 
@@ -305,7 +307,7 @@ class TestDInvariant:
             assert d_of(f) == direct
 
     def test_rejects_non_unimodular(self):
-        f = IntersectionForm.from_matrix([[-2, 1], [1, -2]])
+        f = form_from_matrix([[-2, 1], [1, -2]])
         with pytest.raises(ValueError):
             d_invariant(DiagonalizationCertificate(form=f, units=(), nodes=0))
 
@@ -337,6 +339,24 @@ class TestDInvariant:
     def test_value_is_a_fraction(self, f):
         # k == m, 0 < k < m and k == 0 units; the golden corpus prints 2.0 as 2
         assert type(d_of(f)) is Fraction
+
+    def test_complement_rows_equal_the_dense_gram_route(self):
+        # every pairwise-coprime triple of range(2, 30) with 0 < k < m units; the
+        # census draws its triples from range(2, 16), so it is covered too
+        seen = 0
+        for a in combinations(range(2, 30), 3):
+            if any(gcd(x, y) > 1 for x, y in combinations(a, 2)):
+                continue
+            f = form_for(a)
+            units = diagonalize(f).units
+            if not 0 < len(units) < f.m:
+                continue
+            sub, expected = _split_off_units(f, units), complement_by_gram(f, units)
+            assert (sub.rows, sub.det, sub.elimination, sub.levels) == (
+                expected.rows, expected.det, expected.elimination, expected.levels
+            ), a
+            seen += 1
+        assert seen == 369
 
 
 # Fewest search nodes each call needs.  The search must visit exactly these
@@ -386,7 +406,7 @@ class TestSearchIsPinned:
 
     def test_certificate_of_an_equal_form_is_reused(self):
         f = form_for((2, 3, 23))
-        copy = IntersectionForm.from_matrix(dense(f))
+        copy = form_from_matrix(dense(f))
         assert copy is not f
         assert d_invariant(diagonalize(copy)) == d_of(f) == 2
 
@@ -525,15 +545,19 @@ u = diagonalize(f).units[0]
 refuse("forged certificate", ValueError, certificate, f, (u, u))
 # E's first row has squared norm 78 = -D.D; a dual class claiming D.D = -77 is refused
 refuse("forged dual class", CertificateViolation, max_sharp_pairing, diagonalize(f), Fraction(-77))
-minus_i2 = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
+minus_i2 = IntersectionForm(rows=[[(0, -1)], [(1, -1)]])
 rational = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
 refuse("rational units", ValueError, certificate, minus_i2, rational)
-refuse("det 3 certificate", ValueError, certificate, IntersectionForm.from_matrix([[-2, 1], [1, -2]]), ())
-refuse("indefinite form", ValueError, IntersectionForm.from_matrix, [[1, 0], [0, -1]])
-for rows in ([[-2, 1], [0, -2]], [[-1, 0]]):
-    refuse(f"malformed matrix {rows}", ValueError, IntersectionForm.from_matrix, rows)
-rank_901 = [[-int(i == j) for j in range(901)] for i in range(901)]
-refuse("rank 901", RankTooLarge, IntersectionForm.from_matrix, rank_901)
+refuse("det 3 certificate", ValueError, certificate, IntersectionForm(rows=[[(0, -2), (1, 1)], [(0, 1), (1, -2)]]), ())
+refuse("indefinite form", ValueError, IntersectionForm, [[(0, 1)], [(1, -1)]])
+for rows in (
+    [[(0, -2), (1, 1)], [(1, -2)]],  # not symmetric
+    [[(0, -1), (1, 0)]],  # a zero entry, in a column past the last row
+    [[(0, -3), (1, 1), (1, 1)], [(0, 1), (0, 1), (1, -3)]],  # a mirrored duplicate column
+    [[(1, 1), (0, -2)], [(0, 1), (1, -2)]],  # unsorted
+):
+    refuse(f"malformed rows {rows}", ValueError, IntersectionForm, rows)
+refuse("rank 901", RankTooLarge, IntersectionForm, [[(i, -1)] for i in range(901)])
 refuse("forged twist bound", CertificateViolation, TwistBound, A=10, tw_min=5)
 refuse("twist_lower_bound(0)", ValueError, twist_lower_bound, 0)
 refuse("empty leg", ValueError, PlumbingGraph, -1, ((-2,), ()))

@@ -27,6 +27,7 @@ from oracles import (
     cofactor_det,
     dense,
     dense_intersection_matrix,
+    form_from_matrix,
     fraction_neg_cf,
     gauss_inverse,
     random_coprime_tuples,
@@ -137,10 +138,10 @@ class TestBuildPlumbing:
 class TestIntersectionForm:
     @pytest.mark.parametrize("name", sorted(CORPORA))
     def test_tree_form_equals_the_dense_route(self, name):
-        # the O(m) rows from the tree against from_matrix of the dense matrix
+        # the O(m) rows from the tree against the form of the dense matrix
         for values in CORPORA[name]:
             g = graph_for(values)
-            f, dense = intersection_form(g), IntersectionForm.from_matrix(dense_intersection_matrix(g))
+            f, dense = intersection_form(g), form_from_matrix(dense_intersection_matrix(g))
             assert f == dense
             assert (f.rows, f.det, f.elimination, f.levels) == (
                 dense.rows, dense.det, dense.elimination, dense.levels
@@ -195,7 +196,7 @@ class TestIntersectionForm:
             dense(complement_for((2, 3, 23))),
         ]
         for rows in forms:
-            f = IntersectionForm.from_matrix(rows)
+            f = form_from_matrix(rows)
             assert f.det == cofactor_det(rows)
 
     def test_det_equals_h1_up_to_sign(self):
@@ -204,7 +205,7 @@ class TestIntersectionForm:
             assert abs(form_for(t).det) == 1
 
     def test_from_matrix_definiteness(self):
-        f = IntersectionForm.from_matrix([[-1, 0], [0, -1]])
+        f = form_from_matrix([[-1, 0], [0, -1]])
         assert f.det == 1 and f.levels == (1, [(1, 1, []), (1, 1, [])])
 
     @pytest.mark.parametrize(
@@ -217,7 +218,23 @@ class TestIntersectionForm:
     )
     def test_from_matrix_rejects_malformed_matrices(self, rows, reason):
         with pytest.raises(ValueError, match=reason):
-            IntersectionForm.from_matrix(rows)
+            form_from_matrix(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # a mirrored duplicate column: set-wise symmetric, and read as Q_01 = 2
+            # by the searches but eliminated with Q_01 = 1
+            [[(0, -3), (1, 1), (1, 1)], [(0, 1), (0, 1), (1, -3)]],
+            # unsorted, but otherwise a symmetric definite form
+            [[(1, 1), (0, -2)], [(0, 1), (1, -2)]],
+            [[(0, -2), (1, 0)], [(1, -2)]],
+        ],
+        ids=["duplicate", "unsorted", "zero"],
+    )
+    def test_rows_it_would_misread_are_rejected(self, rows):
+        with pytest.raises(ValueError, match="strictly increasing columns"):
+            IntersectionForm(rows=rows)
 
 
 class TestInverseEntry:
@@ -243,14 +260,14 @@ class TestInverseEntry:
         assert abs(f.det) == 1
         assert dual_class(f) == -2 * 3 * 1661
 
-    # dual_class needs an invertible negative definite form; from_matrix is
-    # where any other matrix is turned away, before a solve is attempted
+    # dual_class needs an invertible negative definite form; building the form
+    # turns any other matrix away, before a solve is attempted
     def test_singular_rejected(self):
         with pytest.raises(ValueError, match="negative definite"):
-            IntersectionForm.from_matrix([[0]])
+            form_from_matrix([[0]])
 
     def test_not_negative_definite_rejected(self):
         # indefinite with a zero diagonal, indefinite
         for rows in ([[0, 1], [1, 0]], [[1, 0], [0, -1]]):
             with pytest.raises(ValueError, match="negative definite"):
-                IntersectionForm.from_matrix(rows)
+                form_from_matrix(rows)

@@ -25,10 +25,10 @@ from seifert_gate.lattice import (
     _fixed_norm_enumeration,
     _split_off_units,
 )
-from seifert_gate.plumbing import IntersectionForm, build_plumbing, intersection_form
+from seifert_gate.plumbing import build_plumbing, intersection_form
 from seifert_gate.seifert import normalize, solve_unnormalized
 import oracles
-from oracles import Budget, fraction_coset_minimum, fraction_norm_enumeration
+from oracles import Budget, form_from_matrix, fraction_coset_minimum, fraction_norm_enumeration
 from test_golden import CORPORA
 
 
@@ -167,6 +167,6 @@ TIE_ORDER = (
 
 
 def test_coset_search_breaks_ties_as_the_oracle_does():
-    f = IntersectionForm.from_matrix(TIE_ORDER)
+    f = form_from_matrix(TIE_ORDER)
     expected = oracle_outcome(fraction_coset_minimum, f, 10**4)
     assert outcome(_coset_minimum, f, 10**4) == expected == (1, 476)

@@ -109,7 +109,7 @@ class TestNormalize:
             norm = normalize(p)
             big_a = m.product
             assert sum(norm.r) + norm.e0 + Fraction(1, big_a) == 0
-            assert -(m.n - 1) <= norm.e0 <= -1
+            assert -(len(m.a) - 1) <= norm.e0 <= -1
             for aj, bj, tb in zip(m.a, p.coefficients, norm.tilde_b):
                 assert -aj < tb < 0
                 assert (tb - bj) % aj == 0
