@@ -13,9 +13,9 @@ from typing import Sequence
 # pivots[i] the nonzero (j, N_ij), j > i, of row i of G after i fraction-free
 # steps, whose diagonal entry N_ii is minors[i + 1]
 Elimination = tuple[list[int], list[list[tuple[int, int]]]]
-# (scale, levels), level i being (den_i, c_i, U_i), with
-# scale * x^T G x = sum_i c_i * (den_i x_i + sum_{(j, U_ij) in U_i} U_ij x_j)^2
-IntegerLevels = tuple[int, list[tuple[int, int, list[tuple[int, int]]]]]
+# (scale, dens, cs, cols, coefs), per-level arrays with
+# scale * x^T G x = sum_i cs[i] * (dens[i] x_i + sum_j coefs[i][j] x_{cols[i][j]})^2
+IntegerLevels = tuple[int, list[int], list[int], list[list[int]], list[list[int]]]
 
 
 def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -83,15 +83,17 @@ def scaled_levels(elimination: Elimination) -> IntegerLevels:
     (minors[i] minors[i+1]); scale is the lcm of these weights' denominators.
     """
     minors, pivots = elimination
-    rows, weights = [], []
+    weights, dens, cols, coefs = [], [], [], []
     for i, row in enumerate(pivots):
         g = gcd(minors[i + 1], *(x for _, x in row))
         num, q = g * g, minors[i] * minors[i + 1]
         t = gcd(num, q)
         weights.append((num // t, q // t))
-        rows.append((minors[i + 1] // g, [(j, x // g) for j, x in row]))
+        dens.append(minors[i + 1] // g)
+        cols.append([j for j, _ in row])
+        coefs.append([x // g for _, x in row])
     scale = lcm(*(q for _, q in weights))
-    return scale, [(den, num * (scale // q), row) for (den, row), (num, q) in zip(rows, weights)]
+    return scale, dens, [num * (scale // q) for num, q in weights], cols, coefs
 
 
 def solve(elimination: Elimination, rhs: Sequence[int]) -> tuple[list[int], int]:

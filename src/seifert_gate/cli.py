@@ -18,7 +18,6 @@ import os
 import sys
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import ceil
@@ -33,7 +32,7 @@ from .families import mp_family, mpl_family, transverse_contact_exists
 from .lattice import DEFAULT_ENUMERATION_CAP
 from .obstruction import ObstructionReport, verdict
 
-__all__ = ["RunConfig", "report_to_dict", "format_text", "main", "entry"]
+__all__ = ["report_to_dict", "format_text", "main", "entry"]
 
 MIN_CAP = 10**3
 EXIT_STDOUT_CLOSED = 141
@@ -46,21 +45,6 @@ EXIT_STDOUT_CLOSED = 141
 CHUNKSIZE = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the single and batch modes."""
-
-    cap: int
-    jobs: int = 1
-    json_output: bool = False
-
-    def __post_init__(self) -> None:
-        if self.cap < MIN_CAP:
-            raise InvalidParameter(f"cap must be >= {MIN_CAP}, got {self.cap}")
-        if self.jobs < 1:
-            raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
-
-
 def _q(value: Fraction | int) -> dict[str, str]:
     f = Fraction(value)
     return {"num": str(f.numerator), "den": str(f.denominator)}
@@ -69,7 +53,6 @@ def _q(value: Fraction | int) -> dict[str, str]:
 def report_to_dict(report: ObstructionReport) -> dict[str, Any]:
     """Flatten a report into the stable JSON schema (fixed key order)."""
     tau = report.tau
-    tw_min = report.twist_bound.tw_min
     cert = report.twist_certificate
     out: dict[str, Any] = {
         "input": list(report.multiplicities.a),
@@ -90,12 +73,12 @@ def report_to_dict(report: ObstructionReport) -> dict[str, Any]:
         out["E"] = [list(row) for row in report.certificate.E]
         out["P"] = tau.P
     out["d_invariant"] = _q(report.d_inv)
-    out["tw_min"] = tw_min
+    out["tw_min"] = report.twist_bound.tw_min
     out["smooth_tau_upper"] = {
         "paper_form": _q(tau.smooth_tau_upper_paper),
         "sharp_form": _q(tau.smooth_tau_upper_sharp) if tau.P is not None else None,
     }
-    out["contact_tau_lower_at_tw_min"] = _q(tau.contact_tau_lower_at(tw_min))
+    out["contact_tau_lower_at_tw_min"] = _q(tau.contact_tau_lower_at_tw_min)
     if report.gap_lower is not None:
         out["gap_lower"] = _q(report.gap_lower)
     out["twist_certificate"] = {
@@ -174,22 +157,6 @@ def format_text(d: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _evaluate_tuple(payload: tuple[tuple[int, ...], int]) -> tuple[dict[str, Any], bool]:
-    """The report dict or any exception as the line's error, and whether that
-    error is not one of the package's own."""
-    values, cap = payload
-    try:
-        return report_to_dict(verdict(values, cap=cap)), False
-    except Exception as exc:
-        unexpected = not isinstance(exc, SeifertGateError)
-        if unexpected:
-            import traceback
-
-            traceback.print_exc()
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        return {"input": list(values), "error": error}, unexpected
-
-
 class _Line(NamedTuple):
     """A batch line as printed, with what the batch summary counts of it."""
 
@@ -200,13 +167,20 @@ class _Line(NamedTuple):
 
 
 def _render_tuple(values: tuple[int, ...], cap: int, json_output: bool) -> _Line:
-    """Batch worker: evaluate one tuple and render its line in the worker, so
-    only the finished string crosses back to the printing process."""
-    d, unexpected = _evaluate_tuple((values, cap))
-    text = _render(d, json_output, compact=True)
-    if "error" in d:
-        return _Line(text, d["error"]["type"], None, unexpected)
-    return _Line(text, d["verdict"], d["elapsed_ms"], False)
+    """Batch worker: evaluate one tuple and render its line, any exception as
+    its error, so only the finished string crosses back to the printer."""
+    try:
+        d = report_to_dict(verdict(values, cap=cap))
+        outcome, elapsed_ms, unexpected = d["verdict"], d["elapsed_ms"], False
+    except Exception as exc:
+        unexpected = not isinstance(exc, SeifertGateError)
+        if unexpected:
+            import traceback
+
+            traceback.print_exc()
+        outcome, elapsed_ms = type(exc).__name__, None
+        d = {"input": list(values), "error": {"type": outcome, "message": str(exc)}}
+    return _Line(_render(d, json_output, compact=True), outcome, elapsed_ms, unexpected)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -258,16 +232,16 @@ def _render(d: dict[str, Any], json_output: bool, compact: bool = False) -> str:
     return format_text(d)
 
 
-def _run_single(values: Sequence[int], config: RunConfig) -> int:
+def _run_single(values: Sequence[int], cap: int, json_output: bool) -> int:
     try:
-        report = verdict(tuple(values), cap=config.cap)
+        report = verdict(tuple(values), cap=cap)
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SeifertGateError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(_render(report_to_dict(report), config.json_output), flush=True)
+    print(_render(report_to_dict(report), json_output), flush=True)
     return 0
 
 
@@ -309,7 +283,7 @@ def _batch_summary(verdicts: Counter[str], errors: Counter[str], reused: int, el
     return f"batch: {lines} lines, {reused} reused; verdicts: {counts(verdicts)}; errors: {counts(errors)}; {timing}"
 
 
-def _run_batch(path: str, config: RunConfig) -> int:
+def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
@@ -331,7 +305,7 @@ def _run_batch(path: str, config: RunConfig) -> int:
                 "raw": raw.rstrip("\n"),
                 "error": {"type": "ParseError", "message": "not a whitespace-separated integer tuple"},
             }
-            entries.append(_Line(_render(record, config.json_output, compact=True), "ParseError", None, False))
+            entries.append(_Line(_render(record, json_output, compact=True), "ParseError", None, False))
             continue
         if parsed is None:
             continue
@@ -340,10 +314,10 @@ def _run_batch(path: str, config: RunConfig) -> int:
     # A report depends only on (tuple, cap), so each distinct tuple is
     # evaluated once, in order of first use, and a repeat prints its line again.
     distinct = list(last_use)
-    evaluate = partial(_render_tuple, cap=config.cap, json_output=config.json_output)
+    evaluate = partial(_render_tuple, cap=cap, json_output=json_output)
     # The pool starts all its workers at the first submit, so it gets no more
     # than there are CPUs and distinct tuples.
-    workers = min(config.jobs, len(distinct), os.cpu_count() or 1)
+    workers = min(jobs, len(distinct), os.cpu_count() or 1)
     verdicts: Counter[str] = Counter()
     errors: Counter[str] = Counter()
     elapsed: list[float] = []
@@ -445,18 +419,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        config = RunConfig(cap=args.cap, jobs=args.jobs, json_output=args.json)
-    except InvalidParameter as exc:
-        print(f"error: InvalidParameter: {exc}", file=sys.stderr)
-        return 2
+    for name, value, least in (("cap", args.cap, MIN_CAP), ("jobs", args.jobs, 1)):
+        if value < least:
+            print(f"error: InvalidParameter: {name} must be >= {least}, got {value}", file=sys.stderr)
+            return 2
     if bool(args.batch) == bool(args.multiplicities):  # a tuple or --batch, not both
         parser.print_usage(sys.stderr)
         return 2
     try:
         if args.batch:
-            return _run_batch(args.batch, config)
-        return _run_single(args.multiplicities, config)
+            return _run_batch(args.batch, args.cap, args.jobs, args.json)
+        return _run_single(args.multiplicities, args.cap, args.json)
     except BrokenPipeError:
         # The reader closed stdout early, as `head` does: write nothing more,
         # not even the flush at interpreter exit.

@@ -14,10 +14,10 @@ assembly between them:
   boundary under the sharpness hypothesis.
 
 Both searches read form.levels, that completion scaled to integers from the
-form's one fraction-free elimination, so every level is compared in integers
-and no Fraction arithmetic runs inside them.  Each is one loop over per-level
-arrays, with no recursion and no call per node; it counts its nodes in a
-local integer against the cap and returns the count with its result.
+form's one fraction-free elimination and kept as the per-level arrays (scale,
+dens, cs, cols, coefs), so no Fraction arithmetic runs inside them.  Each is
+one loop over those arrays, with no recursion and no call per node; it counts
+its nodes in a local integer against the cap and returns them with its result.
 
 Forms are negative definite and of rank at most plumbing.MAX_SEARCH_RANK,
 and certificates unimodular, by construction: the entry points check nothing.
@@ -106,12 +106,6 @@ def _exceeded(cap: int) -> EnumerationCapExceeded:
     return EnumerationCapExceeded(f"lattice search exceeded {cap} nodes")
 
 
-def _split_levels(levels: _linalg.IntegerLevels) -> tuple[Sequence[int], Sequence[int], list[list[int]], list[list[int]]]:
-    """(den_i, c_i, columns of U_i, entries of U_i) per level, as parallel lists."""
-    dens, cs, rows = zip(*levels[1])
-    return dens, cs, [[j for j, _ in row] for row in rows], [[u for _, u in row] for row in rows]
-
-
 def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tuple[int, ...]], int]:
     """Bounded search for all v with v^T Q v = -1, one per +-pair, and the nodes it spent.
 
@@ -125,8 +119,7 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
     den_0 x_0 + s = +-r, when c_0 r^2 = R.
     """
     m = form.m
-    scale = form.levels[0]
-    dens, cs, cols, coefs = _split_levels(form.levels)
+    scale, dens, cs, cols, coefs = form.levels
     used = 0
     found: list[tuple[int, ...]] = []
     x = [0] * m
@@ -305,8 +298,7 @@ def _coset_minimum(form: IntersectionForm, cap: int, used: int = 0) -> tuple[Fra
     the minimum with the node count, which starts at used.
     """
     m = form.m
-    scale = form.levels[0]
-    dens, cs, cols, coefs = _split_levels(form.levels)
+    scale, dens, cs, cols, coefs = form.levels
     parity = _characteristic_parity(form)
     best = scale * _greedy_descent(form, parity[:])[1]
     x = [0] * m

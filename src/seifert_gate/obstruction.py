@@ -111,9 +111,10 @@ class TauBounds:
             return None
         return Fraction(self.A - self.P, 2)
 
-    def contact_tau_lower_at(self, tw: int) -> Fraction:
-        """(tw + A + 1) / 2."""
-        return Fraction(tw + self.A + 1, 2)
+    @property
+    def contact_tau_lower_at_tw_min(self) -> Fraction:
+        """(tw_min + A + 1) / 2, the lower bound at the least admissible twist."""
+        return Fraction(twist_lower_bound(self.A) + self.A + 1, 2)
 
 
 def tau_gap_lower(big_a: int, p: int | None) -> int:
@@ -140,22 +141,25 @@ def fiber_boundary_slope(a: int, b: int, u: int, v: int, k: int) -> Fraction:
 class TwistCertificate:
     """Balanced twist data for the first n-1 singular fibers, with named checks.
 
-    indices is the 1-based fiber subset I; d is the common value a_i*k_i + u_i
-    (the largest negative solution of the congruences); checks record the
-    slope inequalities that were verified.  Failures are data, not errors.
+    indices are the fibers 1..n-1 (I) of the twists k_i; d is the common value
+    a_i*k_i + u_i (the largest negative solution of the congruences); checks
+    record the slope inequalities verified.  Failures are data, not errors.
     Both checks follow from the gluing identity a_i*v_i - b_i*u_i = 1, which
     gives s_tcr - sum_{i<n} b_i/a_i = (sum_{i<n} 1/a_i - (n - 2))/d and the
     last fiber's margin (see verify_twist_chain), so on gluing data that
     satisfies it all_checks_pass guards the slope arithmetic, not the input.
     """
 
-    indices: tuple[int, ...]
     d: int
     k: tuple[int, ...]
     slopes: tuple[Fraction, ...]
     s_tcr: Fraction
     vertical_twist: int
     checks: tuple[tuple[str, bool], ...]
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(range(1, len(self.k) + 1))
 
     @property
     def all_checks_pass(self) -> bool:
@@ -172,42 +176,36 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
     return x % total
 
 
-def balanced_twists(
-    p: SeifertPresentation, g: GluingData, indices: Iterable[int]
-) -> tuple[int, tuple[int, ...]]:
-    """Largest negative d with d = u_i mod a_i on the index set, and the twists k_i.
+def balanced_twists(p: SeifertPresentation, g: GluingData) -> tuple[int, tuple[int, ...]]:
+    """Largest negative d with d = u_i mod a_i for the first n-1 fibers, and their twists k_i.
 
-    indices are at least two 1-based fiber numbers (InvalidRange otherwise).
     The k_i = (d - u_i)/a_i are integers <= -1, so a_i*k_i + u_i = d;
     CertificateViolation if not.
     """
-    idx = tuple(indices)
-    if len(idx) < 2 or not all(1 <= i <= len(p.pairs) for i in idx):
-        raise InvalidRange(f"need at least two fiber numbers in 1..{len(p.pairs)}, got {idx}")
-    moduli = [p.pairs[i - 1][0] for i in idx]
-    residues = [g.u[i - 1] for i in idx]
+    moduli = [a for a, _ in p.pairs[:-1]]
+    residues = g.u[: len(moduli)]
     x = _crt(residues, moduli)
     modulus = prod(moduli)
     if not 0 < x < modulus:
         raise CertificateViolation("0 < u_i < a_i forces a nonzero residue")
     d = x - modulus
     ks = []
-    for i in idx:
-        ki, rem = divmod(d - g.u[i - 1], p.pairs[i - 1][0])
+    for i, (a, u) in enumerate(zip(moduli, residues), start=1):
+        ki, rem = divmod(d - u, a)
         if rem != 0 or ki > -1:
             raise CertificateViolation(f"d = {d} gives no twist k_{i} <= -1 with a_i*k_i + u_i = d")
         ks.append(ki)
     return d, tuple(ks)
 
 
-def cut_and_round_slope(s: Sequence[Fraction], d: int, n: int) -> Fraction:
+def cut_and_round_slope(s: Sequence[Fraction], d: int) -> Fraction:
     """Slope after cutting along the n-1 vertical annuli and rounding: sum(s) - (n-2)/d.
 
-    InvalidRange unless there are n-1 slopes and d < 0.
+    s holds the slopes of the first n-1 fibers.  InvalidRange unless d < 0.
     """
-    if len(s) != n - 1 or d >= 0:
-        raise InvalidRange(f"need {n - 1} slopes and d < 0, got {len(s)} slopes and d = {d}")
-    return sum(s, Fraction(0)) - Fraction(n - 2, d)
+    if d >= 0:
+        raise InvalidRange(f"need d < 0, got d = {d}")
+    return sum(s, Fraction(0)) - Fraction(len(s) - 1, d)
 
 
 def verify_twist_chain(p: SeifertPresentation, g: GluingData) -> TwistCertificate:
@@ -228,23 +226,20 @@ def verify_twist_chain(p: SeifertPresentation, g: GluingData) -> TwistCertificat
     existence of a Legendrian achieving it is contact-geometric input, not
     something this arithmetic certifies.
     """
-    n = len(p.pairs)
-    indices = tuple(range(1, n))
-    d, ks = balanced_twists(p, g, indices)
+    d, ks = balanced_twists(p, g)
     slopes = tuple(
         fiber_boundary_slope(a, b, u, v, k) for (a, b), u, v, k in zip(p.pairs, g.u, g.v, ks)
     )
-    s_tcr = cut_and_round_slope(slopes, d, n)
-    singular_sum = sum((Fraction(b, a) for a, b in p.pairs[: n - 1]), Fraction(0))
-    an, bn = p.pairs[n - 1]
-    last_bound = 1 - Fraction(bn, an) >= -fiber_boundary_slope(an, bn, g.u[n - 1], g.v[n - 1], -1)
+    s_tcr = cut_and_round_slope(slopes, d)
+    singular_sum = sum((Fraction(b, a) for a, b in p.pairs[:-1]), Fraction(0))
+    an, bn = p.pairs[-1]
+    last_bound = 1 - Fraction(bn, an) >= -fiber_boundary_slope(an, bn, g.u[-1], g.v[-1], -1)
     return TwistCertificate(
-        indices=indices,
         d=d,
         k=ks,
         slopes=slopes,
         s_tcr=s_tcr,
-        vertical_twist=-prod(a for a, _ in p.pairs[: n - 1]),
+        vertical_twist=-prod(a for a, _ in p.pairs[:-1]),
         checks=(
             ("tcr_slope_dominates_singular_sum", s_tcr >= singular_sum),
             ("last_fiber_slope_bound_k<=-1", last_bound),

@@ -60,7 +60,7 @@ class IntersectionForm:
     fraction-free elimination of -Q in index order (_linalg.eliminate) finds
     every pivot positive, so no other form exists.
     det Q is (-1)^m times its last minor; the solves with Q read elimination,
-    and both lattice searches levels, its square completion scaled to integers.
+    both searches levels, its integer square completion as per-level arrays.
     """
 
     rows: list[list[tuple[int, int]]]

@@ -506,17 +506,17 @@ def integer_levels(completion: Completion) -> IntegerLevels:
     an integer row and d_i (x_i + shift)^2 = (d_i / den_i^2)(den_i x_i + S)^2
     with S = U_i . x an integer; scale is the lcm of the denominators of the
     d_i / den_i^2, and c_i = scale * d_i / den_i^2.  A search then compares
-    every level's term with its budget, times scale, in integers.
+    every level's term with its budget, times scale, in integers.  Returned
+    as form.levels holds them: (scale, dens, cs, columns of U, entries of U).
     """
     d, u = completion
     dens = [lcm(*(x.denominator for _, x in row)) for row in u]
     weights = [di / (den * den) for di, den in zip(d, dens)]
     scale = lcm(*(w.denominator for w in weights))
-    levels = [
-        (den, int(w * scale), [(j, int(x * den)) for j, x in row])
-        for den, w, row in zip(dens, weights, u)
-    ]
-    return scale, levels
+    cs = [int(w * scale) for w in weights]
+    cols = [[j for j, _ in row] for row in u]
+    coefs = [[int(x * den) for _, x in row] for den, row in zip(dens, u)]
+    return scale, dens, cs, cols, coefs
 
 
 def solve_completion(
@@ -537,15 +537,42 @@ def solve_completion(
     return x
 
 
-def tau_d_invariant(values):
-    """d of Sigma(values) from Laufer's computation sequence, with no lattice search.
+def tau_steps(norm, a, stop):
+    """Delta(n) = 1 - e0 n - sum_i ceil(n w_i / a_i), w_i = -b~_i, for 0 <= n < stop.
 
-    tau(0) = 0 and tau(n + 1) = tau(n) + 1 - e0 n - sum_i ceil(n w_i / a_i),
-    w_i = -b~_i; then d = (K^2 + m)/4 - 2 min tau, with K^2 = k^T Q^-1 k and
-    k_i = -Q_ii - 2 on the plumbing's form (Nemethi; Can-Karakurt).  Past
+    The steps of Laufer's computation sequence, tau(n + 1) = tau(n) + Delta(n),
+    read off normalize's e0 and b~_i and the multiplicities a_i alone.
+    """
+    pairs = list(zip(norm.tilde_b, a))
+    return [1 - norm.e0 * n + sum((n * tb) // ai for tb, ai in pairs) for n in range(stop)]
+
+
+def semigroup_steps(values):
+    """[n in G] - [N0 - n in G] for 0 <= n <= N0 + 1, where G = <qr, pr, pq>.
+
+    N0 = pqr - qr - pr - pq for the triple (p, q, r).  G is sieved for
+    membership: n > 0 is in G exactly when n - g is, for some generator g.
+    """
+    p, q, r = values
+    gens = (q * r, p * r, p * q)
+    top = p * q * r - sum(gens)
+    member = [True] + [False] * (top + 1)
+    for n in range(1, top + 2):
+        member[n] = any(member[n - g] for g in gens if g <= n)
+    return [member[n] - (n <= top and member[top - n]) for n in range(top + 2)]
+
+
+def tau_d_invariant(values):
+    """(d, P) of Sigma(values) from Laufer's computation sequence, with no lattice search.
+
+    tau(0) = 0 and tau(n + 1) = tau(n) + Delta(n) (tau_steps); then
+    d = (K^2 + m)/4 - 2 min tau, with K^2 = k^T Q^-1 k and k_i = -Q_ii - 2 on
+    the plumbing's form (Nemethi; Can-Karakurt), and
+    P = max over the minimizers n of tau of |k.D + 2n|, k.D = (Q^-1 k)_0.  Past
     N = ceil(A (sum_i (1 - 1/a_i) - 1)) + 1 every step is at least
-    1 + n/A - sum_i (1 - 1/a_i) > 0, so the scan stops there.  K^2 comes from
-    one integer solve on the form's elimination, re-checked against its rows.
+    1 + n/A - sum_i (1 - 1/a_i) > 0, so the scan stops there.  K^2 and k.D
+    come from one integer solve on the form's elimination, re-checked against
+    its rows.
     """
     mult = validate_multiplicities(values)
     norm = normalize(solve_unnormalized(mult))
@@ -556,9 +583,7 @@ def tau_d_invariant(values):
     k2 = Fraction(sum(ki * xi for ki, xi in zip(k, x)), det)
     big_a = mult.product
     stop = big_a * len(mult.a) - sum(big_a // a for a in mult.a) - big_a + 1
-    omegas = [(-tb, a) for tb, a in zip(norm.tilde_b, mult.a)]
-    tau = lowest = 0
-    for n in range(stop):
-        tau += 1 - norm.e0 * n + sum((-n * w) // a for w, a in omegas)
-        lowest = min(lowest, tau)
-    return (k2 + form.m) / 4 - 2 * lowest
+    taus = list(itertools.accumulate(tau_steps(norm, mult.a, stop), initial=0))
+    lowest = min(taus)
+    p = max(abs(Fraction(x[0], det) + 2 * n) for n, tau in enumerate(taus) if tau == lowest)
+    return (k2 + form.m) / 4 - 2 * lowest, p

@@ -335,6 +335,19 @@ class TestBatchMode:
         )
 
 
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize(
+    "option, message",
+    [(["--cap", "999"], "cap must be >= 1000, got 999"), (["--jobs", "0"], "jobs must be >= 1, got 0")],
+)
+def test_parameter_errors(tmp_path, capsys, batch, option, message):
+    f = tmp_path / "batch.txt"
+    f.write_text("2 3 5\n")
+    source = ["--batch", str(f)] if batch else ["2", "3", "5"]
+    assert main(source + option) == 2
+    assert capsys.readouterr() == ("", f"error: InvalidParameter: {message}\n")
+
+
 # Repeats, a parse error, a validation error and a cap error at cap 10^3.
 MIXED_BATCH = "2 3 5\n2 3 7  # repeated below\n2 3 five\n2 4 5\n5 7 11 13\n2 3 5\n2  3 7\n2 3 13\n2 4 5\n"
 

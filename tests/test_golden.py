@@ -22,7 +22,7 @@ import pytest
 from seifert_gate import DiagonalizationCertificate, diagonalize, validate_multiplicities
 from seifert_gate.seifert import normalize, solve_unnormalized
 from seifert_gate.plumbing import build_plumbing, intersection_form
-from seifert_gate.cli import _evaluate_tuple
+from seifert_gate.cli import _render_tuple
 from oracles import units_are_orthonormal
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -43,7 +43,8 @@ CORPORA = {
 
 
 def golden_line(values: tuple[int, ...]) -> str:
-    doc, _ = _evaluate_tuple((values, CAP))
+    # the batch worker's compact line, with elapsed_ms taken out
+    doc = json.loads(_render_tuple(values, CAP, json_output=True).text)
     doc.pop("elapsed_ms", None)
     return json.dumps(doc, separators=(",", ":"))
 

@@ -1,7 +1,8 @@
 """Reports against routes that do not go through the lattice searches.
 
 The torus-knot surgery family has a closed form for d, Laufer's computation
-sequence gives d with no search at all, and every report must satisfy the
+sequence gives d and P with no search at all, its steps for three fibers
+follow from the semigroup <qr, pr, pq>, and every report must satisfy the
 identities that tie its fields together.
 """
 
@@ -15,9 +16,10 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert_gate import EnumerationCapExceeded, verdict
+from seifert_gate import EnumerationCapExceeded, validate_multiplicities, verdict
 from seifert_gate.cli import format_text, report_to_dict
-from oracles import tau_d_invariant
+from seifert_gate.seifert import normalize, solve_unnormalized
+from oracles import semigroup_steps, tau_d_invariant, tau_steps
 from test_golden import CORPORA
 
 CAP = 3 * 10**4
@@ -67,7 +69,7 @@ def test_torus_knot_family_matches_the_closed_form():
 def test_computation_sequence_matches_the_closed_form():
     # all 186, the 30 whose lattice search reaches the cap included
     for triple, expected in torus_family():
-        assert tau_d_invariant(triple) == expected, triple
+        assert tau_d_invariant(triple)[0] == expected, triple
 
 
 def test_computation_sequence_matches_verdict_on_the_corpus():
@@ -76,12 +78,40 @@ def test_computation_sequence_matches_verdict_on_the_corpus():
     assert len(tuples) == 110
     capped = []
     for values in tuples:
-        d = tau_d_invariant(values)
+        d = tau_d_invariant(values)[0]
         try:
             assert verdict(values, cap=CAP).d_inv == d, values
         except EnumerationCapExceeded:
             capped.append((values, d))
     assert capped == [((5, 8, 13), 4)]
+
+
+def test_computation_sequence_gives_p_on_the_gap_branch():
+    # every diagonalizable corpus tuple (the gap ladder included) and the
+    # torus-knot triples with d = 0; (97, 98, 99) is left out, its scan is slow
+    tuples = {t for ts in CORPORA.values() for t in ts}
+    tuples |= {triple for triple, expected in torus_family() if expected == 0}
+    checked = 0
+    for values in sorted(tuples):
+        try:
+            report = verdict(values, cap=CAP)
+        except EnumerationCapExceeded:
+            continue
+        if report.certificate.present:
+            assert tau_d_invariant(values) == (0, report.tau.P), values
+            checked += 1
+    assert checked == 146
+
+
+def test_three_fiber_steps_follow_the_semigroup():
+    # Delta(n) from normalize's e0 and b~_i equals [n in G] - [N0 - n in G]
+    # for 0 <= n <= N0 + 1, on every pairwise-coprime triple of range(2, 24)
+    triples = [t for t in COPRIME_TRIPLES if t[2] < 24]
+    assert len(triples) == 491
+    for t in triples:
+        norm = normalize(solve_unnormalized(validate_multiplicities(t)))
+        expected = semigroup_steps(t)
+        assert tau_steps(norm, t, len(expected)) == expected, t
 
 
 COPRIME_TRIPLES = [

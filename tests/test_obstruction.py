@@ -63,9 +63,8 @@ class TestTauBounds:
         assert TauBounds(A=30, P=None).smooth_tau_upper_sharp is None
 
     def test_contact_tau_lower(self):
-        assert TauBounds(A=30, P=None).contact_tau_lower_at(-5) == 13
-        assert TauBounds(A=30, P=None).contact_tau_lower_at(-31) == 0
-        assert TauBounds(A=78, P=None).contact_tau_lower_at(-8) == Fraction(71, 2)
+        assert TauBounds(A=30, P=None).contact_tau_lower_at_tw_min == 13
+        assert TauBounds(A=78, P=None).contact_tau_lower_at_tw_min == Fraction(71, 2)
 
     def test_tau_gap_lower(self):
         assert tau_gap_lower(78, 16) == 9
@@ -84,31 +83,25 @@ class TestSlopes:
         assert fiber_boundary_slope(13, 11, 7, 6, -1) == Fraction(5, 6)
 
     def test_cut_and_round(self):
-        assert cut_and_round_slope([Fraction(-1), Fraction(0)], -1, 3) == 0
-        assert cut_and_round_slope([Fraction(0), Fraction(0)], -1, 3) == 1
-        assert cut_and_round_slope(
-            [Fraction(-1, 2), Fraction(-1, 3)], -2, 3
-        ) == Fraction(-1, 3)
+        assert cut_and_round_slope([Fraction(-1), Fraction(0)], -1) == 0
+        assert cut_and_round_slope([Fraction(0), Fraction(0)], -1) == 1
+        assert cut_and_round_slope([Fraction(-1, 2), Fraction(-1, 3)], -2) == Fraction(-1, 3)
 
 
 class TestBalancedTwists:
     def test_poincare_pair(self):
         p, g = presentation((2, 3, 5))
-        assert balanced_twists(p, g, [1, 2]) == (-1, (-1, -1))
+        assert balanced_twists(p, g) == (-1, (-1, -1))
 
     def test_2_3_13_pair(self):
         p, g = presentation((2, 3, 13))
-        assert balanced_twists(p, g, [1, 2]) == (-5, (-3, -2))
-
-    def test_poincare_full(self):
-        p, g = presentation((2, 3, 5))
-        assert balanced_twists(p, g, [1, 2, 3]) == (-1, (-1, -1, -1))
+        assert balanced_twists(p, g) == (-5, (-3, -2))
 
     def test_common_value_identity_randomized(self):
         rng = random.Random(33)
         for t in random_coprime_tuples(rng, 30):
             p, g = presentation(t)
-            d, ks = balanced_twists(p, g, range(1, len(t)))
+            d, ks = balanced_twists(p, g)
             for (ai, _), ui, ki in zip(p.pairs, g.u, ks):
                 assert ai * ki + ui == d
                 assert ki <= -1
@@ -123,6 +116,7 @@ class TestVerifyTwistChain:
         assert cert.s_tcr == 0
         assert cert.s_tcr >= Fraction(-1, 6)
         assert cert.vertical_twist == -6
+        assert cert.indices == (1, 2)
         assert [name for name, _ in cert.checks] == TWIST_CHECKS
         assert cert.all_checks_pass
 
@@ -134,7 +128,7 @@ class TestVerifyTwistChain:
     def test_2_3_13(self):
         p, g = presentation((2, 3, 13))
         cert = verify_twist_chain(p, g)
-        assert (cert.d, cert.k) == balanced_twists(p, g, [1, 2])
+        assert (cert.d, cert.k) == balanced_twists(p, g)
         assert cert.all_checks_pass
 
     def test_checks_pass_randomized(self):
@@ -261,17 +255,15 @@ class TestVerdict:
         (InvalidRange, lambda: TauBounds(A=0, P=None).smooth_tau_upper_paper),
         (InvalidRange, lambda: twist_lower_bound(0)),
         (InvalidRange, lambda: fiber_boundary_slope(2, 1, 2, 1, -1)),  # a*k + u = 0
-        (InvalidRange, lambda: cut_and_round_slope([Fraction(0)], -1, 3)),
-        (InvalidRange, lambda: cut_and_round_slope([Fraction(0), Fraction(0)], 1, 3)),
-        (InvalidRange, lambda: balanced_twists(*presentation((2, 3, 5)), [1])),
-        (InvalidRange, lambda: balanced_twists(*presentation((2, 3, 5)), [1, 4])),
+        (InvalidRange, lambda: cut_and_round_slope([Fraction(0), Fraction(0)], 1)),
+        (InvalidRange, lambda: TauBounds(A=0, P=None).contact_tau_lower_at_tw_min),
         (CertificateViolation, lambda: TwistBound(A=10, tw_min=5)),
         (CertificateViolation, lambda: TwistBound(A=10, tw_min=-2)),
         (CertificateViolation, lambda: TauBounds(A=78, P=8)),  # P < ceil(sqrt(78)) = 9
         (CertificateViolation, lambda: tau_gap_lower(78, 6)),  # -8 + 6 + 1 < 1
         # u = 0 breaks 0 < u_i < a_i, so the congruences have residue 0
         (CertificateViolation, lambda: balanced_twists(
-            presentation((2, 3, 5))[0], GluingData(u=(0, 0, 1), v=(1, 1, 1)), [1, 2]
+            presentation((2, 3, 5))[0], GluingData(u=(0, 0, 1), v=(1, 1, 1))
         )),
     ],
 )

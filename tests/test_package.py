@@ -7,8 +7,10 @@ EnumerationCapExceeded and norm_minus_one_vectors through the root.  Each
 module's __all__ lists the public functions and classes it defines.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,18 @@ def test_public_names_are_pinned():
     }
     assert names == PUBLIC
 
+
+def test_src_has_no_assert_statement():
+    # python -O strips assert statements, so no check in the package may be one
+    paths = sorted(Path(seifert_gate.__file__).parent.glob("*.py"))
+    assert {"cli.py", "lattice.py", "obstruction.py"} <= {path.name for path in paths}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("name", ["seifert", "plumbing", "lattice", "obstruction", "families", "cli"])
