@@ -371,7 +371,7 @@ def _run_family(argv: Sequence[str]) -> int:
         "family": args.name,
         "p": args.p,
         "ell": args.ell,
-        "e": data.e,
+        "e": data.e0,
         "r": [_q(ri) for ri in data.r],
     }
     if len(data.r) == 3:
@@ -395,7 +395,7 @@ def _run_family(argv: Sequence[str]) -> int:
         print(json.dumps(out, indent=2))
     else:
         r_text = ", ".join(_fmt_q(q) for q in out["r"])
-        print(f"M({data.e}; {r_text})")
+        print(f"M({data.e0}; {r_text})")
         t = out["transverse_contact_structure"]
         if not t["applicable"]:
             print(f"  transverse test: not applicable ({t['note']})")

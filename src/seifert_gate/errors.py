@@ -22,7 +22,7 @@ class DivisionByZero(SeifertGateError, ZeroDivisionError):
 
 
 class InvalidRange(SeifertGateError, ValueError):
-    """An argument lies outside the domain of the requested function or expansion."""
+    """An argument lies outside the domain of the requested function, expansion or type."""
 
 
 class EnumerationCapExceeded(SeifertGateError):

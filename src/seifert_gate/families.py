@@ -1,9 +1,11 @@
-"""Small Seifert families and the transverse-contact-structure test.
+"""Small Seifert families M(e0; r_1, ..., r_k) and the transverse-contact-structure test.
 
-The existence test decides the exact rational criterion: with the three
-fiber fractions sorted descending, a transverse contact structure exists iff
-coprime integers 0 < a < m satisfy m*r1 < a < m*(1 - r2) and m*r3 < 1.  The
-least such m is found by one continued-fraction descent, not by a search.
+Family members are seifert.NormalizedPresentation values, the one type for
+M(e0; r).  The existence test decides the exact rational criterion: with the
+three fiber fractions sorted descending, a transverse contact structure
+exists iff coprime integers 0 < a < m satisfy m*r1 < a < m*(1 - r2) and
+m*r3 < 1.  The least such m is found by one continued-fraction descent, not
+by a search.
 """
 
 from __future__ import annotations
@@ -13,26 +15,15 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import CertificateViolation, InvalidParameter, InvalidRange
+from .plumbing import MAX_SEARCH_RANK
+from .seifert import NormalizedPresentation
 
 __all__ = [
-    "SmallSeifertData",
     "TransverseWitness",
     "transverse_contact_exists",
     "mp_family",
     "mpl_family",
 ]
-
-
-@dataclass(frozen=True)
-class SmallSeifertData:
-    """Seifert data M(e; r_1, ..., r_k) with every r_i in (0, 1)."""
-
-    e: int
-    r: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not all(0 < ri < 1 for ri in self.r):
-            raise InvalidRange(f"fiber fractions {self.r} are not all in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -68,7 +59,7 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return x
 
 
-def transverse_contact_exists(data: SmallSeifertData) -> TransverseWitness:
+def transverse_contact_exists(data: NormalizedPresentation) -> TransverseWitness:
     """The smallest witness (m, then a) of the transverse criterion.
 
     Only defined for three fiber fractions, sorted descending internally.  A
@@ -89,27 +80,25 @@ def transverse_contact_exists(data: SmallSeifertData) -> TransverseWitness:
     return witness
 
 
-def mp_family(p: int) -> SmallSeifertData:
+def mp_family(p: int) -> NormalizedPresentation:
     """M(-1; (p-1)/p, 1/p, 1/p) for p >= 2."""
     if p < 2:
         raise InvalidParameter(f"p must be >= 2, got {p}")
-    return SmallSeifertData(
-        e=-1, r=(Fraction(p - 1, p), Fraction(1, p), Fraction(1, p))
-    )
+    return NormalizedPresentation(e0=-1, r=(Fraction(p - 1, p), Fraction(1, p), Fraction(1, p)))
 
 
-def mpl_family(p: int, ell: int) -> SmallSeifertData:
+def mpl_family(p: int, ell: int) -> NormalizedPresentation:
     """M(-ell; 1/p, (p-1)/p, 1/p, ..., (p-1)/p, 1/p) with 2*ell + 1 fibers.
 
     Entries alternate starting and ending with 1/p; ell = 1 recovers the
-    three-fiber family above up to reordering.
+    three-fiber family above up to reordering.  The fibers are bounded as
+    verdict bounds them: InvalidParameter when 2*ell + 2 > MAX_SEARCH_RANK.
     """
     if p < 2:
         raise InvalidParameter(f"p must be >= 2, got {p}")
     if ell < 1:
         raise InvalidParameter(f"ell must be >= 1, got {ell}")
-    entries = tuple(
-        Fraction(1, p) if i % 2 == 0 else Fraction(p - 1, p)
-        for i in range(2 * ell + 1)
-    )
-    return SmallSeifertData(e=-ell, r=entries)
+    if 2 * ell + 2 > MAX_SEARCH_RANK:
+        raise InvalidParameter(f"ell must be <= {(MAX_SEARCH_RANK - 2) // 2}, got {ell}")
+    entries = tuple(Fraction(1, p) if i % 2 == 0 else Fraction(p - 1, p) for i in range(2 * ell + 1))
+    return NormalizedPresentation(e0=-ell, r=entries)

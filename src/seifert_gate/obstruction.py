@@ -166,31 +166,20 @@ class TwistCertificate:
         return all(ok for _, ok in self.checks)
 
 
-def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """Solution of x = r_i mod m_i for pairwise coprime moduli, in [0, prod)."""
-    total = prod(moduli)
-    x = 0
-    for r, m in zip(residues, moduli):
-        cofactor = total // m
-        x += r * cofactor * pow(cofactor, -1, m)
-    return x % total
-
-
 def balanced_twists(p: SeifertPresentation, g: GluingData) -> tuple[int, tuple[int, ...]]:
     """Largest negative d with d = u_i mod a_i for the first n-1 fibers, and their twists k_i.
 
-    The k_i = (d - u_i)/a_i are integers <= -1, so a_i*k_i + u_i = d;
+    d = -(S mod B) with S = sum_{i<n} A/a_i and B = a_1*...*a_{n-1}: a_i
+    divides every term of S but A/a_i, so d = -A/a_i = u_i mod a_i (as
+    gluing_data solves), and -B < d <= 0.  The k_i = (d - u_i)/a_i must be
+    integers <= -1, so a_i*k_i + u_i = d (which also rules out d = 0);
     CertificateViolation if not.
     """
     moduli = [a for a, _ in p.pairs[:-1]]
-    residues = g.u[: len(moduli)]
-    x = _crt(residues, moduli)
-    modulus = prod(moduli)
-    if not 0 < x < modulus:
-        raise CertificateViolation("0 < u_i < a_i forces a nonzero residue")
-    d = x - modulus
+    big_a = p.multiplicities.product
+    d = -(sum(big_a // a for a in moduli) % prod(moduli))
     ks = []
-    for i, (a, u) in enumerate(zip(moduli, residues), start=1):
+    for i, (a, u) in enumerate(zip(moduli, g.u), start=1):
         ki, rem = divmod(d - u, a)
         if rem != 0 or ki > -1:
             raise CertificateViolation(f"d = {d} gives no twist k_{i} <= -1 with a_i*k_i + u_i = d")
@@ -312,7 +301,7 @@ def verdict(m: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Obstruction
     pres = solve_unnormalized(mult)
     norm = normalize(pres)
     glue = gluing_data(pres)
-    graph = build_plumbing(norm, mult)
+    graph = build_plumbing(norm)
     form = intersection_form(graph)
     cert = diagonalize(form, cap)
     dual = dual_class(form)

@@ -14,7 +14,7 @@ from operator import lt
 
 from . import _linalg
 from .errors import CertificateViolation, DivisionByZero, InvalidRange, RankTooLarge
-from .seifert import Multiplicities, NormalizedPresentation
+from .seifert import NormalizedPresentation
 
 __all__ = [
     "PlumbingGraph",
@@ -148,18 +148,17 @@ def _leg_length(p: int, q: int) -> int:
     return n + 1
 
 
-def build_plumbing(norm: NormalizedPresentation, m: Multiplicities) -> PlumbingGraph:
+def build_plumbing(norm: NormalizedPresentation) -> PlumbingGraph:
     """Plumbing tree with central weight e0 and leg j carrying neg_cf(a_j, b~_j).
 
+    a_j is r_j's denominator and b~_j = -a_j*r_j its negated numerator.
     RankTooLarge when the tree has more than MAX_SEARCH_RANK vertices, before
     any leg is expanded.
     """
-    rank = 1 + sum(_leg_length(aj, -tbj) for aj, tbj in zip(m.a, norm.tilde_b))
+    rank = 1 + sum(_leg_length(rj.denominator, rj.numerator) for rj in norm.r)
     if rank > MAX_SEARCH_RANK:
         raise RankTooLarge(f"form of rank {rank} is above the search limit {MAX_SEARCH_RANK}")
-    legs = tuple(
-        neg_cf(aj, tbj) for aj, tbj in zip(m.a, norm.tilde_b)
-    )
+    legs = tuple(neg_cf(rj.denominator, -rj.numerator) for rj in norm.r)
     return PlumbingGraph(center_weight=norm.e0, legs=legs)
 
 

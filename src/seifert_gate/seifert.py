@@ -4,7 +4,8 @@ All arithmetic is exact: multiplicities are arbitrary-precision integers and
 fiber sums are ``fractions.Fraction``.  Every defining identity is checked at
 construction time rather than trusted, and a failure raises
 CertificateViolation, also under python -O, so an instance of one of these
-types is itself a small certificate.
+types is itself a small certificate.  NormalizedPresentation is the one type
+for normalized invariants M(e0; r_1, ..., r_n), also of the small families.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import gcd, prod
 from operator import index
 from typing import Iterable
 
-from .errors import CertificateViolation, MultiplicityTooSmall, NotCoprime, TooFewFibers
+from .errors import CertificateViolation, InvalidRange, MultiplicityTooSmall, NotCoprime, TooFewFibers
 
 __all__ = [
     "Multiplicities",
@@ -81,15 +82,19 @@ class SeifertPresentation:
 
 @dataclass(frozen=True)
 class NormalizedPresentation:
-    """Normalized invariants: e0 together with b~_j in (-a_j, 0) and r_j = -b~_j/a_j."""
+    """Normalized invariants M(e0; r_1, ..., r_n): InvalidRange unless every r_j is in (0, 1)."""
 
     e0: int
-    tilde_b: tuple[int, ...]
     r: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if not all(0 < rj < 1 for rj in self.r):
-            raise CertificateViolation(f"normalized fractions {self.r} are not all in (0, 1)")
+            raise InvalidRange(f"fiber fractions {self.r} are not all in (0, 1)")
+
+    @property
+    def tilde_b(self) -> tuple[int, ...]:
+        """b~_j = -a_j*r_j in (-a_j, 0), where a_j is r_j's denominator: b~_j is a unit mod a_j."""
+        return tuple(-rj.numerator for rj in self.r)
 
 
 @dataclass(frozen=True)
@@ -149,17 +154,20 @@ def normalize(p: SeifertPresentation) -> NormalizedPresentation:
     big_a = p.multiplicities.product
     if sum(r) != -e0 - Fraction(1, big_a):
         raise CertificateViolation(f"sum(r) = {sum(r)} is not -e0 - 1/A for e0 = {e0}, A = {big_a}")
-    return NormalizedPresentation(e0=e0, tilde_b=tuple(tilde), r=r)
+    return NormalizedPresentation(e0=e0, r=r)
 
 
 def gluing_data(p: SeifertPresentation) -> GluingData:
     """Solve a_i*v_i - b_i*u_i = 1 with 0 < u_i < a_i for each fiber.
 
-    The solution exists and is unique because b_i is a unit mod a_i.
+    solve_unnormalized makes b_i = (A/a_i)^(-1) mod a_i (b_1's shift is a
+    multiple of a_1), so u_i = -b_i^(-1) = -(A/a_i) mod a_i.  The identity is
+    then checked, which re-checks b_i against A/a_i.
     """
+    big_a = p.multiplicities.product
     us, vs = [], []
     for ai, bi in p.pairs:
-        ui = (-pow(bi, -1, ai)) % ai
+        ui = -(big_a // ai) % ai
         vi, rem = divmod(1 + bi * ui, ai)
         if rem != 0 or not 0 < ui < ai:
             raise CertificateViolation(f"no column a*v - b*u = 1 with 0 < u < a for (a, b) = ({ai}, {bi})")

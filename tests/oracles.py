@@ -537,6 +537,21 @@ def solve_completion(
     return x
 
 
+def inverse_gluing_u(p):
+    """u_i = -b_i^(-1) mod a_i, by a modular inverse of each of the presentation's b_i."""
+    return tuple(-pow(bi, -1, ai) % ai for ai, bi in p.pairs)
+
+
+def crt_balanced_d(moduli, residues):
+    """The largest negative x with x = r_i mod m_i, by the Chinese remainder theorem.
+
+    For pairwise coprime moduli and residues not all 0.
+    """
+    total = prod(moduli)
+    x = sum(r * (total // m) * pow(total // m, -1, m) for r, m in zip(residues, moduli))
+    return x % total - total
+
+
 def tau_steps(norm, a, stop):
     """Delta(n) = 1 - e0 n - sum_i ceil(n w_i / a_i), w_i = -b~_i, for 0 <= n < stop.
 
@@ -576,7 +591,7 @@ def tau_d_invariant(values):
     """
     mult = validate_multiplicities(values)
     norm = normalize(solve_unnormalized(mult))
-    form = intersection_form(build_plumbing(norm, mult))
+    form = intersection_form(build_plumbing(norm))
     k = [-x - 2 for i, row in enumerate(form.rows) for j, x in row if j == i]
     x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
     assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k))

@@ -18,7 +18,7 @@ from seifert_gate import (
     validate_multiplicities,
     verdict,
 )
-from seifert_gate.seifert import gluing_data, normalize, solve_unnormalized
+from seifert_gate.seifert import NormalizedPresentation, gluing_data, normalize, solve_unnormalized
 from seifert_gate.plumbing import PlumbingGraph, build_plumbing, intersection_form
 from seifert_gate.lattice import d_invariant, dual_class, max_sharp_pairing
 from seifert_gate.obstruction import (
@@ -26,7 +26,6 @@ from seifert_gate.obstruction import (
     twist_lower_bound,
     verify_twist_chain,
 )
-from seifert_gate.families import SmallSeifertData
 from oracles import (
     box_d_invariant,
     box_norm_minus_one,
@@ -44,7 +43,7 @@ def gate(name, ok):
 
 def pipeline_form(t):
     m = validate_multiplicities(t)
-    return intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
+    return intersection_form(build_plumbing(normalize(solve_unnormalized(m))))
 
 
 def test_criterion_1_poincare_end_to_end():
@@ -107,7 +106,7 @@ def test_criterion_3_randomized_invariants():
         ok &= big_a * sum(Fraction(bk, ak) for ak, bk in p.pairs) == 1
         norm = normalize(p)
         ok &= sum(norm.r) == -norm.e0 - Fraction(1, big_a)
-        f = intersection_form(build_plumbing(norm, m))
+        f = intersection_form(build_plumbing(norm))
         ok &= abs(f.det) == 1
         ok &= dual_class(f) == -big_a
     elapsed = time.perf_counter() - start
@@ -186,7 +185,7 @@ def test_criterion_7_homology_arithmetic():
         p = solve_unnormalized(m)
         ok &= abs(sum(b * (prod(t) // a) for a, b in p.pairs)) == 1
         # a (1, 1) fiber lowers e0 by one; |h1| is |det Q| of the plumbing
-        g = build_plumbing(normalize(p), m)
+        g = build_plumbing(normalize(p))
         shifted = PlumbingGraph(center_weight=g.center_weight - 1, legs=g.legs)
         ok &= abs(intersection_form(shifted).det) == prod(t) + 1
     gate("criterion 7: canonical h1 = 1 and unit-fiber append gives A + 1", ok)
@@ -197,7 +196,7 @@ def test_criterion_8_families():
         not transverse_contact_exists(mp_family(p)).present for p in range(2, 21)
     )
     witness = transverse_contact_exists(
-        SmallSeifertData(e=-1, r=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
+        NormalizedPresentation(e0=-1, r=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
     )
     ok &= (witness.a, witness.m) == (3, 5)
     gate("criterion 8: family searches", ok)

@@ -522,6 +522,17 @@ class TestFamilyMode:
         assert code == 0
         assert "M(-1;" in out
 
+    def test_ell_at_the_fiber_limit(self, capsys):
+        code, out = run_json(capsys, ["family", "mp", "--p", "3", "--ell", "449", "--json"])
+        assert code == 0
+        assert len(json.loads(out)["r"]) == 899
+
+    def test_ell_above_the_fiber_limit(self, capsys):
+        assert main(["family", "mp", "--p", "3", "--ell", "450", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: InvalidParameter: ell must be <= 449, got 450\n"
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

@@ -6,7 +6,8 @@ from math import floor
 import pytest
 
 from seifert_gate import InvalidParameter, mp_family, transverse_contact_exists
-from seifert_gate.families import SmallSeifertData, mpl_family
+from seifert_gate.families import mpl_family
+from seifert_gate.seifert import NormalizedPresentation
 from oracles import transverse_search
 
 
@@ -14,7 +15,7 @@ class TestFamilies:
     def test_mp_values(self):
         assert mp_family(2).r == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
         assert mp_family(3).r == (Fraction(2, 3), Fraction(1, 3), Fraction(1, 3))
-        assert mp_family(2).e == -1
+        assert mp_family(2).e0 == -1
 
     def test_mp_rejects_small_p(self):
         with pytest.raises(InvalidParameter):
@@ -22,11 +23,11 @@ class TestFamilies:
 
     def test_mpl_matches_mp_for_ell_one(self):
         assert sorted(mpl_family(2, 1).r) == sorted(mp_family(2).r)
-        assert mpl_family(2, 1).e == -1
+        assert mpl_family(2, 1).e0 == -1
 
     def test_mpl_alternation(self):
         data = mpl_family(3, 2)
-        assert data.e == -2
+        assert data.e0 == -2
         assert data.r == (
             Fraction(1, 3),
             Fraction(2, 3),
@@ -41,6 +42,11 @@ class TestFamilies:
         with pytest.raises(InvalidParameter):
             mpl_family(1, 1)
 
+    def test_mpl_refuses_ell_above_the_fiber_limit_before_building(self):
+        # 2 * 10**9 + 1 fractions would not fit in memory; the bound comes first
+        with pytest.raises(InvalidParameter, match="ell must be <= 449, got 1000000000"):
+            mpl_family(2, 10**9)
+
 
 class TestTransverseTest:
     def test_mp_family_has_no_witness(self):
@@ -53,15 +59,15 @@ class TestTransverseTest:
         assert w.searched_m_below == 3  # m in {1, 2} exhausted
 
     def test_witness_found(self):
-        data = SmallSeifertData(
-            e=-1, r=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7))
+        data = NormalizedPresentation(
+            e0=-1, r=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7))
         )
         w = transverse_contact_exists(data)
         assert (w.a, w.m) == (3, 5)
 
     def test_witness_inequalities_recheck(self):
-        data = SmallSeifertData(
-            e=-1, r=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7))
+        data = NormalizedPresentation(
+            e0=-1, r=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7))
         )
         w = transverse_contact_exists(data)
         r1, r2, r3 = sorted(data.r, reverse=True)
@@ -77,7 +83,7 @@ class TestTransverseTest:
         import itertools
 
         for perm in itertools.permutations(base):
-            w = transverse_contact_exists(SmallSeifertData(e=-1, r=perm))
+            w = transverse_contact_exists(NormalizedPresentation(e0=-1, r=perm))
             results.add((w.a, w.m))
         assert results == {(3, 5)}
 
@@ -98,7 +104,7 @@ class TestTransverseSearchBound:
         seen = set()
         for _ in range(300):
             r = tuple(Fraction(rng.randrange(1, q), q) for q in rng.choices(range(2, 30), k=3))
-            ours = self.as_tuple(transverse_contact_exists(SmallSeifertData(-1, r)))
+            ours = self.as_tuple(transverse_contact_exists(NormalizedPresentation(-1, r)))
             assert ours == transverse_search(r)
             r1, r2, _ = sorted(r, reverse=True)
             seen.add((r1 + r2 >= 1, ours[0] is not None))
@@ -115,7 +121,7 @@ class TestTransverseSearchBound:
             if not (0 < r2 < 1 and 1 - r1 - r2 <= Fraction(1, 2000)):
                 continue
             r = (r1, r2, Fraction(1, q3))
-            ours = self.as_tuple(transverse_contact_exists(SmallSeifertData(-1, r)))
+            ours = self.as_tuple(transverse_contact_exists(NormalizedPresentation(-1, r)))
             assert ours == transverse_search(r)
             seen.add((r1 + r2 >= 1, ours[0] is not None))
         assert seen == {(True, False), (False, True), (False, False)}
@@ -124,7 +130,7 @@ class TestTransverseSearchBound:
         # a/m - 1/2 = (2a - m)/2m >= 1/2m forces m > 10**9, and m must be odd
         r = (Fraction(1, 2), Fraction(1, 2) - Fraction(1, 2 * 10**9), Fraction(1, 10**12))
         start = time.perf_counter()
-        w = transverse_contact_exists(SmallSeifertData(-1, r))
+        w = transverse_contact_exists(NormalizedPresentation(-1, r))
         assert time.perf_counter() - start < 1
         assert self.as_tuple(w) == (500000001, 1000000001, 1000000002)
 

@@ -53,7 +53,7 @@ def corpus_certificates(name: str):
     """(tuple, certificate diagonalize builds at the corpus cap) for each corpus tuple."""
     for values in CORPORA[name]:
         m = validate_multiplicities(values)
-        form = intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
+        form = intersection_form(build_plumbing(normalize(solve_unnormalized(m))))
         yield values, diagonalize(form, CAP)
 
 

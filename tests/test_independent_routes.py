@@ -2,8 +2,10 @@
 
 The torus-knot surgery family has a closed form for d, Laufer's computation
 sequence gives d and P with no search at all, its steps for three fibers
-follow from the semigroup <qr, pr, pq>, and every report must satisfy the
-identities that tie its fields together.
+follow from the semigroup <qr, pr, pq>, the gluing columns and the balanced
+twist value come from a modular inverse and the Chinese remainder theorem as
+well as from A/a_i, and every report must satisfy the identities that tie its
+fields together.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from hypothesis import strategies as st
 
 from seifert_gate import EnumerationCapExceeded, validate_multiplicities, verdict
 from seifert_gate.cli import format_text, report_to_dict
-from seifert_gate.seifert import normalize, solve_unnormalized
-from oracles import semigroup_steps, tau_d_invariant, tau_steps
+from seifert_gate.obstruction import balanced_twists
+from seifert_gate.seifert import gluing_data, normalize, solve_unnormalized
+from oracles import crt_balanced_d, inverse_gluing_u, semigroup_steps, tau_d_invariant, tau_steps
 from test_golden import CORPORA
 
 CAP = 3 * 10**4
@@ -50,6 +53,25 @@ def torus_family():
             out.append((tuple(sorted((p, q, p * q * n - 1))), 2 * v0))
             out.append((tuple(sorted((p, q, p * q * n + 1))), 0))
     return out
+
+
+def coprime_tuples():
+    """Pairwise-coprime triples of range(2, 40), 4-tuples of range(2, 18) and 5-tuples of range(2, 14)."""
+    for length, hi in ((3, 40), (4, 18), (5, 14)):
+        for t in combinations(range(2, hi), length):
+            if all(gcd(x, y) == 1 for x, y in combinations(t, 2)):
+                yield t
+
+
+def test_twist_data_matches_the_inverse_and_crt_routes():
+    tuples = list(coprime_tuples())
+    assert len(tuples) == 2692
+    for t in tuples:
+        p = solve_unnormalized(validate_multiplicities(t))
+        g = gluing_data(p)
+        u = inverse_gluing_u(p)
+        assert g.u == u, t
+        assert balanced_twists(p, g)[0] == crt_balanced_d(t[:-1], u[:-1]), t
 
 
 def test_torus_knot_family_matches_the_closed_form():

@@ -54,7 +54,7 @@ from oracles import (
 
 def form_for(a):
     m = validate_multiplicities(a)
-    return intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
+    return intersection_form(build_plumbing(normalize(solve_unnormalized(m))))
 
 
 def d_of(f, cap=lattice.DEFAULT_ENUMERATION_CAP):
@@ -521,7 +521,7 @@ from seifert_gate import (
 from seifert_gate import plumbing
 from seifert_gate.lattice import max_sharp_pairing
 from seifert_gate.obstruction import TwistBound, twist_lower_bound
-from seifert_gate.families import SmallSeifertData, mpl_family, transverse_contact_exists
+from seifert_gate.families import mpl_family, transverse_contact_exists
 from seifert_gate.plumbing import IntersectionForm, PlumbingGraph, neg_cf
 from seifert_gate.seifert import NormalizedPresentation, SeifertPresentation, validate_multiplicities
 
@@ -567,8 +567,8 @@ refuse("float multiplicity", TypeError, verdict, (2.5, 3, 5))
 m235 = validate_multiplicities((2, 3, 5))
 refuse("forged presentation", CertificateViolation, SeifertPresentation, m235, ((2, 1), (3, 1), (5, 1)))
 refuse("pairs of other multiplicities", CertificateViolation, SeifertPresentation, m235, ((2, -1), (3, 1)))
-refuse("normalized fraction 1", CertificateViolation, NormalizedPresentation, -2, (-1,), (Fraction(1),))
-refuse("fiber fraction 0", InvalidRange, SmallSeifertData, -1, (Fraction(1, 2), Fraction(0), Fraction(1, 3)))
+refuse("normalized fraction 1", InvalidRange, NormalizedPresentation, -2, (Fraction(1),))
+refuse("fiber fraction 0", InvalidRange, NormalizedPresentation, -1, (Fraction(1, 2), Fraction(0), Fraction(1, 3)))
 refuse("five-fiber transverse test", InvalidRange, transverse_contact_exists, mpl_family(3, 2))
 plumbing._evaluate_cf = lambda entries: (1, 1)
 refuse("expansion that does not evaluate back", CertificateViolation, neg_cf, 13, -2)

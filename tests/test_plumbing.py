@@ -37,7 +37,7 @@ from test_golden import CORPORA
 
 def graph_for(a):
     m = validate_multiplicities(a)
-    return build_plumbing(normalize(solve_unnormalized(m)), m)
+    return build_plumbing(normalize(solve_unnormalized(m)))
 
 
 def form_for(a):
@@ -93,14 +93,14 @@ class TestNegCf:
 class TestBuildPlumbing:
     def test_poincare_is_e8_tree(self):
         m = validate_multiplicities((2, 3, 5))
-        g = build_plumbing(normalize(solve_unnormalized(m)), m)
+        g = build_plumbing(normalize(solve_unnormalized(m)))
         assert g.center_weight == -2
         assert g.legs == ((-2,), (-2, -2), (-2, -2, -2, -2))
         assert intersection_form(g).m == 8
 
     def test_2_3_7(self):
         m = validate_multiplicities((2, 3, 7))
-        g = build_plumbing(normalize(solve_unnormalized(m)), m)
+        g = build_plumbing(normalize(solve_unnormalized(m)))
         assert g.center_weight == -1
         assert g.legs == ((-2,), (-3,), (-7,))
 
@@ -130,7 +130,7 @@ class TestBuildPlumbing:
 
     def test_2_3_13(self):
         m = validate_multiplicities((2, 3, 13))
-        g = build_plumbing(normalize(solve_unnormalized(m)), m)
+        g = build_plumbing(normalize(solve_unnormalized(m)))
         assert g.center_weight == -1
         assert g.legs == ((-2,), (-3,), (-7, -2))
 

@@ -34,7 +34,7 @@ from test_golden import CORPORA
 
 def form_for(a):
     m = validate_multiplicities(a)
-    return intersection_form(build_plumbing(normalize(solve_unnormalized(m)), m))
+    return intersection_form(build_plumbing(normalize(solve_unnormalized(m))))
 
 
 def coprime_triples(top):

@@ -155,6 +155,6 @@ class TestH1Order:
         rng = random.Random(41)
         for t in random_coprime_tuples(rng, 25):
             m = validate_multiplicities(t)
-            g = build_plumbing(normalize(solve_unnormalized(m)), m)
+            g = build_plumbing(normalize(solve_unnormalized(m)))
             shifted = PlumbingGraph(center_weight=g.center_weight - 1, legs=g.legs)
             assert abs(intersection_form(shifted).det) == prod(t) + 1
