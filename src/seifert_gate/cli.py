@@ -21,7 +21,8 @@ from contextlib import ExitStack
 from fractions import Fraction
 from functools import partial
 from math import ceil
-from typing import Any, NamedTuple, Sequence
+from time import perf_counter
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EnumerationCapExceeded,
@@ -37,12 +38,23 @@ __all__ = ["report_to_dict", "format_text", "main", "entry"]
 MIN_CAP = 10**3
 EXIT_STDOUT_CLOSED = 141
 # Distinct tuples per hand-out to a batch worker.  On the 130-line census at
-# --jobs 2 (2 CPUs, Python 3.11.7, whole runs) 1 per hand-out took 273 ms, 2
-# took 261 ms, 4 took 248 ms and 8 took 244 ms.  4 is also what the pool's own
-# rule ceil(n / (4 * workers)) gives there, but a constant is used instead:
+# --jobs 2 (2 CPUs, Python 3.11.7, whole runs) with a pool from the first
+# tuple, 1 per hand-out took 273 ms, 2 took 261 ms, 4 took 248 ms and 8 took
+# 244 ms.  With the pool taking over at about the 60th of its 78 distinct
+# tuples (POOL_AFTER_S), all four took 307-317 ms (medians of 12 interleaved
+# runs).  4 is also what the pool's own rule ceil(n / (4 * workers)) gave
+# with the pool from the first tuple, but a constant is used instead:
 # on a file of thousands of tuples that rule would hold back the first line
 # until thousands of them were done.
 CHUNKSIZE = 4
+# Seconds of evaluation in this process after which a batch at --jobs above 1
+# hands the rest to a pool: what starting one costs.  In fresh interpreters
+# (2 CPUs, Python 3.11.7; medians of 22) importing concurrent.futures took
+# 27 ms, making a 2-worker pool and getting its first hand-out of 4 small
+# tuples back 22 ms, and the shutdown 3 ms; the whole ranged 36-62 ms.  A
+# batch that costs less never starts a pool, and a heavier one loses at most
+# one start.
+POOL_AFTER_S = 0.05
 
 
 def _q(value: Fraction | int) -> dict[str, str]:
@@ -167,8 +179,8 @@ class _Line(NamedTuple):
 
 
 def _render_tuple(values: tuple[int, ...], cap: int, json_output: bool) -> _Line:
-    """Batch worker: evaluate one tuple and render its line, any exception as
-    its error, so only the finished string crosses back to the printer."""
+    """Evaluate one batch tuple and render its line, any exception as its
+    error, so that only the finished string crosses back from a pool worker."""
     try:
         d = report_to_dict(verdict(values, cap=cap))
         outcome, elapsed_ms, unexpected = d["verdict"], d["elapsed_ms"], False
@@ -264,10 +276,13 @@ def _nearest_rank(ordered: list[float], q: float) -> float:
     return ordered[max(0, ceil(q * len(ordered)) - 1)]
 
 
-def _batch_summary(verdicts: Counter[str], errors: Counter[str], reused: int, elapsed: list[float]) -> str:
+def _batch_summary(
+    verdicts: Counter[str], errors: Counter[str], reused: int, elapsed: list[float], pool: str | None
+) -> str:
     """The one stderr line that ends a batch: counts by verdict and by error
-    type, lines reused from an earlier identical line, and the nearest-rank
-    median, p90 and max elapsed_ms of the tuples evaluated."""
+    type, lines reused from an earlier identical line, the nearest-rank
+    median, p90 and max elapsed_ms of the tuples evaluated and, at --jobs
+    above 1, whether and where the pool took over."""
 
     def counts(outcomes: Counter[str]) -> str:
         return " ".join(f"{name}={n}" for name, n in sorted(outcomes.items())) or "none"
@@ -280,7 +295,8 @@ def _batch_summary(verdicts: Counter[str], errors: Counter[str], reused: int, el
         else "elapsed_ms: none evaluated"
     )
     lines = sum(verdicts.values()) + sum(errors.values())
-    return f"batch: {lines} lines, {reused} reused; verdicts: {counts(verdicts)}; errors: {counts(errors)}; {timing}"
+    summary = f"batch: {lines} lines, {reused} reused; verdicts: {counts(verdicts)}; errors: {counts(errors)}; {timing}"
+    return summary if pool is None else f"{summary}; pool: {pool}"
 
 
 def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
@@ -315,25 +331,41 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
     # evaluated once, in order of first use, and a repeat prints its line again.
     distinct = list(last_use)
     evaluate = partial(_render_tuple, cap=cap, json_output=json_output)
-    # The pool starts all its workers at the first submit, so it gets no more
-    # than there are CPUs and distinct tuples.
-    workers = min(jobs, len(distinct), os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    pool = "none"
+
+    def results(stack: ExitStack) -> Iterator[_Line]:
+        """Each distinct tuple's line, in order.  They are evaluated here until
+        that has taken POOL_AFTER_S; then a pool gets all that are left, if
+        that is 2 or more, so a small batch never pays for starting one."""
+        nonlocal pool
+        spent = 0.0
+        for k, values in enumerate(distinct):
+            # The pool starts all its workers at the first submit, so it gets
+            # no more than there are CPUs and tuples left.
+            workers = min(jobs, len(distinct) - k, cpus)
+            if workers > 1 and spent >= POOL_AFTER_S:
+                executor = stack.enter_context(_process_pool(workers))
+                # On an early exit, such as a closed stdout, no worker starts
+                # another hand-out.
+                stack.callback(executor.shutdown, cancel_futures=True)
+                pool = f"{workers} workers from distinct tuple {k + 1} of {len(distinct)}"
+                yield from executor.map(evaluate, distinct[k:], chunksize=CHUNKSIZE)
+                return
+            start = perf_counter()
+            line = evaluate(values)
+            spent += perf_counter() - start
+            yield line
+
     verdicts: Counter[str] = Counter()
     errors: Counter[str] = Counter()
     elapsed: list[float] = []
     reused = 0
     unexpected = False
     with ExitStack() as stack:
-        # Both maps yield in input order as results arrive, so each line is
-        # written as soon as it and every earlier line are ready.
-        if workers > 1:
-            pool = stack.enter_context(_process_pool(workers))
-            # On an early exit, such as a closed stdout, no worker starts
-            # another hand-out.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(evaluate, distinct, chunksize=CHUNKSIZE)
-        else:
-            results = map(evaluate, distinct)
+        # Lines come in input order as they are ready, so each line is written
+        # as soon as it and every earlier line are.
+        lines = results(stack)
         # A rendered line is kept only while a later line repeats its tuple:
         # one line is 2.4 MB at rank 891.
         kept: dict[tuple[int, ...], _Line] = {}
@@ -344,7 +376,7 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
                 reused += 1
                 line = kept[entry] if last_use[entry] > i else kept.pop(entry)
             else:
-                line = next(results)
+                line = next(lines)
                 if last_use[entry] > i:
                     kept[entry] = line
                 if line.elapsed_ms is not None:
@@ -352,7 +384,7 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
                 unexpected |= line.unexpected
             (errors if line.elapsed_ms is None else verdicts)[line.outcome] += 1
             print(line.text, flush=True)
-    print(_batch_summary(verdicts, errors, reused, elapsed), file=sys.stderr)
+    print(_batch_summary(verdicts, errors, reused, elapsed, pool if jobs > 1 else None), file=sys.stderr)
     return 1 if unexpected else 2 if parse_failures else 0
 
 

@@ -1,8 +1,10 @@
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -220,7 +222,8 @@ class TestBatchMode:
         assert out == ""
         assert err.startswith(f"error: cannot read {f}: ")
 
-    def test_jobs_parallel_preserves_order(self, tmp_path, capsys):
+    def test_jobs_parallel_preserves_order(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 0)  # the pool from the first tuple on
         f = tmp_path / "batch.txt"
         f.write_text("2 3 5\n2 3 7\n2 3 11\n2 3 13\n")
         code, out = run_json(capsys, ["--batch", str(f), "--json", "--jobs", "3"])
@@ -302,6 +305,7 @@ class TestBatchMode:
 
         monkeypatch.setattr(cli, "_process_pool", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 0)  # the pool from the first tuple on
         f = tmp_path / "batch.txt"
         f.write_text("".join(f"2 3 {c}\n" for c in (5, 7, 11, 13, 17, 19)[:lines]))
         code, out = run_json(capsys, ["--batch", str(f), "--json", "--jobs", str(jobs)])
@@ -309,6 +313,63 @@ class TestBatchMode:
         assert len(out.splitlines()) == lines
         assert sizes == ([] if workers is None else [workers])
         assert chunksizes == ([] if workers is None else [cli.CHUNKSIZE])
+
+    def test_pool_takes_over_once_evaluation_has_cost_its_start(self, tmp_path, monkeypatch, capsys):
+        # The 2nd distinct tuple alone takes the threshold, so the pool gets
+        # exactly the distinct tuples after it, and the lines do not change.
+        sizes, handed = [], []
+        real = cli.verdict
+
+        def slow_second(values, **kwargs):
+            if tuple(values) == (2, 3, 7):
+                time.sleep(cli.POOL_AFTER_S)
+            return real(values, **kwargs)
+
+        class RecordingPool(SerialPool):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                handed.append(list(items))
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
+        monkeypatch.setattr(cli, "verdict", slow_second)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        f = tmp_path / "batch.txt"
+        f.write_text("2 3 5\n2 3 7\n2 3 5\n2 3 11\n2 3 13\n2 3 7\n2 3 17\n")
+        want = [main(["--batch", str(f), "--jobs", "1"]), capsys.readouterr().out]
+        assert sizes == handed == []
+        for jobs, workers in (("5000", 3), ("2", 2)):
+            assert [main(["--batch", str(f), "--jobs", jobs]), capsys.readouterr().out] == want
+        assert sizes == [3, 2]
+        assert handed == [[(2, 3, 11), (2, 3, 13), (2, 3, 17)]] * 2
+
+    @pytest.mark.parametrize(
+        "jobs, pool_after_s, pool",
+        [("1", 0, None), ("2", 60, "none"), ("2", 0, "2 workers from distinct tuple 1 of 2")],
+    )
+    def test_summary_says_whether_the_pool_ran(self, tmp_path, monkeypatch, capsys, jobs, pool_after_s, pool):
+        monkeypatch.setattr(cli, "_process_pool", SerialPool)
+        monkeypatch.setattr(cli, "POOL_AFTER_S", pool_after_s)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        f = tmp_path / "batch.txt"
+        f.write_text("2 3 5\n2 3 7\n2 3 5\n")
+        assert main(["--batch", str(f), "--jobs", jobs]) == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert summary.startswith("batch: 3 lines, 1 reused; ")
+        assert summary.split("; pool: ")[1:] == ([] if pool is None else [pool])
+
+    def test_real_pool_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 0)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        f = tmp_path / "batch.txt"
+        f.write_text("2 3 5\n2 3 7\n2 3 13\n")
+        assert main(["--batch", str(f), "--json", "--jobs", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert [json.loads(line)["input"][2] for line in out.splitlines()] == [5, 7, 13]
+        assert err.splitlines()[-1].endswith("; pool: 2 workers from distinct tuple 1 of 3")
+        assert multiprocessing.active_children() == []
 
     def test_missing_file(self, capsys):
         assert main(["--batch", "/nonexistent/nope.txt"]) == 2
@@ -382,7 +443,8 @@ class TestBatchEquivalence:
     """--jobs 1, --jobs 2 and one `verdict` per tuple print the same lines."""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_json_lines_match_one_verdict_per_tuple(self, tmp_path, capsys, jobs):
+    def test_json_lines_match_one_verdict_per_tuple(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 0)  # at --jobs 2, the pool from the first tuple on
         f = tmp_path / "batch.txt"
         f.write_text(MIXED_BATCH)
         code = main(["--batch", str(f), "--json", "--cap", "1000", "--jobs", jobs])
@@ -395,7 +457,8 @@ class TestBatchEquivalence:
         assert got[5] == got[0] and got[6] == got[1] and got[8] == got[3]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_text_lines_match_one_verdict_per_tuple(self, tmp_path, capsys, jobs):
+    def test_text_lines_match_one_verdict_per_tuple(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 0)  # at --jobs 2, the pool from the first tuple on
         f = tmp_path / "batch.txt"
         f.write_text(MIXED_BATCH)
         code = main(["--batch", str(f), "--cap", "1000", "--jobs", jobs])
@@ -452,8 +515,33 @@ def test_no_pool_module_for_a_single_tuple():
     assert proc.stderr.split() == ["False", "False", "0"]
 
 
+def test_no_pool_module_for_a_small_batch(tmp_path):
+    # Four small tuples take far less than the pool's start cost.
+    batch = tmp_path / "batch.txt"
+    batch.write_text("2 3 5\n2 3 7\n2 3 11\n2 3 13\n")
+    script = (
+        "import sys\n"
+        "import seifert_gate.cli as cli\n"
+        f"code = cli.main(['--batch', {str(batch)!r}, '--json', '--jobs', '2'])\n"
+        "print('concurrent.futures' in sys.modules, code, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line)["input"][2] for line in proc.stdout.splitlines()] == [5, 7, 11, 13]
+    summary, result = proc.stderr.splitlines()[-2:]
+    assert summary.endswith("; pool: none")
+    assert result.split() == ["False", "0"]
+
+
 def test_closed_stdout_stops_the_batch(tmp_path):
-    # Every tuple after the first sleeps 50 ms in a worker; a forked worker
+    # The pool takes every tuple, as the threshold is 0 in the child.  Every
+    # tuple after the first sleeps 50 ms in a worker; a forked worker
     # inherits the patched verdict and logs each call to a file.  The reader
     # takes one line and closes the pipe, and the CLI must then cancel what
     # no worker has started, exit with its code for a closed stdout and print
@@ -473,6 +561,7 @@ def test_closed_stdout_stops_the_batch(tmp_path):
         "        time.sleep(0.05)\n"
         "    return real(values, **kwargs)\n"
         "cli.verdict = slow\n"
+        "cli.POOL_AFTER_S = 0\n"
         f"sys.exit(cli.main(['--batch', {str(batch)!r}, '--json', '--jobs', '2']))\n"
     )
     with subprocess.Popen(

@@ -261,7 +261,8 @@ class TestVerdict:
         (CertificateViolation, lambda: TwistBound(A=10, tw_min=-2)),
         (CertificateViolation, lambda: TauBounds(A=78, P=8)),  # P < ceil(sqrt(78)) = 9
         (CertificateViolation, lambda: tau_gap_lower(78, 6)),  # -8 + 6 + 1 < 1
-        # u = 0 breaks 0 < u_i < a_i, so the congruences have residue 0
+        # u_1 = 0 breaks 0 < u_i < a_i, and the k_i check refuses it:
+        # d = -(25 mod 6) = -1, and d - u_1 = -1 is not divisible by a_1 = 2
         (CertificateViolation, lambda: balanced_twists(
             presentation((2, 3, 5))[0], GluingData(u=(0, 0, 1), v=(1, 1, 1))
         )),
