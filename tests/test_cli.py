@@ -340,9 +340,9 @@ class TestBatchMode:
         f.write_text("2 3 5\n2 3 7\n2 3 5\n2 3 11\n2 3 13\n2 3 7\n2 3 17\n")
         want = [main(["--batch", str(f), "--jobs", "1"]), capsys.readouterr().out]
         assert sizes == handed == []
-        for jobs, workers in (("5000", 3), ("2", 2)):
+        for jobs in ("5000", "2"):
             assert [main(["--batch", str(f), "--jobs", jobs]), capsys.readouterr().out] == want
-        assert sizes == [3, 2]
+        assert sizes == [3, 2]  # min(jobs, 3 tuples left, 4 CPUs)
         assert handed == [[(2, 3, 11), (2, 3, 13), (2, 3, 17)]] * 2
 
     @pytest.mark.parametrize(
