@@ -37,23 +37,12 @@ __all__ = ["report_to_dict", "format_text", "main", "entry"]
 
 MIN_CAP = 10**3
 EXIT_STDOUT_CLOSED = 141
-# Distinct tuples per hand-out to a batch worker.  On the 130-line census at
-# --jobs 2 (2 CPUs, Python 3.11.7, whole runs) with a pool from the first
-# tuple, 1 per hand-out took 273 ms, 2 took 261 ms, 4 took 248 ms and 8 took
-# 244 ms.  With the pool taking over at about the 60th of its 78 distinct
-# tuples (POOL_AFTER_S), all four took 307-317 ms (medians of 12 interleaved
-# runs).  4 is also what the pool's own rule ceil(n / (4 * workers)) gave
-# with the pool from the first tuple, but a constant is used instead:
-# on a file of thousands of tuples that rule would hold back the first line
-# until thousands of them were done.
-CHUNKSIZE = 4
 # Seconds of evaluation in this process after which a batch at --jobs above 1
 # hands the rest to a pool: what starting one costs.  In fresh interpreters
 # (2 CPUs, Python 3.11.7; medians of 22) importing concurrent.futures took
-# 27 ms, making a 2-worker pool and getting its first hand-out of 4 small
-# tuples back 22 ms, and the shutdown 3 ms; the whole ranged 36-62 ms.  A
-# batch that costs less never starts a pool, and a heavier one loses at most
-# one start.
+# 27 ms, making a 2-worker pool and getting its first 4 small tuples back
+# 22 ms, and the shutdown 3 ms; the whole ranged 36-62 ms.  A batch that
+# costs less never starts a pool, and a heavier one loses at most one start.
 POOL_AFTER_S = 0.05
 
 
@@ -301,7 +290,7 @@ def _batch_summary(
 
 def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw_lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
@@ -350,7 +339,7 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
                 # another hand-out.
                 stack.callback(executor.shutdown, cancel_futures=True)
                 pool = f"{workers} workers from distinct tuple {k + 1} of {len(distinct)}"
-                yield from executor.map(evaluate, distinct[k:], chunksize=CHUNKSIZE)
+                yield from executor.map(evaluate, distinct[k:])
                 return
             start = perf_counter()
             line = evaluate(values)

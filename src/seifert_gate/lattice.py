@@ -81,10 +81,8 @@ class DiagonalizationCertificate:
         if not all(len(v) == m and all(map(isinstance, v, repeat(int))) for v in self.units):
             raise ValueError(f"units must be integer vectors of length {m}")
         # Q(u, u): the diagonal, plus twice the nonzeros above it
-        rows = self.form.rows
-        diag = _diagonal(rows)
-        upper = [(i, j, x) for i, row in enumerate(rows) for j, x in row if j > i]
-        cols, partners, entries = zip(*upper) if upper else ((), (), ())
+        diag = self.form.diagonal
+        cols, partners, entries = self.form.upper
         for u in self.units:
             on_diag = sum(map(mul, diag, map(mul, u, u)))
             off_diag = sum(map(mul, entries, map(mul, map(u.__getitem__, cols), map(u.__getitem__, partners))))
@@ -189,11 +187,6 @@ def _pairing(v: Sequence[int], qw: Sequence[int]) -> int:
     return sum(map(mul, v, qw))
 
 
-def _diagonal(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
-    """Q_ii for each i, from the nonzero rows (a definite form has no zero there)."""
-    return [x for i, row in enumerate(rows) for j, x in row if j == i]
-
-
 def diagonalize(
     form: IntersectionForm, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> DiagonalizationCertificate:
@@ -216,7 +209,7 @@ def dual_class(form: IntersectionForm) -> Fraction:
     elimination of -Q; Q X = det * e_1 is re-checked over the nonzeros of Q.
     """
     x, det = _linalg.solve(form.elimination, [-int(i == 0) for i in range(form.m)])
-    if any(sum(q * x[j] for j, q in row) != det * (i == 0) for i, row in enumerate(form.rows)):
+    if _images(form, [x])[0] != [det * (i == 0) for i in range(form.m)]:
         raise CertificateViolation("the solve for Q^-1 e_1 does not satisfy Q D = e_1")
     return Fraction(x[0], det)
 
@@ -249,8 +242,7 @@ def _greedy_descent(form: IntersectionForm, v: list[int]) -> tuple[list[int], in
     of Q: a step s on coordinate i lowers the value by 2 s (Qv)_i + s^2 Q_ii,
     and is taken when that is positive.
     """
-    rows = form.rows
-    diag = _diagonal(rows)
+    rows, diag = form.rows, form.diagonal
     qv = _images(form, [v])[0]
     value = -_pairing(v, qv)
     improved = True
@@ -277,7 +269,7 @@ def _characteristic_parity(form: IntersectionForm) -> list[int]:
     dual form, whose entries grow like the product of the multiplicities, to
     the primal form with its small banded entries.
     """
-    minus_diag = [-q for q in _diagonal(form.rows)]  # (-Q) w = -diag(Q)
+    minus_diag = [-q for q in form.diagonal]  # (-Q) w = -diag(Q)
     x, det = _linalg.solve(form.elimination, minus_diag)
     if any(xi % det for xi in x):
         raise CertificateViolation("Q^-1 diag(Q) is not an integer vector")

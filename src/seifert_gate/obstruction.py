@@ -243,16 +243,14 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Everything the pipeline computed for one tuple, plus the verdict."""
+    """What the pipeline computed for one tuple that its output reads, plus the verdict."""
 
     multiplicities: Multiplicities
     presentation: SeifertPresentation
     normalized: NormalizedPresentation
-    gluing: GluingData
     graph: PlumbingGraph
     form: IntersectionForm
     certificate: DiagonalizationCertificate
-    dual: Fraction
     d_inv: Fraction
     twist_bound: TwistBound
     tau: TauBounds
@@ -328,11 +326,9 @@ def verdict(m: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Obstruction
         multiplicities=mult,
         presentation=pres,
         normalized=norm,
-        gluing=glue,
         graph=graph,
         form=form,
         certificate=cert,
-        dual=dual,
         d_inv=d_val,
         twist_bound=bound,
         tau=tau,

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import lt
+from typing import Iterator
 
 from . import _linalg
 from .errors import CertificateViolation, DivisionByZero, InvalidRange, RankTooLarge
@@ -61,12 +63,16 @@ class IntersectionForm:
     every pivot positive, so no other form exists.
     det Q is (-1)^m times its last minor; the solves with Q read elimination,
     both searches levels, its integer square completion as per-level arrays.
+    diagonal keeps the Q_ii (none is 0 on a definite form), upper the nonzeros
+    above them as three parallel tuples (i, j, Q_ij).
     """
 
     rows: list[list[tuple[int, int]]]
     det: int = field(init=False)
     elimination: _linalg.Elimination = field(init=False, compare=False, repr=False)
     levels: _linalg.IntegerLevels = field(init=False, compare=False, repr=False)
+    diagonal: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    upper: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = self.rows
@@ -76,8 +82,8 @@ class IntersectionForm:
             cols = [j for j, x in row if x]
             if len(cols) != len(row) or not all(map(lt, cols, cols[1:])):
                 raise ValueError(f"row {i} must list nonzero entries in strictly increasing columns")
-        upper = {(i, j, x) for i, row in enumerate(rows) for j, x in row if j > i}
-        if upper != {(j, i, x) for i, row in enumerate(rows) for j, x in row if j < i}:
+        upper = [(i, j, x) for i, row in enumerate(rows) for j, x in row if j > i]
+        if set(upper) != {(j, i, x) for i, row in enumerate(rows) for j, x in row if j < i}:
             raise ValueError("matrix must be symmetric")
         try:
             elimination = _linalg.eliminate([[(j, -x) for j, x in row] for row in rows])
@@ -86,6 +92,8 @@ class IntersectionForm:
         object.__setattr__(self, "det", (-1) ** len(rows) * elimination[0][-1])
         object.__setattr__(self, "elimination", elimination)
         object.__setattr__(self, "levels", _linalg.scaled_levels(elimination))
+        object.__setattr__(self, "diagonal", tuple(x for i, row in enumerate(rows) for j, x in row if j == i))
+        object.__setattr__(self, "upper", tuple(zip(*upper)) if upper else ((), (), ()))
 
     @property
     def m(self) -> int:
@@ -103,13 +111,34 @@ def _evaluate_cf(entries: tuple[int, ...]) -> tuple[int, int]:
     return p, q
 
 
+def _cf_runs(p: int, q: int) -> Iterator[tuple[int, int]]:
+    """(entry, count) runs of the negative continued fraction of -p/q, coprime 0 < q < p.
+
+    One step maps -p/q to -q/(k*q - p) with k = ceil(p/q), entry -k, and ends
+    at q = 1 with the entry -p.  An entry -2 (k = 2) maps (p, q) to
+    (p - d, q - d) with d = p - q, so a run of -2 entries keeps d and lasts
+    while d < q: (q - 1) // d steps, counted with one division.
+    """
+    while q > 1:
+        d = p - q
+        if d < q:
+            t = (q - 1) // d
+            yield -2, t
+            p, q = p - t * d, q - t * d
+        else:
+            k = -(-p // q)
+            yield -k, 1
+            p, q = q, k * q - p
+    yield -p, 1
+
+
 def neg_cf(numerator: int, denominator: int) -> tuple[int, ...]:
     """Entries of the negative continued fraction expansion of numerator/denominator.
 
     Defined for rationals x < -1, where the expansion with all entries <= -2
     exists and is unique: take k = floor(x) (or x itself when integral) and
-    recurse on -1/(x - k).  Runs on the integer pair p/q, q > 0, which one
-    step maps to -q/(p - k q); the expansion is evaluated back and compared
+    recurse on -1/(x - k).  The pair is reduced to p/q, q > 0, and expanded
+    from its runs (_cf_runs); the expansion is evaluated back and compared
     with the input, CertificateViolation if they differ.
     """
     if denominator == 0:
@@ -117,45 +146,22 @@ def neg_cf(numerator: int, denominator: int) -> tuple[int, ...]:
     p, q = (numerator, denominator) if denominator > 0 else (-numerator, -denominator)
     if p >= -q:
         raise InvalidRange(f"{Fraction(p, q)} >= -1 has no all-(<= -2) expansion")
-    entries = []
-    while p % q:
-        k = p // q
-        entries.append(k)
-        p, q = -q, p - k * q
-    entries.append(p // q)
-    out = tuple(entries)
+    g = gcd(p, q)
+    out = tuple(k for k, t in _cf_runs(-p // g, q // g) for _ in range(t))
     num, den = _evaluate_cf(out)
     if num * denominator != numerator * den:
         raise CertificateViolation(f"expansion {out} does not evaluate to {numerator}/{denominator}")
     return out
 
 
-def _leg_length(p: int, q: int) -> int:
-    """len(neg_cf(p, -q)) for coprime 0 < q < p, without expanding it.
-
-    One step maps -p/q to -q/(k*q - p) with k = ceil(p/q); an entry -2 (k = 2)
-    maps (p, q) to (p - d, q - d) with d = p - q, so a run of -2 entries keeps
-    d and lasts while d < q: (q - 1) // d steps, counted with one division.
-    """
-    n = 0
-    while q > 1:
-        d = p - q
-        if d < q:
-            t = (q - 1) // d
-            p, q, n = p - t * d, q - t * d, n + t
-        else:
-            p, q, n = q, -(-p // q) * q - p, n + 1
-    return n + 1
-
-
 def build_plumbing(norm: NormalizedPresentation) -> PlumbingGraph:
     """Plumbing tree with central weight e0 and leg j carrying neg_cf(a_j, b~_j).
 
     a_j is r_j's denominator and b~_j = -a_j*r_j its negated numerator.
-    RankTooLarge when the tree has more than MAX_SEARCH_RANK vertices, before
-    any leg is expanded.
+    RankTooLarge when the tree has more than MAX_SEARCH_RANK vertices, counted
+    from the legs' runs before any leg is expanded.
     """
-    rank = 1 + sum(_leg_length(rj.denominator, rj.numerator) for rj in norm.r)
+    rank = 1 + sum(t for rj in norm.r for _, t in _cf_runs(rj.denominator, rj.numerator))
     if rank > MAX_SEARCH_RANK:
         raise RankTooLarge(f"form of rank {rank} is above the search limit {MAX_SEARCH_RANK}")
     legs = tuple(neg_cf(rj.denominator, -rj.numerator) for rj in norm.r)

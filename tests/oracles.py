@@ -333,6 +333,22 @@ def fraction_neg_cf(numerator, denominator):
     return tuple(entries)
 
 
+def entrywise_neg_cf(numerator, denominator):
+    """The same expansion on the integer pair p/q, q > 0, unreduced, one entry per step.
+
+    One step takes k = floor(p/q) and maps p/q to -q/(p - k q); the last entry
+    is p/q itself once it is an integer.
+    """
+    p, q = (numerator, denominator) if denominator > 0 else (-numerator, -denominator)
+    entries = []
+    while p % q:
+        k = p // q
+        entries.append(k)
+        p, q = -q, p - k * q
+    entries.append(p // q)
+    return tuple(entries)
+
+
 def transverse_search(r):
     """(a, m, searched_m_below) of the transverse criterion, by walking every m with m*r3 < 1.
 

@@ -222,6 +222,15 @@ class TestBatchMode:
         assert out == ""
         assert err.startswith(f"error: cannot read {f}: ")
 
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, capsys):
+        f = tmp_path / "batch.txt"
+        f.write_bytes(b"\xef\xbb\xbf2 3 5\n2 3 7\n")
+        code, out = run_json(capsys, ["--batch", str(f), "--json"])
+        assert code == 0
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [d["input"] for d in docs] == [[2, 3, 5], [2, 3, 7]]
+        assert docs[0]["verdict"] == "obstructed_donaldson"
+
     def test_jobs_parallel_preserves_order(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "POOL_AFTER_S", 0)  # the pool from the first tuple on
         f = tmp_path / "batch.txt"
@@ -312,7 +321,7 @@ class TestBatchMode:
         assert code == 0
         assert len(out.splitlines()) == lines
         assert sizes == ([] if workers is None else [workers])
-        assert chunksizes == ([] if workers is None else [cli.CHUNKSIZE])
+        assert chunksizes == ([] if workers is None else [1])
 
     def test_pool_takes_over_once_evaluation_has_cost_its_start(self, tmp_path, monkeypatch, capsys):
         # The 2nd distinct tuple alone takes the threshold, so the pool gets
@@ -582,8 +591,9 @@ def test_closed_stdout_stops_the_batch(tmp_path):
     assert json.loads(first)["input"] == [2, 3, 5]
     assert code == cli.EXIT_STDOUT_CLOSED == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
-    # Of the 25 hand-outs of 4 tuples, only those done before the failed write
-    # (at most 2), running (2) or queued for a worker (3) are evaluated.
+    # Of the 100 hand-outs of one tuple, only those done before the failed
+    # write (at most 2), running (2) or queued for a worker (3) are evaluated;
+    # the bound leaves room for 4 tuples each, for a slow reader.
     evaluated = log.read_text().splitlines()
     assert 0 < len(evaluated) <= 4 * (2 + 2 + 3) < len(distinct)
 

@@ -16,7 +16,7 @@ from seifert_gate import plumbing
 from seifert_gate.plumbing import (
     IntersectionForm,
     PlumbingGraph,
-    _leg_length,
+    _cf_runs,
     build_plumbing,
     intersection_form,
     neg_cf,
@@ -27,6 +27,7 @@ from oracles import (
     cofactor_det,
     dense,
     dense_intersection_matrix,
+    entrywise_neg_cf,
     form_from_matrix,
     fraction_neg_cf,
     gauss_inverse,
@@ -83,11 +84,21 @@ class TestNegCf:
             assert all(k <= -2 for k in cf)
             assert Fraction(*plumbing._evaluate_cf(cf)) == x
 
-    def test_leg_length_matches_expansion(self):
+    def test_run_counts_match_expansion(self):
         for a in range(2, 400):
             for q in range(1, a):
                 if gcd(a, q) == 1:
-                    assert _leg_length(a, q) == len(neg_cf(a, -q)), (a, q)
+                    assert sum(t for _, t in _cf_runs(a, q)) == len(neg_cf(a, -q)), (a, q)
+
+    def test_matches_the_entrywise_walk(self):
+        reduced = [(-p, q) for p in range(2, 400) for q in range(1, p) if gcd(p, q) == 1]
+        # unreduced pairs, with either sign of the denominator
+        scaled = [(k * p, k * q) for p, q in reduced[::37] for k in (-1, 2, -6)]
+        integral = [(-n, 1) for n in range(2, 40)] + [(-12, 4), (12, -6), (-10**20, 10**19)]
+        long_run = [(-(10**5 + 1), 10**5), (10**5 + 1, -(10**5))]
+        for p, q in reduced + scaled + integral + long_run:
+            assert neg_cf(p, q) == entrywise_neg_cf(p, q), (p, q)
+        assert neg_cf(-(10**5 + 1), 10**5) == (-2,) * 10**5
 
 
 class TestBuildPlumbing:
