@@ -38,10 +38,10 @@ __all__ = ["report_to_dict", "format_text", "main", "entry"]
 MIN_CAP = 10**3
 EXIT_STDOUT_CLOSED = 141
 # Seconds of evaluation in this process after which a batch at --jobs above 1
-# hands the rest to a pool: what starting one costs.  In fresh interpreters
-# (2 CPUs, Python 3.11.7; medians of 22) importing concurrent.futures took
-# 27 ms, making a 2-worker pool and getting its first 4 small tuples back
-# 22 ms, and the shutdown 3 ms; the whole ranged 36-62 ms.  A batch that
+# hands the rest to a pool: what starting one costs.  After importing this
+# module, fresh interpreters (2 CPUs, Python 3.11.7; medians of 22) took 28 ms
+# to import concurrent.futures, 20 ms to make a 2-worker pool and get its first
+# 4 small tuples back, and 3 ms to shut it down, 41-53 ms in all.  A batch that
 # costs less never starts a pool, and a heavier one loses at most one start.
 POOL_AFTER_S = 0.05
 

@@ -10,10 +10,10 @@ by a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
+from ._record import Record
 from .errors import CertificateViolation, InvalidParameter, InvalidRange
 from .plumbing import MAX_SEARCH_RANK
 from .seifert import NormalizedPresentation
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransverseWitness:
+class TransverseWitness(Record):
     """Witness pair (a, m) for the transverse test, or the exhausted search bound.
 
     searched_m_below is the exclusive upper bound on the multipliers m that

@@ -29,7 +29,6 @@ and a failure raises CertificateViolation, also under python -O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
@@ -37,6 +36,7 @@ from operator import mul, neg
 from typing import Sequence
 
 from . import _linalg
+from ._record import Record
 from .errors import CertificateViolation, EnumerationCapExceeded, NotDiagonalizable
 from .plumbing import IntersectionForm
 
@@ -55,8 +55,7 @@ DEFAULT_ENUMERATION_CAP = 10**6
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class DiagonalizationCertificate:
+class DiagonalizationCertificate(Record):
     """Either a unimodular E with E^T Q E = -I, or a proof-of-absence witness.
 
     units are all vectors of self-intersection -1 of form (one per +-pair, as
@@ -68,9 +67,10 @@ class DiagonalizationCertificate:
     columns of E; otherwise their number is the witness of the search.
     """
 
-    form: IntersectionForm = field(compare=False, repr=False)
+    form: IntersectionForm
     units: tuple[tuple[int, ...], ...]
     nodes: int
+    _uncompared = ("form",)
 
     def __post_init__(self) -> None:
         if self.nodes < 0:

@@ -12,12 +12,12 @@ gap between the contact and smooth tau bounds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt, prod
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import CertificateViolation, InvalidRange, NotDiagonalizable, RankTooLarge
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
@@ -66,8 +66,7 @@ def twist_lower_bound(big_a: int) -> int:
     return -isqrt(big_a - 1)
 
 
-@dataclass(frozen=True)
-class TwistBound:
+class TwistBound(Record):
     """tw_min = least integer > -sqrt(A), with the exact-squaring invariants checked."""
 
     A: int
@@ -83,8 +82,7 @@ class TwistBound:
         return cls(A=big_a, tw_min=twist_lower_bound(big_a))
 
 
-@dataclass(frozen=True)
-class TauBounds:
+class TauBounds(Record):
     """Upper bound for the smooth tau and lower bound for the contact tau of a regular fiber.
 
     P is the maximum sharp pairing; it is None when the intersection form is
@@ -137,8 +135,7 @@ def fiber_boundary_slope(a: int, b: int, u: int, v: int, k: int) -> Fraction:
     return Fraction(b * k + v, a * k + u)
 
 
-@dataclass(frozen=True)
-class TwistCertificate:
+class TwistCertificate(Record):
     """Balanced twist data for the first n-1 singular fibers, with named checks.
 
     indices are the fibers 1..n-1 (I) of the twists k_i; d is the common value
@@ -241,8 +238,7 @@ class Verdict(str, Enum):
     OBSTRUCTED_FLOER_GAP = "obstructed_floer_gap"
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """What the pipeline computed for one tuple that its output reads, plus the verdict."""
 
     multiplicities: Multiplicities

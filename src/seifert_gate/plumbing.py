@@ -8,13 +8,13 @@ center outward, so that index 0 always refers to the central vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import lt
 from typing import Iterator
 
 from . import _linalg
+from ._record import Record
 from .errors import CertificateViolation, DivisionByZero, InvalidRange, RankTooLarge
 from .seifert import NormalizedPresentation
 
@@ -36,8 +36,7 @@ __all__ = [
 MAX_SEARCH_RANK = 900
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(Record):
     """Star-shaped weighted tree: central weight plus one weight chain per leg."""
 
     center_weight: int
@@ -51,8 +50,7 @@ class PlumbingGraph:
                 raise ValueError(f"leg weights must be <= -2, got {leg}")
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(Record):
     """Symmetric negative-definite integer form of the plumbing, with exact determinant.
 
     rows, the only input a form is built from, lists the nonzero (j, Q_ij) of
@@ -68,11 +66,13 @@ class IntersectionForm:
     """
 
     rows: list[list[tuple[int, int]]]
-    det: int = field(init=False)
-    elimination: _linalg.Elimination = field(init=False, compare=False, repr=False)
-    levels: _linalg.IntegerLevels = field(init=False, compare=False, repr=False)
-    diagonal: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    upper: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(init=False, compare=False, repr=False)
+    det: int
+    elimination: _linalg.Elimination
+    levels: _linalg.IntegerLevels
+    diagonal: tuple[int, ...]
+    upper: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    _derived = ("det", "elimination", "levels", "diagonal", "upper")
+    _uncompared = ("elimination", "levels", "diagonal", "upper")
 
     def __post_init__(self) -> None:
         rows = self.rows

@@ -10,12 +10,12 @@ for normalized invariants M(e0; r_1, ..., r_n), also of the small families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from operator import index
 from typing import Iterable
 
+from ._record import Record
 from .errors import CertificateViolation, InvalidRange, MultiplicityTooSmall, NotCoprime, TooFewFibers
 
 __all__ = [
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Multiplicities:
+class Multiplicities(Record):
     """Fiber multiplicities (a_1, ..., a_n): n >= 3, each >= 2, pairwise coprime."""
 
     a: tuple[int, ...]
@@ -56,8 +55,7 @@ class Multiplicities:
         return prod(self.a)
 
 
-@dataclass(frozen=True)
-class SeifertPresentation:
+class SeifertPresentation(Record):
     """Canonical surgery presentation (0; (a_1, b_1), ..., (a_n, b_n)).
 
     The defining identity A * sum(b_k / a_k) == 1 is checked exactly.
@@ -80,8 +78,7 @@ class SeifertPresentation:
         return tuple(bk for _, bk in self.pairs)
 
 
-@dataclass(frozen=True)
-class NormalizedPresentation:
+class NormalizedPresentation(Record):
     """Normalized invariants M(e0; r_1, ..., r_n): InvalidRange unless every r_j is in (0, 1)."""
 
     e0: int
@@ -97,8 +94,7 @@ class NormalizedPresentation:
         return tuple(-rj.numerator for rj in self.r)
 
 
-@dataclass(frozen=True)
-class GluingData:
+class GluingData(Record):
     """Solid-torus gluing columns: a_i*v_i - b_i*u_i = 1 with 0 < u_i < a_i."""
 
     u: tuple[int, ...]
@@ -112,7 +108,7 @@ def validate_multiplicities(raw: Iterable[int]) -> Multiplicities:
     string, say), and TooFewFibers, MultiplicityTooSmall or NotCoprime on bad
     input.
     """
-    return Multiplicities(tuple(index(x) for x in raw))
+    return Multiplicities(a=tuple(index(x) for x in raw))
 
 
 def solve_unnormalized(m: Multiplicities) -> SeifertPresentation:

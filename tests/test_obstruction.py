@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -11,6 +10,7 @@ from seifert_gate import (
     InvalidRange,
     NotCoprime,
     NotDiagonalizable,
+    ObstructionReport,
     Verdict,
     validate_multiplicities,
     verdict,
@@ -226,9 +226,9 @@ class TestVerdict:
     def test_inconsistent_report_is_refused(self):
         r = verdict((2, 3, 13))
         with pytest.raises(CertificateViolation):
-            replace(r, verdict=Verdict.OBSTRUCTED_DONALDSON)
+            ObstructionReport(**{**vars(r), "verdict": Verdict.OBSTRUCTED_DONALDSON})
         with pytest.raises(CertificateViolation):
-            replace(r, gap_lower=0)
+            ObstructionReport(**{**vars(r), "gap_lower": 0})
 
     def test_four_fiber_tuple(self):
         r = verdict((2, 3, 5, 7))
