@@ -12,10 +12,10 @@ from typing import Sequence
 # (minors, pivots): minors[i] is the leading i x i minor of G (minors[0] = 1),
 # pivots[i] the nonzero (j, N_ij), j > i, of row i of G after i fraction-free
 # steps, whose diagonal entry N_ii is minors[i + 1]
-Elimination = tuple[list[int], list[list[tuple[int, int]]]]
+Elimination = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
 # (scale, dens, cs, cols, coefs), per-level arrays with
 # scale * x^T G x = sum_i cs[i] * (dens[i] x_i + sum_j coefs[i][j] x_{cols[i][j]})^2
-IntegerLevels = tuple[int, list[int], list[int], list[list[int]], list[list[int]]]
+IntegerLevels = tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -63,7 +63,7 @@ def eliminate(g: Sequence[Sequence[tuple[int, int]]]) -> Elimination:
         p = row.pop(i, 0) * prev // lift
         if p <= 0:
             raise ValueError("form is not positive definite")
-        ni = sorted((j, x * prev // lift) for j, x in row.items() if x)
+        ni = tuple(sorted((j, x * prev // lift) for j, x in row.items() if x))
         for a, (k, nk) in enumerate(ni):
             target, lift, cols = upper[k], minors[step[k]], dict(ni[a:])
             for l in target.keys() | cols.keys():
@@ -71,7 +71,7 @@ def eliminate(g: Sequence[Sequence[tuple[int, int]]]) -> Elimination:
             step[k] = i + 1
         minors.append(p)
         pivots.append(ni)
-    return minors, pivots
+    return tuple(minors), tuple(pivots)
 
 
 def scaled_levels(elimination: Elimination) -> IntegerLevels:
@@ -85,15 +85,16 @@ def scaled_levels(elimination: Elimination) -> IntegerLevels:
     minors, pivots = elimination
     weights, dens, cols, coefs = [], [], [], []
     for i, row in enumerate(pivots):
-        g = gcd(minors[i + 1], *(x for _, x in row))
+        js, xs = tuple(zip(*row)) or ((), ())
+        g = gcd(minors[i + 1], *xs)
         num, q = g * g, minors[i] * minors[i + 1]
         t = gcd(num, q)
         weights.append((num // t, q // t))
         dens.append(minors[i + 1] // g)
-        cols.append([j for j, _ in row])
-        coefs.append([x // g for _, x in row])
+        cols.append(js)
+        coefs.append(tuple([x // g for x in xs]))
     scale = lcm(*(q for _, q in weights))
-    return scale, dens, [num * (scale // q) for num, q in weights], cols, coefs
+    return scale, tuple(dens), tuple([num * (scale // q) for num, q in weights]), tuple(cols), tuple(coefs)
 
 
 def solve(elimination: Elimination, rhs: Sequence[int]) -> tuple[list[int], int]:

@@ -32,17 +32,20 @@ from .errors import (
 from .families import mp_family, mpl_family, transverse_contact_exists
 from .lattice import DEFAULT_ENUMERATION_CAP
 from .obstruction import ObstructionReport, verdict
+from .plumbing import tree_rank
 
 __all__ = ["report_to_dict", "format_text", "main", "entry"]
 
 MIN_CAP = 10**3
 EXIT_STDOUT_CLOSED = 141
-# Seconds of evaluation in this process after which a batch at --jobs above 1
-# hands the rest to a pool: what starting one costs.  After importing this
-# module, fresh interpreters (2 CPUs, Python 3.11.7; medians of 22) took 28 ms
-# to import concurrent.futures, 20 ms to make a 2-worker pool and get its first
-# 4 small tuples back, and 3 ms to shut it down, 41-53 ms in all.  A batch that
-# costs less never starts a pool, and a heavier one loses at most one start.
+# What starting a pool costs, in seconds.  After importing this module, fresh
+# interpreters (2 CPUs, Python 3.11.7; medians of 22) took 28 ms to import
+# concurrent.futures, 20 ms to make a 2-worker pool and get its first 4 small
+# tuples back, and 3 ms to shut it down, 41-53 ms in all.  A batch that costs
+# less never starts a pool.  W workers take about POOL_AFTER_S + R/W for what
+# takes R in-process, so a batch starts one only for an estimated R of at
+# least POOL_AFTER_S * W/(W - 1).  It loses at most one start against --jobs 1
+# when R is overestimated, and forgoes what a pool saves when it is too low.
 POOL_AFTER_S = 0.05
 
 
@@ -325,25 +328,44 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
 
     def results(stack: ExitStack) -> Iterator[_Line]:
         """Each distinct tuple's line, in order.  They are evaluated here until
-        that has taken POOL_AFTER_S; then a pool gets all that are left, if
-        that is 2 or more, so a small batch never pays for starting one."""
+        that has taken POOL_AFTER_S and the work left repays a pool start;
+        then a pool gets all that are left, if that is 2 or more.  The work
+        left is estimated as spent * left/done, where done and left sum the
+        squared ranks (the enumeration's nodes grow about as m^2) of the
+        tuples evaluated here and of those to come, each weighed once and
+        left only until it passes the break-even.  With done = 0 the pool
+        starts at once."""
         nonlocal pool
         spent = 0.0
+        weights: list[int] = []  # squared ranks of distinct[:len(weights)]
+        done = left = 0  # their sums over distinct[:k] and distinct[k:len(weights)]
         for k, values in enumerate(distinct):
             # The pool starts all its workers at the first submit, so it gets
             # no more than there are CPUs and tuples left.
             workers = min(jobs, len(distinct) - k, cpus)
             if workers > 1 and spent >= POOL_AFTER_S:
-                executor = stack.enter_context(_process_pool(workers))
-                # On an early exit, such as a closed stdout, no worker starts
-                # another hand-out.
-                stack.callback(executor.shutdown, cancel_futures=True)
-                pool = f"{workers} workers from distinct tuple {k + 1} of {len(distinct)}"
-                yield from executor.map(evaluate, distinct[k:])
-                return
+                while len(weights) < k:
+                    weights.append(tree_rank(distinct[len(weights)]) ** 2)
+                    done += weights[-1]
+                # R * (W - 1) >= POOL_AFTER_S * W, with R = spent * left/done
+                need = POOL_AFTER_S * workers * done
+                while left * (workers - 1) * spent < need and len(weights) < len(distinct):
+                    weights.append(tree_rank(distinct[len(weights)]) ** 2)
+                    left += weights[-1]
+                if left * (workers - 1) * spent >= need:
+                    executor = stack.enter_context(_process_pool(workers))
+                    # On an early exit, such as a closed stdout, no worker
+                    # starts another hand-out.
+                    stack.callback(executor.shutdown, cancel_futures=True)
+                    pool = f"{workers} workers from distinct tuple {k + 1} of {len(distinct)}"
+                    yield from executor.map(evaluate, distinct[k:])
+                    return
             start = perf_counter()
             line = evaluate(values)
             spent += perf_counter() - start
+            if k < len(weights):
+                done += weights[k]
+                left -= weights[k]
             yield line
 
     verdicts: Counter[str] = Counter()

@@ -9,9 +9,9 @@ center outward, so that index 0 always refers to the central vertex.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import lt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import _linalg
 from ._record import Record
@@ -24,6 +24,7 @@ __all__ = [
     "neg_cf",
     "build_plumbing",
     "intersection_form",
+    "tree_rank",
 ]
 
 # The searches need no call stack; the limit bounds what grows with the rank m
@@ -58,14 +59,16 @@ class IntersectionForm(Record):
     above MAX_SEARCH_RANK, and ValueError unless rows is so written and
     symmetric, and unless the form is negative definite, that is unless its
     fraction-free elimination of -Q in index order (_linalg.eliminate) finds
-    every pivot positive, so no other form exists.
+    every pivot positive, so no other form exists.  rows is kept as tuples,
+    as is all that is derived from it, so no check goes stale and a form
+    hashes.
     det Q is (-1)^m times its last minor; the solves with Q read elimination,
     both searches levels, its integer square completion as per-level arrays.
     diagonal keeps the Q_ii (none is 0 on a definite form), upper the nonzeros
     above them as three parallel tuples (i, j, Q_ij).
     """
 
-    rows: list[list[tuple[int, int]]]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
     det: int
     elimination: _linalg.Elimination
     levels: _linalg.IntegerLevels
@@ -75,9 +78,10 @@ class IntersectionForm(Record):
     _uncompared = ("elimination", "levels", "diagonal", "upper")
 
     def __post_init__(self) -> None:
-        rows = self.rows
-        if len(rows) > MAX_SEARCH_RANK:
-            raise RankTooLarge(f"form of rank {len(rows)} is above the search limit {MAX_SEARCH_RANK}")
+        if len(self.rows) > MAX_SEARCH_RANK:
+            raise RankTooLarge(f"form of rank {len(self.rows)} is above the search limit {MAX_SEARCH_RANK}")
+        rows = tuple([tuple(map(tuple, row)) for row in self.rows])
+        object.__setattr__(self, "rows", rows)
         for i, row in enumerate(rows):
             cols = [j for j, x in row if x]
             if len(cols) != len(row) or not all(map(lt, cols, cols[1:])):
@@ -166,6 +170,26 @@ def build_plumbing(norm: NormalizedPresentation) -> PlumbingGraph:
         raise RankTooLarge(f"form of rank {rank} is above the search limit {MAX_SEARCH_RANK}")
     legs = tuple(neg_cf(rj.denominator, -rj.numerator) for rj in norm.r)
     return PlumbingGraph(center_weight=norm.e0, legs=legs)
+
+
+def tree_rank(a: Sequence[int]) -> int:
+    """Rank of the form verdict(a) builds, counted from the legs' runs as
+    build_plumbing counts them, with no form, presentation or leg built; 0
+    when verdict refuses a before it builds a form.
+
+    r_j's numerator is a_j - b_j with b_j = (A/a_j)^(-1) mod a_j
+    (solve_unnormalized, normalize).  The inverse exists for every j exactly
+    when the a_j are pairwise coprime, so validation costs n big-integer
+    divisions and inverses, not the n^2 gcds of Multiplicities.
+    """
+    if not 3 <= len(a) < MAX_SEARCH_RANK or min(a) < 2:
+        return 0
+    big_a = prod(a)
+    try:
+        rank = 1 + sum(t for aj in a for _, t in _cf_runs(aj, aj - pow(big_a // aj, -1, aj)))
+    except ValueError:  # (A/a_j) has no inverse mod a_j
+        return 0
+    return rank if rank <= MAX_SEARCH_RANK else 0
 
 
 def intersection_form(g: PlumbingGraph) -> IntersectionForm:

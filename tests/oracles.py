@@ -529,10 +529,10 @@ def integer_levels(completion: Completion) -> IntegerLevels:
     dens = [lcm(*(x.denominator for _, x in row)) for row in u]
     weights = [di / (den * den) for di, den in zip(d, dens)]
     scale = lcm(*(w.denominator for w in weights))
-    cs = [int(w * scale) for w in weights]
-    cols = [[j for j, _ in row] for row in u]
-    coefs = [[int(x * den) for _, x in row] for den, row in zip(dens, u)]
-    return scale, dens, cs, cols, coefs
+    cs = tuple(int(w * scale) for w in weights)
+    cols = tuple(tuple(j for j, _ in row) for row in u)
+    coefs = tuple(tuple(int(x * den) for _, x in row) for den, row in zip(dens, u))
+    return scale, tuple(dens), cs, cols, coefs
 
 
 def solve_completion(

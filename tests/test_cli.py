@@ -354,6 +354,75 @@ class TestBatchMode:
         assert sizes == [3, 2]  # min(jobs, 3 tuples left, 4 CPUs)
         assert handed == [[(2, 3, 11), (2, 3, 13), (2, 3, 17)]] * 2
 
+    def run_with_a_slow_first_tuple(self, tmp_path, monkeypatch, capsys, tuples):
+        """Run tuples at --jobs 1, 5000 and 2, with 4 CPUs, the first tuple
+        alone taking POOL_AFTER_S.  Returns the pools' sizes, the tuples each
+        was handed, the tuples tree_rank weighed, and the summaries' pool
+        fields; every run must print the --jobs 1 lines."""
+        sizes, handed, weighed = [], [], []
+        real_verdict, real_rank = cli.verdict, cli.tree_rank
+
+        def slow_first(values, **kwargs):
+            if tuple(values) == tuples[0]:
+                time.sleep(cli.POOL_AFTER_S)
+            return real_verdict(values, **kwargs)
+
+        def recorded_rank(values):
+            weighed.append(values)
+            return real_rank(values)
+
+        class RecordingPool(SerialPool):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                handed.append(list(items))
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
+        monkeypatch.setattr(cli, "verdict", slow_first)
+        monkeypatch.setattr(cli, "tree_rank", recorded_rank)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        f = tmp_path / "batch.txt"
+        f.write_text("".join(" ".join(map(str, t)) + "\n" for t in tuples))
+        want = [main(["--batch", str(f), "--jobs", "1"]), capsys.readouterr().out]
+        assert sizes == handed == weighed == []
+        pools = []
+        for jobs in ("5000", "2"):
+            got = [main(["--batch", str(f), "--jobs", jobs]), capsys.readouterr()]
+            assert [got[0], got[1].out] == want
+            pools.append(got[1].err.splitlines()[-1].split("; pool: ")[1])
+        return sizes, handed, weighed, pools
+
+    def test_no_pool_when_the_work_left_cannot_repay_its_start(self, tmp_path, monkeypatch, capsys):
+        # (2, 3, 197) has rank 40; the ranks left, 4, 5 and 6, add up to 77
+        # squared, so the estimate of what is left is about 77/1600 of
+        # POOL_AFTER_S, below the POOL_AFTER_S * W/(W - 1) a pool must beat.
+        # Each distinct tuple is weighed once per run.
+        tuples = [(2, 3, 197), (2, 3, 7), (2, 3, 13), (2, 3, 7), (2, 3, 19)]
+        sizes, handed, weighed, pools = self.run_with_a_slow_first_tuple(tmp_path, monkeypatch, capsys, tuples)
+        assert sizes == handed == []
+        assert pools == ["none", "none"]
+        assert sorted(weighed) == sorted([*set(tuples)] * 2)
+
+    def test_pool_takes_over_when_a_heavy_tuple_is_still_to_come(self, tmp_path, monkeypatch, capsys):
+        # The same batch with (2, 3, 499), rank 86, at its end: the estimate
+        # is then about 4.7 times POOL_AFTER_S, so the pool starts at the first
+        # check and gets every distinct tuple from there on.
+        tuples = [(2, 3, 197), (2, 3, 7), (2, 3, 13), (2, 3, 7), (2, 3, 19), (2, 3, 499)]
+        sizes, handed, weighed, pools = self.run_with_a_slow_first_tuple(tmp_path, monkeypatch, capsys, tuples)
+        assert sizes == [4, 2]  # min(jobs, 4 tuples left, 4 CPUs)
+        assert handed == [[(2, 3, 7), (2, 3, 13), (2, 3, 19), (2, 3, 499)]] * 2
+        assert pools == [f"{n} workers from distinct tuple 2 of 5" for n in (4, 2)]
+
+    def test_ranks_are_summed_only_until_the_pool_pays(self, tmp_path, monkeypatch, capsys):
+        # The first tuple to come already repays the pool, so none after it
+        # is weighed.
+        tuples = [(2, 3, 7), (2, 3, 499)] + [(2, 3, c) for c in range(11, 200, 6)]
+        sizes, handed, weighed, pools = self.run_with_a_slow_first_tuple(tmp_path, monkeypatch, capsys, tuples)
+        assert handed == [tuples[1:]] * 2
+        assert weighed == tuples[:2] * 2
+
     @pytest.mark.parametrize(
         "jobs, pool_after_s, pool",
         [("1", 0, None), ("2", 60, "none"), ("2", 0, "2 workers from distinct tuple 1 of 2")],

@@ -89,4 +89,4 @@ def test_elimination_matches_the_oracle_on_the_corpus(name):
 def test_rows_are_the_nonzeros_of_q():
     rows = [[-2, 1, 0], [1, -3, 0], [0, 0, -1]]
     f = form_from_matrix(rows)
-    assert f.rows == [[(0, -2), (1, 1)], [(0, 1), (1, -3)], [(2, -1)]]
+    assert f.rows == (((0, -2), (1, 1)), ((0, 1), (1, -3)), ((2, -1),))

@@ -1,6 +1,8 @@
 import random
+import time
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, isqrt
 
 import pytest
 
@@ -8,6 +10,7 @@ from seifert_gate import (
     CertificateViolation,
     DivisionByZero,
     InvalidRange,
+    RankTooLarge,
     diagonalize,
     validate_multiplicities,
 )
@@ -20,6 +23,7 @@ from seifert_gate.plumbing import (
     build_plumbing,
     intersection_form,
     neg_cf,
+    tree_rank,
 )
 from seifert_gate.lattice import dual_class
 from seifert_gate.lattice import _split_off_units
@@ -146,6 +150,36 @@ class TestBuildPlumbing:
         assert g.legs == ((-2,), (-3,), (-7, -2))
 
 
+class TestTreeRank:
+    """tree_rank counts the rank of verdict's form before any form exists."""
+
+    def test_equals_the_rank_of_the_form(self):
+        triples = [t for t in combinations(range(2, 40), 3) if all(gcd(x, y) == 1 for x, y in combinations(t, 2))]
+        more = random_coprime_tuples(random.Random(5), 20, max_product=10**6, length=4, hi=60)
+        for t in [t for name in sorted(CORPORA) for t in CORPORA[name]] + triples + more:
+            assert tree_rank(t) == len(form_for(t).rows), t
+
+    def test_counts_up_to_the_rank_limit(self):
+        assert tree_rank((2, 3, 5329)) == 1 + sum(map(len, graph_for((2, 3, 5329)).legs)) == 891
+        with pytest.raises(RankTooLarge):
+            graph_for((2, 3, 6001))
+        assert tree_rank((2, 3, 6001)) == 0
+
+    @pytest.mark.parametrize("a", [(0, 3, 5), (-3, 5, 7), (2, 4, 5), (2, 3), (1, 2, 3), (), (5, -7, 9), (-2, -3, -5)])
+    def test_is_zero_for_what_validation_refuses(self, a):
+        assert tree_rank(a) == 0
+
+    def test_many_fibers_are_weighed_without_a_form(self):
+        primes = [p for p in range(2, 8000) if all(p % q for q in range(2, isqrt(p) + 1))]
+        assert len(primes) >= 1000
+        start = time.perf_counter()
+        # n + 1 above the limit is refused before any arithmetic; 899 fibers
+        # take one division and inverse each, and give a rank above it
+        assert tree_rank(primes[:1000]) == tree_rank(primes[:899]) == tree_rank([2] * 1000) == 0
+        assert tree_rank(primes[:40]) == len(form_for(primes[:40]).rows)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestIntersectionForm:
     @pytest.mark.parametrize("name", sorted(CORPORA))
     def test_tree_form_equals_the_dense_route(self, name):
@@ -217,7 +251,7 @@ class TestIntersectionForm:
 
     def test_from_matrix_definiteness(self):
         f = form_from_matrix([[-1, 0], [0, -1]])
-        assert f.det == 1 and f.levels == (1, [1, 1], [1, 1], [[], []], [[], []])
+        assert f.det == 1 and f.levels == (1, (1, 1), (1, 1), ((), ()), ((), ()))
 
     @pytest.mark.parametrize(
         "rows, reason",

@@ -16,7 +16,7 @@ import pytest
 
 from seifert_gate import verdict
 from seifert_gate.families import transverse_contact_exists
-from seifert_gate.plumbing import PlumbingGraph
+from seifert_gate.plumbing import IntersectionForm, PlumbingGraph
 from seifert_gate.seifert import GluingData, gluing_data
 
 REPORTS = {"gap": verdict((2, 3, 13)), "donaldson": verdict((2, 3, 5))}
@@ -103,6 +103,36 @@ def test_equality_hash_and_repr_match_a_frozen_dataclass(name):
         for b in records:
             assert (a == b) is (reference(a) == reference(b))
             assert (a != b) is (reference(a) != reference(b))
+
+
+def test_every_record_hashes_and_equal_records_hash_alike(name):
+    # a report's elapsed_ms differs between two runs; its records do not
+    records = [build(name, kind) for kind in sorted(REPORTS)] + [RECORDS[name](AGAIN)]
+    for a in records:
+        assert isinstance(hash(a), int)
+        for b in records:
+            assert a != b or hash(a) == hash(b)
+    assert name == "ObstructionReport" or records[-1] == build(name, "gap")
+
+
+def test_a_form_cannot_be_changed_through_its_rows_or_derived_arrays():
+    form = REPORTS["gap"].form
+    before = (form.rows, form.det, form.elimination, form.levels, form.diagonal, form.upper)
+    minors, pivots = form.elimination
+    scale, dens, cs, cols, coefs = form.levels
+    for sequence in (form.rows, form.rows[0], minors, pivots, pivots[0], dens, cs, cols, cols[0], coefs, coefs[0]):
+        with pytest.raises(TypeError):
+            sequence[0] = (0, 5)
+    assert (form.rows, form.det, form.elimination, form.levels, form.diagonal, form.upper) == before
+
+
+def test_a_form_built_from_lists_keeps_tuples():
+    lists = [[[0, -2], [1, 1]], [[0, 1], [1, -2]]]
+    form = IntersectionForm(rows=lists)
+    assert form.rows == (((0, -2), (1, 1)), ((0, 1), (1, -2)))
+    assert form == IntersectionForm(rows=form.rows) and hash(form) == hash(IntersectionForm(rows=form.rows))
+    lists[0][0][1] = -5
+    assert form.rows[0][0] == (0, -2)
 
 
 def test_two_types_with_the_same_values_differ():
