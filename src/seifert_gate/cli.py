@@ -20,6 +20,7 @@ from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import ceil
 from time import perf_counter
 from typing import Any, Iterator, NamedTuple, Sequence
@@ -214,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="parallel workers for batch mode, at most one per CPU and per tuple",
+        help="parallel workers for batch mode, at most one per usable CPU and per tuple",
     )
     return parser
 
@@ -302,12 +303,10 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
     # line that does not parse.
     entries: list[tuple[int, ...] | _Line] = []
     last_use: dict[tuple[int, ...], int] = {}
-    parse_failures = 0
     for lineno, raw in enumerate(raw_lines, start=1):
         try:
             parsed = _parse_batch_line(raw)
         except ValueError:
-            parse_failures += 1
             record = {
                 "line": lineno,
                 "raw": raw.rstrip("\n"),
@@ -323,7 +322,9 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
     # evaluated once, in order of first use, and a repeat prints its line again.
     distinct = list(last_use)
     evaluate = partial(_render_tuple, cap=cap, json_output=json_output)
-    cpus = os.cpu_count() or 1
+    # The CPUs this process may run on, which an affinity mask can make fewer
+    # than the host has.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     pool = "none"
 
     def results(stack: ExitStack) -> Iterator[_Line]:
@@ -332,27 +333,21 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
         then a pool gets all that are left, if that is 2 or more.  The work
         left is estimated as spent * left/done, where done and left sum the
         squared ranks (the enumeration's nodes grow about as m^2) of the
-        tuples evaluated here and of those to come, each weighed once and
-        left only until it passes the break-even.  With done = 0 the pool
-        starts at once."""
+        tuples evaluated here and of those to come; every distinct tuple is
+        weighed once, at the first check.  With done = 0 the pool starts at
+        once."""
         nonlocal pool
         spent = 0.0
-        weights: list[int] = []  # squared ranks of distinct[:len(weights)]
-        done = left = 0  # their sums over distinct[:k] and distinct[k:len(weights)]
+        total: list[int] = []  # total[k]: the squared ranks of distinct[:k], summed
         for k, values in enumerate(distinct):
             # The pool starts all its workers at the first submit, so it gets
             # no more than there are CPUs and tuples left.
             workers = min(jobs, len(distinct) - k, cpus)
             if workers > 1 and spent >= POOL_AFTER_S:
-                while len(weights) < k:
-                    weights.append(tree_rank(distinct[len(weights)]) ** 2)
-                    done += weights[-1]
+                total = total or list(accumulate((tree_rank(v) ** 2 for v in distinct), initial=0))
+                done, left = total[k], total[-1] - total[k]
                 # R * (W - 1) >= POOL_AFTER_S * W, with R = spent * left/done
-                need = POOL_AFTER_S * workers * done
-                while left * (workers - 1) * spent < need and len(weights) < len(distinct):
-                    weights.append(tree_rank(distinct[len(weights)]) ** 2)
-                    left += weights[-1]
-                if left * (workers - 1) * spent >= need:
+                if left * (workers - 1) * spent >= POOL_AFTER_S * workers * done:
                     executor = stack.enter_context(_process_pool(workers))
                     # On an early exit, such as a closed stdout, no worker
                     # starts another hand-out.
@@ -363,9 +358,6 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
             start = perf_counter()
             line = evaluate(values)
             spent += perf_counter() - start
-            if k < len(weights):
-                done += weights[k]
-                left -= weights[k]
             yield line
 
     verdicts: Counter[str] = Counter()
@@ -396,7 +388,7 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
             (errors if line.elapsed_ms is None else verdicts)[line.outcome] += 1
             print(line.text, flush=True)
     print(_batch_summary(verdicts, errors, reused, elapsed, pool if jobs > 1 else None), file=sys.stderr)
-    return 1 if unexpected else 2 if parse_failures else 0
+    return 1 if unexpected else 2 if errors["ParseError"] else 0
 
 
 def _run_family(argv: Sequence[str]) -> int:
@@ -418,17 +410,17 @@ def _run_family(argv: Sequence[str]) -> int:
         "r": [_q(ri) for ri in data.r],
     }
     if len(data.r) == 3:
-        witness = transverse_contact_exists(data)
+        # Up to order a three-fiber member is M(-1; (p-1)/p, 1/p, 1/p), so
+        # r1 + r2 = 1 leaves the interval (r1, 1 - r2) of a witness empty.
         out["transverse_contact_structure"] = {
             "applicable": True,
-            "witness": {"a": witness.a, "m": witness.m} if witness.present else None,
-            "searched_m_below": witness.searched_m_below,
-        }
-        if not witness.present:
-            out["transverse_contact_structure"]["note"] = (
+            "witness": None,
+            "searched_m_below": transverse_contact_exists(data).searched_m_below,
+            "note": (
                 "no transverse contact structure on this side; by the standard "
                 "equivalence the manifold or its reverse is an L-space"
-            )
+            ),
+        }
     else:
         out["transverse_contact_structure"] = {
             "applicable": False,
@@ -442,14 +434,11 @@ def _run_family(argv: Sequence[str]) -> int:
         t = out["transverse_contact_structure"]
         if not t["applicable"]:
             print(f"  transverse test: not applicable ({t['note']})")
-        elif t["witness"] is None:
+        else:
             print(
                 f"  transverse contact structure: none (all m < {t['searched_m_below']} exhausted)"
             )
             print(f"  note: {t['note']}")
-        else:
-            w = t["witness"]
-            print(f"  transverse contact structure: witness (a, m) = ({w['a']}, {w['m']})")
     return 0
 
 

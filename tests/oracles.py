@@ -618,3 +618,36 @@ def tau_d_invariant(values):
     lowest = min(taus)
     p = max(abs(Fraction(x[0], det) + 2 * n) for n, tau in enumerate(taus) if tau == lowest)
     return (k2 + form.m) / 4 - 2 * lowest, p
+
+
+def lazy_pool_handover(ranks, times, jobs, cpus, pool_after_s):
+    """(k, W): the distinct tuple from which a batch hands the rest to a pool
+    of W workers, or None, by the lazy two-cursor rule.
+
+    ranks[k] is the tree rank of distinct tuple k and times[k] what evaluating
+    it in-process costs.  The batch weighs the tuples done only at a check,
+    and those to come only until their squared ranks pass the break-even
+    left * (W - 1) * spent >= pool_after_s * W * done; it then keeps both
+    running sums up to date after each evaluation.  The CLI weighs every
+    tuple at the first check instead, and must hand over where this does.
+    """
+    spent = 0.0
+    weights = []  # squared ranks of the first len(weights) tuples
+    done = left = 0  # their sums over tuples [0, k) and [k, len(weights))
+    for k in range(len(ranks)):
+        workers = min(jobs, len(ranks) - k, cpus)
+        if workers > 1 and spent >= pool_after_s:
+            while len(weights) < k:
+                weights.append(ranks[len(weights)] ** 2)
+                done += weights[-1]
+            need = pool_after_s * workers * done
+            while left * (workers - 1) * spent < need and len(weights) < len(ranks):
+                weights.append(ranks[len(weights)] ** 2)
+                left += weights[-1]
+            if left * (workers - 1) * spent >= need:
+                return k, workers
+        spent += times[k]
+        if k < len(weights):
+            done += weights[k]
+            left -= weights[k]
+    return None

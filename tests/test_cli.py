@@ -2,6 +2,7 @@ import io
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,10 +12,16 @@ import pytest
 
 from seifert_gate import cli
 from seifert_gate.cli import main, report_to_dict
-from seifert_gate.errors import SeifertGateError
+from seifert_gate.errors import InvalidRange, SeifertGateError
 from seifert_gate.obstruction import verdict
+from oracles import lazy_pool_handover
 
 SRC = str(Path(cli.__file__).parents[1])
+
+
+def allow_cpus(monkeypatch, n):
+    """Let this process run on n CPUs, however many the host has."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 class SerialPool:
@@ -297,11 +304,13 @@ class TestBatchMode:
 
     @pytest.mark.parametrize(
         "cpus, jobs, lines, workers",
-        [(4, 5000, 2, 2), (4, 5000, 6, 4), (4, 3, 6, 3), (None, 5000, 6, None)],
+        [(4, 5000, 2, 2), (4, 5000, 6, 4), (4, 3, 6, 3), (1, 5000, 6, None), (None, 5000, 6, None)],
     )
     def test_pool_size_is_capped(self, tmp_path, monkeypatch, capsys, cpus, jobs, lines, workers):
         # The pool starts all its workers at once, so --jobs asks for no more
-        # than there are CPUs and tuples; the stand-in pool starts none.
+        # than there are CPUs this process may use and tuples; the stand-in
+        # pool starts none.  The affinity mask decides, not the host's 8 CPUs;
+        # without a mask, a host count of None counts as 1.
         sizes, chunksizes = [], []
 
         class RecordingPool(SerialPool):
@@ -313,7 +322,12 @@ class TestBatchMode:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "_process_pool", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+            allow_cpus(monkeypatch, cpus)
         monkeypatch.setattr(cli, "POOL_AFTER_S", 0)  # the pool from the first tuple on
         f = tmp_path / "batch.txt"
         f.write_text("".join(f"2 3 {c}\n" for c in (5, 7, 11, 13, 17, 19)[:lines]))
@@ -344,7 +358,7 @@ class TestBatchMode:
 
         monkeypatch.setattr(cli, "_process_pool", RecordingPool)
         monkeypatch.setattr(cli, "verdict", slow_second)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        allow_cpus(monkeypatch, 4)
         f = tmp_path / "batch.txt"
         f.write_text("2 3 5\n2 3 7\n2 3 5\n2 3 11\n2 3 13\n2 3 7\n2 3 17\n")
         want = [main(["--batch", str(f), "--jobs", "1"]), capsys.readouterr().out]
@@ -382,7 +396,7 @@ class TestBatchMode:
         monkeypatch.setattr(cli, "_process_pool", RecordingPool)
         monkeypatch.setattr(cli, "verdict", slow_first)
         monkeypatch.setattr(cli, "tree_rank", recorded_rank)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        allow_cpus(monkeypatch, 4)
         f = tmp_path / "batch.txt"
         f.write_text("".join(" ".join(map(str, t)) + "\n" for t in tuples))
         want = [main(["--batch", str(f), "--jobs", "1"]), capsys.readouterr().out]
@@ -415,13 +429,107 @@ class TestBatchMode:
         assert handed == [[(2, 3, 7), (2, 3, 13), (2, 3, 19), (2, 3, 499)]] * 2
         assert pools == [f"{n} workers from distinct tuple 2 of 5" for n in (4, 2)]
 
-    def test_ranks_are_summed_only_until_the_pool_pays(self, tmp_path, monkeypatch, capsys):
-        # The first tuple to come already repays the pool, so none after it
-        # is weighed.
-        tuples = [(2, 3, 7), (2, 3, 499)] + [(2, 3, c) for c in range(11, 200, 6)]
-        sizes, handed, weighed, pools = self.run_with_a_slow_first_tuple(tmp_path, monkeypatch, capsys, tuples)
-        assert handed == [tuples[1:]] * 2
-        assert weighed == tuples[:2] * 2
+    def test_every_distinct_tuple_is_weighed_once_at_the_first_check(self, tmp_path, monkeypatch, capsys):
+        # The slow first tuple brings on the first check.  It weighs every
+        # distinct tuple, in order, those after (2, 3, 499), which alone
+        # repays the pool, as well; a later check weighs none, and a batch
+        # that stays under POOL_AFTER_S weighs nothing.
+        events = []
+        pause = cli.POOL_AFTER_S
+        real_verdict, real_rank = cli.verdict, cli.tree_rank
+
+        def slow_first(values, **kwargs):
+            events.append(("evaluate", values))
+            if values == (2, 3, 197):
+                time.sleep(pause)
+            return real_verdict(values, **kwargs)
+
+        def recorded_rank(values):
+            events.append(("weigh", values))
+            return real_rank(values)
+
+        monkeypatch.setattr(cli, "_process_pool", SerialPool)
+        monkeypatch.setattr(cli, "verdict", slow_first)
+        monkeypatch.setattr(cli, "tree_rank", recorded_rank)
+        allow_cpus(monkeypatch, 4)
+        f = tmp_path / "batch.txt"
+
+        def run(lines):
+            events.clear()
+            f.write_text("".join(f"2 3 {c}\n" for c in lines))
+            assert main(["--batch", str(f), "--jobs", "2"]) == 0
+            return capsys.readouterr().err.split("; pool: ")[1]
+
+        def weighed_at_the_first_check(cs):
+            distinct = [(2, 3, c) for c in cs]
+            return [
+                ("evaluate", distinct[0]),
+                *(("weigh", t) for t in distinct),
+                *(("evaluate", t) for t in distinct[1:]),
+            ]
+
+        assert run([197, 499, 7, 499, 13]) == "2 workers from distinct tuple 2 of 4\n"
+        assert events == weighed_at_the_first_check([197, 499, 7, 13])
+        assert run([197, 7, 13, 7, 19]) == "none\n"  # checked at tuples 2 and 3
+        assert events == weighed_at_the_first_check([197, 7, 13, 19])
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 60)
+        assert run([5, 7, 5, 13]) == "none\n"
+        assert events == [("evaluate", (2, 3, c)) for c in (5, 7, 13)]
+
+    def test_hand_over_matches_the_lazy_rule(self, tmp_path, monkeypatch, capsys):
+        """On 300 seeded random batches the pool takes over at the distinct
+        tuple, and with the workers, that oracles.lazy_pool_handover names.
+        The clock counts whole microseconds and only the stand-in verdict
+        advances it, so both rules see exactly the same times."""
+        rng = random.Random(23)
+        clock = 0
+        ranks, times, started = {}, {}, []
+
+        def timed_verdict(values, **kwargs):
+            nonlocal clock
+            clock += times[values]
+            raise InvalidRange("not evaluated")
+
+        class RecordingPool(SerialPool):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                started.append(len(items))
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
+        monkeypatch.setattr(cli, "verdict", timed_verdict)
+        monkeypatch.setattr(cli, "tree_rank", ranks.__getitem__)
+        monkeypatch.setattr(cli, "perf_counter", lambda: clock)
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 50_000)
+        f = tmp_path / "batch.txt"
+        pools = 0
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            tuples = [(2, 3, c) for c in range(5, 5 + n)]
+            refused = rng.choice((0.0, 0.25, 1.0))  # the share of tuples of rank 0
+            for t in tuples:
+                rank = rng.choice((rng.randint(3, 60), rng.randint(3, 60), rng.randint(60, 600)))
+                ranks[t] = 0 if rng.random() < refused else rank
+                times[t] = rng.randint(0, 3) * ranks[t] ** 2 + rng.randint(0, 20_000)
+            lines = tuples + rng.choices(tuples, k=rng.randint(0, n))
+            rng.shuffle(lines)
+            distinct = list(dict.fromkeys(lines))
+            jobs, cpus = rng.randint(1, 5), rng.randint(1, 4)
+            allow_cpus(monkeypatch, cpus)
+            f.write_text("".join(" ".join(map(str, t)) + "\n" for t in lines))
+            started.clear()
+            assert main(["--batch", str(f), "--jobs", str(jobs)]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == len(lines)
+            got = (n - started[1], started[0]) if started else None
+            want = lazy_pool_handover(
+                [ranks[t] for t in distinct], [times[t] for t in distinct], jobs, cpus, 50_000
+            )
+            assert got == want, (lines, jobs, cpus)
+            pools += got is not None
+        # Both outcomes are common, so neither side of the rule goes untested.
+        assert 50 <= pools <= 250
 
     @pytest.mark.parametrize(
         "jobs, pool_after_s, pool",
@@ -430,7 +538,7 @@ class TestBatchMode:
     def test_summary_says_whether_the_pool_ran(self, tmp_path, monkeypatch, capsys, jobs, pool_after_s, pool):
         monkeypatch.setattr(cli, "_process_pool", SerialPool)
         monkeypatch.setattr(cli, "POOL_AFTER_S", pool_after_s)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         f = tmp_path / "batch.txt"
         f.write_text("2 3 5\n2 3 7\n2 3 5\n")
         assert main(["--batch", str(f), "--jobs", jobs]) == 0
@@ -440,7 +548,7 @@ class TestBatchMode:
 
     def test_real_pool_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "POOL_AFTER_S", 0)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         f = tmp_path / "batch.txt"
         f.write_text("2 3 5\n2 3 7\n2 3 13\n")
         assert main(["--batch", str(f), "--json", "--jobs", "2"]) == 0
@@ -693,6 +801,22 @@ class TestFamilyMode:
         code, out = run_json(capsys, ["family", "mp", "--p", "3"])
         assert code == 0
         assert "M(-1;" in out
+
+    def test_text_output_beyond_three_fibers(self, capsys):
+        code, out = run_json(capsys, ["family", "mp", "--p", "3", "--ell", "2"])
+        assert code == 0
+        third, two_thirds = "1/3 (~0.3333)", "2/3 (~0.6667)"
+        assert out == (
+            f"M(-2; {third}, {two_thirds}, {third}, {two_thirds}, {third})\n"
+            "  transverse test: not applicable "
+            "(the transverse criterion implemented here applies to three singular fibers)\n"
+        )
+
+    def test_missing_p_is_a_usage_error(self, capsys):
+        assert main(["family", "mp"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "obstruct family: error: the following arguments are required: --p"
 
     def test_ell_at_the_fiber_limit(self, capsys):
         code, out = run_json(capsys, ["family", "mp", "--p", "3", "--ell", "449", "--json"])

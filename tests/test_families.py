@@ -5,7 +5,7 @@ from math import floor
 
 import pytest
 
-from seifert_gate import InvalidParameter, mp_family, transverse_contact_exists
+from seifert_gate import InvalidParameter, InvalidRange, mp_family, transverse_contact_exists
 from seifert_gate.families import mpl_family
 from seifert_gate.seifert import NormalizedPresentation
 from oracles import transverse_search
@@ -50,8 +50,15 @@ class TestFamilies:
 
 class TestTransverseTest:
     def test_mp_family_has_no_witness(self):
-        for p in range(2, 21):
-            assert not transverse_contact_exists(mp_family(p)).present
+        # Up to order both are M(-1; (p-1)/p, 1/p, 1/p), so r1 + r2 = 1, and
+        # the family view prints "witness": null for every three-fiber member.
+        for p in range(2, 500):
+            for data in (mp_family(p), mpl_family(p, 1)):
+                assert not transverse_contact_exists(data).present
+
+    def test_five_fibers_are_out_of_range(self):
+        with pytest.raises(InvalidRange, match="applies to three singular fibers, got 5"):
+            transverse_contact_exists(mpl_family(3, 2))
 
     def test_m3_interval_empty(self):
         w = transverse_contact_exists(mp_family(3))
