@@ -51,8 +51,7 @@ POOL_AFTER_S = 0.05
 
 
 def _q(value: Fraction | int) -> dict[str, str]:
-    f = Fraction(value)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def report_to_dict(report: ObstructionReport) -> dict[str, Any]:

@@ -381,7 +381,14 @@ def _split_off_units(
     if len(basis) != m - len(units):
         raise CertificateViolation(f"complement has rank {len(basis)}, not {m - len(units)}")
     basis_images = _images(form, basis)
-    rows = [[(j, x) for j, qb in enumerate(basis_images) if (x := _pairing(b, qb))] for b in basis]
+    # the Gram is symmetric: pair the upper triangle, each entry to both rows in order
+    rows: list[list[tuple[int, int]]] = [[] for _ in basis]
+    for i, b in enumerate(basis):
+        for j in range(i, len(basis)):
+            if x := _pairing(b, basis_images[j]):
+                rows[i].append((j, x))
+                if j > i:
+                    rows[j].append((i, x))
     sub = IntersectionForm(rows=rows)
     if abs(sub.det) != 1:
         raise CertificateViolation(f"complement has det {sub.det}, not +-1")

@@ -1,12 +1,17 @@
 import random
+import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from seifert_gate import (
     CertificateViolation,
+    EnumerationCapExceeded,
     InvalidRange,
     NotCoprime,
     NotDiagonalizable,
@@ -15,6 +20,8 @@ from seifert_gate import (
     validate_multiplicities,
     verdict,
 )
+from seifert_gate import obstruction
+from seifert_gate.lattice import DEFAULT_ENUMERATION_CAP
 from seifert_gate.seifert import GluingData, gluing_data, solve_unnormalized
 from seifert_gate.obstruction import (
     TauBounds,
@@ -247,6 +254,107 @@ class TestVerdict:
             else:
                 assert r.gap_lower is None
         assert count >= 5  # sampling must actually hit the branch
+
+
+def empty_memo(monkeypatch):
+    """Give verdict an empty report memo until the test ends."""
+    monkeypatch.setattr(obstruction, "_memo", OrderedDict())
+    monkeypatch.setattr(obstruction, "_memo_weight", 0)
+
+
+def kept():
+    """The memo's tuples, least recently used first, once its weight is checked."""
+    weight = sum(map(obstruction._weight, obstruction._memo.values()))
+    assert obstruction._memo_weight == weight <= obstruction.MEMO_BUDGET
+    assert all(cap == DEFAULT_ENUMERATION_CAP for _, cap in obstruction._memo)
+    return [a for a, _ in obstruction._memo]
+
+
+def without_time(report):
+    return {k: v for k, v in vars(report).items() if k != "elapsed_ms"}
+
+
+class TestReportMemo:
+    def test_a_repeat_call_returns_the_same_report(self, monkeypatch):
+        empty_memo(monkeypatch)
+        first = verdict([3, 4, 5])
+        for same in ((3, 4, 5), range(3, 6), np.array([3, 4, 5], dtype=np.int64), [3, 4, 5]):
+            assert verdict(same) is first
+        assert verdict((3, 4, 5), cap=DEFAULT_ENUMERATION_CAP) is first
+        assert kept() == [(3, 4, 5)]
+
+    def test_a_report_never_answers_a_lower_cap(self):
+        high = verdict((5, 8, 13), cap=10**6)
+        assert high.verdict is Verdict.OBSTRUCTED_DONALDSON and high.d_inv == 4
+        with pytest.raises(EnumerationCapExceeded):
+            verdict((5, 8, 13), cap=3 * 10**4)
+        assert verdict((5, 8, 13), cap=10**6) is high
+
+    def test_errors_are_raised_again_and_not_kept(self, monkeypatch):
+        empty_memo(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(EnumerationCapExceeded):
+                verdict((5, 8, 13), cap=3 * 10**4)
+            with pytest.raises(NotCoprime):
+                verdict((2, 4, 5))
+        assert not obstruction._memo and obstruction._memo_weight == 0
+
+    def test_least_recently_used_reports_are_evicted_first(self, monkeypatch):
+        empty_memo(monkeypatch)
+        # (3, 4, 5), (2, 3, 13) and (2, 5, 7) have rank 5, weight 1049; (2, 3, 7) 4, (3, 5, 7) 12
+        monkeypatch.setattr(obstruction, "MEMO_BUDGET", 3 * 1049)
+        first = verdict((3, 4, 5))
+        verdict((2, 3, 13))
+        verdict((2, 5, 7))
+        assert kept() == [(3, 4, 5), (2, 3, 13), (2, 5, 7)]
+        assert verdict((3, 4, 5)) is first
+        assert kept() == [(2, 3, 13), (2, 5, 7), (3, 4, 5)]
+        verdict((2, 3, 7))
+        assert kept() == [(2, 5, 7), (3, 4, 5), (2, 3, 7)]
+        verdict((3, 5, 7))
+        assert kept() == [(2, 3, 7), (3, 5, 7)]
+        assert verdict((3, 4, 5)) is not first
+
+    def test_a_report_over_the_budget_is_not_kept(self, monkeypatch):
+        empty_memo(monkeypatch)
+        monkeypatch.setattr(obstruction, "MEMO_BUDGET", 3 * 1049)
+        verdict((3, 4, 5))
+        heavy = verdict((2, 3, 499))  # rank 86
+        assert obstruction._weight(heavy) > obstruction.MEMO_BUDGET
+        assert kept() == [(3, 4, 5)]
+        assert verdict((2, 3, 499)) is not heavy
+
+    def test_concurrent_calls_agree_with_fresh_reports(self, monkeypatch):
+        coprime = (t for t in combinations(range(2, 14), 3) if all(gcd(a, b) == 1 for a, b in combinations(t, 2)))
+        tuples = list(coprime)[:20]
+        fresh = {t: without_time(verdict(t)) for t in tuples}
+        empty_memo(monkeypatch)
+        orders = [tuples, tuples[::-1]] * 2
+        barrier = threading.Barrier(len(orders))
+        results, errors = [], []
+
+        def run(order):
+            try:
+                barrier.wait(timeout=30)
+                results.extend((t, verdict(t)) for t in order)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that they miss on the same tuples
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 20 * len(orders)
+        assert all(without_time(report) == fresh[t] for t, report in results)
+        # a lost update of the memo's weight would break kept()'s check
+        assert sorted(kept()) == sorted(tuples)
 
 
 @pytest.mark.parametrize(

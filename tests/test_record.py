@@ -20,8 +20,9 @@ from seifert_gate.plumbing import IntersectionForm, PlumbingGraph
 from seifert_gate.seifert import GluingData, gluing_data
 
 REPORTS = {"gap": verdict((2, 3, 13)), "donaldson": verdict((2, 3, 5))}
-# built anew: equal to the gap report's records but not the same objects
-AGAIN = verdict((2, 3, 13))
+# built anew, at a cap no other call uses so that verdict's memo cannot answer:
+# equal to the gap report's records but not the same objects
+AGAIN = verdict((2, 3, 13), cap=10**6 - 1)
 
 RECORDS = {
     "Multiplicities": lambda r: r.multiplicities,
@@ -103,6 +104,10 @@ def test_equality_hash_and_repr_match_a_frozen_dataclass(name):
         for b in records:
             assert (a == b) is (reference(a) == reference(b))
             assert (a != b) is (reference(a) != reference(b))
+
+
+def test_the_second_gap_report_is_built_anew():
+    assert AGAIN is not REPORTS["gap"] and AGAIN.form is not REPORTS["gap"].form
 
 
 def test_every_record_hashes_and_equal_records_hash_alike(name):
