@@ -18,6 +18,9 @@ form's one fraction-free elimination and kept as the per-level arrays (scale,
 dens, cs, cols, coefs), so no Fraction arithmetic runs inside them.  Each is
 one loop over those arrays, with no recursion and no call per node; it counts
 its nodes in a local integer against the cap and returns them with its result.
+Each level's shift coefs[i] . x[cols[i]] is kept current as x changes, through
+the transpose of (cols, coefs) that _feeds builds, so no shift is re-summed
+per node.
 
 Forms are negative definite and of rank at most plumbing.MAX_SEARCH_RANK,
 and certificates unimodular, by construction: the entry points check nothing.
@@ -32,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 from typing import Sequence
 
 from . import _linalg
@@ -80,12 +83,14 @@ class DiagonalizationCertificate(Record):
         m = self.form.m
         if not all(len(v) == m and all(map(isinstance, v, repeat(int))) for v in self.units):
             raise ValueError(f"units must be integer vectors of length {m}")
-        # Q(u, u): the diagonal, plus twice the nonzeros above it
+        # Q(u, u): the diagonal, plus twice the nonzeros above it, read through
+        # itemgetters padded by two pairs of weight 0, as one index gives no tuple
         diag = self.form.diagonal
         cols, partners, entries = self.form.upper
+        at_cols, at_partners, entries = itemgetter(0, 0, *cols), itemgetter(0, 0, *partners), (0, 0, *entries)
         for u in self.units:
             on_diag = sum(map(mul, diag, map(mul, u, u)))
-            off_diag = sum(map(mul, entries, map(mul, map(u.__getitem__, cols), map(u.__getitem__, partners))))
+            off_diag = sum(map(mul, entries, map(mul, at_cols(u), at_partners(u))))
             if on_diag + 2 * off_diag != -1:
                 raise ValueError("units must have self-intersection -1")
         if len({max(v, tuple(map(neg, v))) for v in self.units}) != len(self.units):
@@ -104,6 +109,16 @@ def _exceeded(cap: int) -> EnumerationCapExceeded:
     return EnumerationCapExceeded(f"lattice search exceeded {cap} nodes")
 
 
+def _feeds(form: IntersectionForm) -> list[list[tuple[int, int]]]:
+    """Per column j, the (level, coefficient) pairs of the level shifts x_j enters:
+    the transpose of form.levels' (cols, coefs), by which a search keeps them current."""
+    feeds: list[list[tuple[int, int]]] = [[] for _ in range(form.m)]
+    for i, (js, ks) in enumerate(zip(*form.levels[3:])):
+        for j, k in zip(js, ks):
+            feeds[j].append((i, k))
+    return feeds
+
+
 def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tuple[int, ...]], int]:
     """Bounded search for all v with v^T Q v = -1, one per +-pair, and the nodes it spent.
 
@@ -117,16 +132,14 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
     den_0 x_0 + s = +-r, when c_0 r^2 = R.
     """
     m = form.m
-    scale, dens, cs, cols, coefs = form.levels
+    scale, dens, cs, _, _ = form.levels
     used = 0
     found: list[tuple[int, ...]] = []
-    x = [0] * m
-    get = x.__getitem__
-    top, shift, left = [0] * m, [0] * m, [0] * m  # per level: last x_i, s, R
+    x, sh, feeds = [0] * m, [0] * m, _feeds(form)
+    top, left = [0] * m, [0] * m  # per level: last x_i, R
     i, rest = m - 1, scale
     while True:
-        den, c = dens[i], cs[i]
-        s = sum(map(mul, coefs[i], map(get, cols[i])))
+        den, c, s = dens[i], cs[i], sh[i]
         r = isqrt(rest // c)
         hi = (r - s) // den
         lo = 0 if rest == scale else -((r + s) // den)
@@ -135,7 +148,9 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
             if used > cap:
                 raise _exceeded(cap)
             if i:
-                x[i], top[i], shift[i], left[i] = lo, hi, s, rest
+                for j, k in feeds[i]:
+                    sh[j] += k * (lo - x[i])
+                x[i], top[i], left[i] = lo, hi, rest
                 t = den * lo + s
                 rest -= c * t * t
                 i -= 1
@@ -152,7 +167,9 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
         if i == m:
             break
         x[i] += 1
-        t = dens[i] * x[i] + shift[i]
+        for j, k in feeds[i]:
+            sh[j] += k
+        t = dens[i] * x[i] + sh[i]
         rest = left[i] - cs[i] * t * t
         i -= 1
     normalized = []
@@ -290,16 +307,14 @@ def _coset_minimum(form: IntersectionForm, cap: int, used: int = 0) -> tuple[Fra
     the minimum with the node count, which starts at used.
     """
     m = form.m
-    scale, dens, cs, cols, coefs = form.levels
+    scale, dens, cs, _, _ = form.levels
     parity = _characteristic_parity(form)
     best = scale * _greedy_descent(form, parity[:])[1]
-    x = [0] * m
-    get = x.__getitem__
+    x, sh, feeds = [0] * m, [0] * m, _feeds(form)
     acc, lo, hi, d_lo, d_hi = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
     i, a = m - 1, 0
     while True:
-        den, c, p = dens[i], cs[i], parity[i]
-        s = sum(map(mul, coefs[i], map(get, cols[i])))
+        den, c, p, s = dens[i], cs[i], parity[i], sh[i]
         # the coset point nearest the centre -s/den
         nearest = p + 2 * ((den - s - p * den) // (2 * den))
         t = den * nearest + s
@@ -310,6 +325,8 @@ def _coset_minimum(form: IntersectionForm, cap: int, used: int = 0) -> tuple[Fra
                 raise _exceeded(cap)
             acc[i], lo[i], hi[i], d_lo[i], d_hi[i] = a, nearest - 2, nearest + 2, 2 * den - t, 2 * den + t
             if a + term < best:
+                for j, k in feeds[i]:
+                    sh[j] += k * (nearest - x[i])
                 x[i] = nearest
                 a += term
                 i -= 1
@@ -337,13 +354,12 @@ def _coset_minimum(form: IntersectionForm, cap: int, used: int = 0) -> tuple[Fra
             if acc[i] + term < best:
                 a = acc[i] + term
                 if is_lo:
-                    x[i] = lo[i]
-                    lo[i] -= 2
-                    d_lo[i] += 2 * dens[i]
+                    xi, lo[i], d_lo[i] = lo[i], lo[i] - 2, d_lo[i] + 2 * dens[i]
                 else:
-                    x[i] = hi[i]
-                    hi[i] += 2
-                    d_hi[i] += 2 * dens[i]
+                    xi, hi[i], d_hi[i] = hi[i], hi[i] + 2, d_hi[i] + 2 * dens[i]
+                for j, k in feeds[i]:
+                    sh[j] += k * (xi - x[i])
+                x[i] = xi
                 i -= 1
                 break
             if is_lo:

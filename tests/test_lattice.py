@@ -201,6 +201,26 @@ class TestCertificateCheck:
         with pytest.raises(ValueError):
             DiagonalizationCertificate(form=form, units=units, nodes=0)
 
+    # The check reads the off-diagonal pairs through itemgetters, and one index
+    # makes an itemgetter return a bare entry: upper holds none at rank 1 and
+    # one at rank 2.  Accepting (1, 1) needs the entry, and (1, -1), of norm
+    # -5, would pass with the entry's sign flipped.
+    @pytest.mark.parametrize(
+        "rows, forged",
+        [([[-1]], (2,)), ([[-1, 1], [1, -2]], (1, -1))],
+        ids=["rank-1", "rank-2-one-entry"],
+    )
+    def test_reads_zero_and_one_off_diagonal_entries(self, rows, forged):
+        f = form_from_matrix(rows)
+        assert len(f.upper[2]) == f.m - 1
+        units = tuple(norm_minus_one_vectors(f))
+        assert units == (((1,),) if f.m == 1 else ((1, 1), (1, 0)))
+        assert DiagonalizationCertificate(form=f, units=units, nodes=0).present
+        with pytest.raises(ValueError, match="self-intersection -1"):
+            DiagonalizationCertificate(form=f, units=(forged,), nodes=0)
+        with pytest.raises(ValueError, match="integer vectors"):
+            DiagonalizationCertificate(form=f, units=(tuple(map(float, units[0])),), nodes=0)
+
     def test_no_form_exists_where_cauchy_schwarz_fails(self):
         # on diag(-1, -1, 1), (1, 0, 0) and (1, 1, 1) have norm -1 and pair to -1
         with pytest.raises(ValueError, match="negative definite"):

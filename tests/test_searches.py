@@ -10,6 +10,7 @@ outcome both sides stop at node cap + 1, so the exception is compared alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd
@@ -28,7 +29,7 @@ from seifert_gate.lattice import (
 from seifert_gate.plumbing import build_plumbing, intersection_form
 from seifert_gate.seifert import normalize, solve_unnormalized
 import oracles
-from oracles import Budget, form_from_matrix, fraction_coset_minimum, fraction_norm_enumeration
+from oracles import Budget, dense, form_from_matrix, fraction_coset_minimum, fraction_norm_enumeration
 from test_golden import CORPORA
 
 
@@ -170,3 +171,59 @@ def test_coset_search_breaks_ties_as_the_oracle_does():
     f = form_from_matrix(TIE_ORDER)
     expected = oracle_outcome(fraction_coset_minimum, f, 10**4)
     assert outcome(_coset_minimum, f, 10**4) == expected == (1, 476)
+
+
+# Each search keeps every level's shift current through the transpose of
+# (cols, coefs): a move of x_j updates each level that column j feeds.  On a
+# three-fiber star a level reads at most three columns and most columns feed
+# one level; in a basis scrambled by elementary operations the completion
+# fills in, so most columns feed many levels and a level reads many columns.
+MINUS_E8_PLUS_MINUS_ONE = [row + [0] for row in dense(form_for((2, 3, 5)))] + [[0] * 8 + [-1]]
+
+
+def scrambled(matrix, ops):
+    """B^T Q B, for B the product of the column operations col_j += k col_i in ops."""
+    q = [list(row) for row in matrix]
+    for i, j, k in ops:
+        if i != j:
+            for row in q:
+                row[j] += k * row[i]
+            q[j] = [a + k * b for a, b in zip(q[j], q[i])]
+    return q
+
+
+@st.composite
+def scrambled_forms(draw):
+    """-I_n (n <= 9) or -E8 + (-1), in a basis changed by n to 3n elementary operations."""
+    n = draw(st.integers(1, 10))
+    base = MINUS_E8_PLUS_MINUS_ONE if n == 10 else [[-int(i == j) for j in range(n)] for i in range(n)]
+    rank = len(base)
+    index, sign = st.integers(0, rank - 1), st.sampled_from((-1, 1))
+    return scrambled(base, draw(st.lists(st.tuples(index, index, sign), min_size=rank, max_size=3 * rank)))
+
+
+DENSE_EXAMPLE = scrambled(
+    MINUS_E8_PLUS_MINUS_ONE, [(i, (i + 1 + i * i) % 9, (-1) ** i) for i in range(9)] * 2
+)
+
+
+def test_a_scrambled_basis_makes_columns_feed_many_levels():
+    levels_fed = Counter(j for cols in form_from_matrix(DENSE_EXAMPLE).levels[3] for j in cols)
+    assert sum(count > 3 for count in levels_fed.values()) >= 3
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(scrambled_forms())
+@example(DENSE_EXAMPLE)
+def test_searches_match_the_oracle_on_dense_feeds(matrix):
+    form = form_from_matrix(matrix)
+    units = _fixed_norm_enumeration(form, DEFAULT_ENUMERATION_CAP)[0]
+    forms = [form] if len(units) in (0, form.m) else [form, _split_off_units(form, units)]
+    for f in forms:
+        for cap in (10**3, 10**6):
+            assert outcome(_fixed_norm_enumeration, f, cap) == oracle_outcome(fraction_norm_enumeration, f, cap)
+            minimum = outcome(_coset_minimum, f, cap)
+            expected = oracle_outcome(fraction_coset_minimum, f, cap)
+            assert minimum == expected
+            if minimum is not EnumerationCapExceeded:
+                assert type(minimum[0]) is type(expected[0])
