@@ -11,13 +11,16 @@ assembly between them:
   diagonalizable over the integers;
 * a branch-and-bound minimum over the characteristic coset of the vectors'
   orthogonal complement, which gives the correction-term invariant of the
-  boundary under the sharpness hypothesis.
+  boundary under the sharpness hypothesis (each level walked outward from
+  its nearest coset point, a failed level closed in one step).
 
 Both searches read form.levels, that completion scaled to integers from the
 form's one fraction-free elimination and kept as the per-level arrays (scale,
 dens, cs, cols, coefs), so no Fraction arithmetic runs inside them.  Each is
 one loop over those arrays, with no recursion and no call per node; it counts
-its nodes in a local integer against the cap and returns them with its result.
+its nodes in a local integer against the cap, charging in batches what it
+would visit whatever its order (the enumeration a level's whole interval, the
+coset search a failed level's 2 or 3 nodes), and returns them with its result.
 Each level's shift coefs[i] . x[cols[i]] is kept current as x changes, through
 the transpose of (cols, coefs) that _feeds builds, so no shift is re-summed
 per node.
@@ -54,8 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**6
-# the distance of a failed side of a coset-search level
-_INF = float("inf")
 
 
 class DiagonalizationCertificate(Record):
@@ -297,77 +298,70 @@ def _coset_minimum(form: IntersectionForm, cap: int, used: int = 0) -> tuple[Fra
     """Exact minimum of z^T(-Q)z over the characteristic coset z = Q^{-1}diag(Q) mod 2.
 
     Branch and bound over the form's square completion of -Q, in zig-zag
-    order: nearest coset point first, then outward; each side of a level is
-    monotone in the partial value, so a failed side stays failed even as the
-    incumbent shrinks.  Values are kept times the scale of the integer levels.
-    Depth first on per-level arrays: the partial value, and for each side its
-    next point and that point's distance den_i x_i + s from the centre, _INF
-    once the side has failed.  At level 0 only the nearest point can beat
-    the incumbent, which its two neighbours then cannot: 3 nodes.  Returns
-    the minimum with the node count, which starts at used.
+    order: nearest coset point first, then outward, closer side first.
+    Values are kept times the scale of the integer levels.  Depth first on
+    per-level arrays: the partial value, and each side's distance
+    den_i x_i + s from the centre, from which its next point is recovered.
+    A distance only grows, so a level fails whole: with its nearest point
+    both neighbours (3 nodes, as at level 0), and with the closer side's
+    next point the farther side's (2 nodes).  Each such batch is charged at
+    once, and the count is checked against the cap before each step down and
+    at the end; as it only grows, the cap outcome is that of charging one
+    node at a time.  Returns the minimum with the node count, which starts
+    at used.
     """
     m = form.m
     scale, dens, cs, _, _ = form.levels
     parity = _characteristic_parity(form)
     best = scale * _greedy_descent(form, parity[:])[1]
     x, sh, feeds = [0] * m, [0] * m, _feeds(form)
-    acc, lo, hi, d_lo, d_hi = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
+    acc, d_lo, d_hi = [0] * m, [0] * m, [0] * m
+    # per level: den, c, the coset parity p, and den (1 - p) and 2 den, which place its nearest point
+    steps = [(den, c, p, den - p * den, 2 * den) for den, c, p in zip(dens, cs, parity)]
     i, a = m - 1, 0
     while True:
-        den, c, p, s = dens[i], cs[i], parity[i], sh[i]
+        den, c, p, off, two = steps[i]
+        s = sh[i]
         # the coset point nearest the centre -s/den
-        nearest = p + 2 * ((den - s - p * den) // (2 * den))
-        t = den * nearest + s
+        xi = p + 2 * ((off - s) // two)
+        t = den * xi + s
         term = c * t * t
-        if i:
+        if i and a + term < best:
             used += 1
-            if used > cap:
-                raise _exceeded(cap)
-            acc[i], lo[i], hi[i], d_lo[i], d_hi[i] = a, nearest - 2, nearest + 2, 2 * den - t, 2 * den + t
-            if a + term < best:
-                for j, k in feeds[i]:
-                    sh[j] += k * (nearest - x[i])
-                x[i] = nearest
-                a += term
-                i -= 1
-                continue
+            acc[i], d_lo[i], d_hi[i] = a, two - t, two + t
+            a += term
         else:
+            # a leaf, or a failed level: its nearest point and both neighbours
             used += 3
-            if used > cap:
-                raise _exceeded(cap)
             if a + term < best:
                 best = a + term
-            i = 1
-        # the next point of the deepest level with one left, closer side first
-        while i < m:
-            if d_lo[i] <= d_hi[i]:
-                d, is_lo = d_lo[i], True
-                if d == _INF:
-                    i += 1
-                    continue
+            # up past each level whose closer side fails, to the next point of the first that passes
+            i += 1
+            while i < m:
+                lo_d, hi_d = d_lo[i], d_hi[i]
+                d = lo_d if lo_d <= hi_d else hi_d
+                a = acc[i] + cs[i] * d * d
+                if a < best:
+                    break
+                used += 2
+                i += 1
             else:
-                d, is_lo = d_hi[i], False
-            used += 1
-            if used > cap:
-                raise _exceeded(cap)
-            term = cs[i] * d * d
-            if acc[i] + term < best:
-                a = acc[i] + term
-                if is_lo:
-                    xi, lo[i], d_lo[i] = lo[i], lo[i] - 2, d_lo[i] + 2 * dens[i]
-                else:
-                    xi, hi[i], d_hi[i] = hi[i], hi[i] + 2, d_hi[i] + 2 * dens[i]
-                for j, k in feeds[i]:
-                    sh[j] += k * (xi - x[i])
-                x[i] = xi
-                i -= 1
                 break
-            if is_lo:
-                d_lo[i] = _INF
+            used += 1
+            den, s = dens[i], sh[i]
+            if lo_d <= hi_d:
+                xi, d_lo[i] = -((d + s) // den), d + 2 * den
             else:
-                d_hi[i] = _INF
-        else:
-            break
+                xi, d_hi[i] = (d - s) // den, d + 2 * den
+        if used > cap:
+            raise _exceeded(cap)
+        dx = xi - x[i]
+        for j, k in feeds[i]:
+            sh[j] += k * dx
+        x[i] = xi
+        i -= 1
+    if used > cap:
+        raise _exceeded(cap)
     # a Fraction, so that d = (m - k - minimum) / 4 stays exact
     return Fraction(best, scale), used
 

@@ -20,7 +20,7 @@ from math import isqrt, prod
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .errors import CertificateViolation, InvalidRange, NotDiagonalizable, RankTooLarge
+from .errors import CertificateViolation, InvalidParameter, InvalidRange, NotDiagonalizable, RankTooLarge
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     DiagonalizationCertificate,
@@ -322,8 +322,12 @@ def verdict(m: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Obstruction
     repeat call with both equal returns the same report object, elapsed_ms
     being the first evaluation's.  Reports are kept up to MEMO_BUDGET, least
     recently used evicted first; errors are never kept and raise afresh.
+    The cap is part of the memo key, so it must be an int of at least 1 (a
+    bool is not one): InvalidParameter otherwise.
     """
     start = time.perf_counter()
+    if type(cap) is bool or not isinstance(cap, int) or cap < 1:
+        raise InvalidParameter(f"cap must be an int >= 1, got {cap!r}")
     raw = tuple(m)
     if len(raw) + 1 > MAX_SEARCH_RANK:
         raise RankTooLarge(f"{len(raw)} fibers give a rank above the search limit {MAX_SEARCH_RANK}")

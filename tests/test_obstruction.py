@@ -12,6 +12,7 @@ import pytest
 from seifert_gate import (
     CertificateViolation,
     EnumerationCapExceeded,
+    InvalidParameter,
     InvalidRange,
     NotCoprime,
     NotDiagonalizable,
@@ -229,6 +230,17 @@ class TestVerdict:
     def test_non_integer_multiplicities_rejected(self, values):
         with pytest.raises(TypeError):
             verdict(values)
+
+    @pytest.mark.parametrize("cap", [10**4 + 0.5, True, 0])
+    def test_a_cap_that_is_no_positive_int_is_refused(self, cap):
+        with pytest.raises(InvalidParameter, match="cap must be an int >= 1"):
+            verdict((2, 3, 5), cap=cap)
+
+    def test_a_cap_of_one_node_is_accepted(self):
+        # the cap is checked as a parameter, then met by the search
+        with pytest.raises(EnumerationCapExceeded):
+            verdict((2, 3, 5), cap=1)
+        assert verdict((2, 3, 5), cap=10**4).d_inv == 2
 
     def test_inconsistent_report_is_refused(self):
         r = verdict((2, 3, 13))

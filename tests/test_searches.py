@@ -101,16 +101,19 @@ def test_cap_is_reached_on_both_sides():
     assert minimum is EnumerationCapExceeded
 
 
-# Each search charges nodes in batches (the enumeration a level's whole
-# interval, the coset search its last level's 3 nodes) where the oracles
-# charge one at a time; a cap that falls inside a batch must still stop both.
-# The examples put the cap one short of and at the nodes each search needs:
-# (5, 8, 13)'s enumeration spends 168, and (3, 4, 11)'s coset search 3950
-# after its enumeration's 93.
+# Each search charges nodes in batches where the oracles charge one at a
+# time: the enumeration a level's whole interval, the coset search every
+# failed level's 2 or 3 nodes (a failed nearest point and its neighbours, or
+# a failed closer side and the farther one).  A cap that falls inside a batch
+# must still stop both.  The examples put the cap one short of and at the
+# nodes each search needs: (5, 8, 13)'s enumeration spends 168, and
+# (3, 4, 11)'s coset search 3950 after its enumeration's 93, the last 2 of
+# them its top level's closing batch, inside which cap 3948 falls.
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.sampled_from(coprime_triples(20)), st.integers(0, 2000))
 @example((5, 8, 13), 167)
 @example((5, 8, 13), 168)
+@example((3, 4, 11), 3948)
 @example((3, 4, 11), 3949)
 @example((3, 4, 11), 3950)
 def test_cap_outcomes_match_the_oracle_under_batched_charging(a, cap):
