@@ -26,7 +26,7 @@ the transpose of (cols, coefs) that _feeds builds, so no shift is re-summed
 per node.
 
 Forms are negative definite and of rank at most plumbing.MAX_SEARCH_RANK,
-and certificates unimodular, by construction: the entry points check nothing.
+and certificates unimodular, by construction: the entry points check only the cap.
 That limit bounds the m x m certificate E and the report, not the searches,
 whose depth needs no call stack.
 The identities the results must satisfy are checked where they are derived,
@@ -38,16 +38,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
-from operator import itemgetter, mul, neg
+from operator import index, itemgetter, mul, neg
 from typing import Sequence
 
 from . import _linalg
 from ._record import Record
-from .errors import CertificateViolation, EnumerationCapExceeded, NotDiagonalizable
+from .errors import CertificateViolation, EnumerationCapExceeded, InvalidParameter, NotDiagonalizable
 from .plumbing import IntersectionForm
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
+    "validate_cap",
     "DiagonalizationCertificate",
     "norm_minus_one_vectors",
     "diagonalize",
@@ -59,12 +60,24 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
+def validate_cap(cap: int) -> int:
+    """A node budget as an int: an integer >= 1, numpy's too, a bool not; else InvalidParameter."""
+    try:
+        n = 0 if isinstance(cap, bool) else index(cap)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise InvalidParameter(f"cap must be an int >= 1, got {cap!r}")
+    return n
+
+
 class DiagonalizationCertificate(Record):
     """Either a unimodular E with E^T Q E = -I, or a proof-of-absence witness.
 
     units are all vectors of self-intersection -1 of form (one per +-pair, as
     norm_minus_one_vectors returns them), nodes the search nodes their
-    enumeration spent.  Building one checks |det Q| = 1 and that the units
+    enumeration spent of cap, the budget d_invariant continues.  Building one
+    checks validate_cap(cap), 0 <= nodes <= cap, |det Q| = 1 and that the units
     lie in Z^m with Q(u, u) = -1, no two equal up to sign (else ValueError);
     as -Q is positive definite, Cauchy-Schwarz then makes their Gram matrix
     -I, so they are independent: present when there are m of them, the
@@ -74,11 +87,13 @@ class DiagonalizationCertificate(Record):
     form: IntersectionForm
     units: tuple[tuple[int, ...], ...]
     nodes: int
+    cap: int
     _uncompared = ("form",)
 
     def __post_init__(self) -> None:
-        if self.nodes < 0:
-            raise ValueError(f"node count must be >= 0, got {self.nodes}")
+        object.__setattr__(self, "cap", validate_cap(self.cap))
+        if not 0 <= self.nodes <= self.cap:
+            raise ValueError(f"node count must be in [0, {self.cap}], got {self.nodes}")
         if abs(self.form.det) != 1:
             raise ValueError(f"form must be unimodular, det = {self.form.det}")
         m = self.form.m
@@ -132,6 +147,7 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
     s is 0 and only x_i >= 0 is taken.  Level 0 is closed: its hits are
     den_0 x_0 + s = +-r, when c_0 r^2 = R.
     """
+    cap = validate_cap(cap)
     m = form.m
     scale, dens, cs, _, _ = form.levels
     used = 0
@@ -214,10 +230,10 @@ def diagonalize(
     (Cauchy-Schwarz forces |Q(v, w)| < 1), so the form is equivalent to -I
     exactly when the enumeration yields m of them.  The certificate keeps the
     vectors, checks the norms and signs that make their Gram matrix (with m of
-    them E^T Q E) -I, and keeps the nodes spent on them for d_invariant.
+    them E^T Q E) -I, and keeps the nodes spent and the cap for d_invariant.
     """
     units, used = _fixed_norm_enumeration(form, cap)
-    return DiagonalizationCertificate(form=form, units=tuple(units), nodes=used)
+    return DiagonalizationCertificate(form=form, units=tuple(units), nodes=used, cap=cap)
 
 
 def dual_class(form: IntersectionForm) -> Fraction:
@@ -405,7 +421,7 @@ def _split_off_units(
     return sub
 
 
-def d_invariant(cert: DiagonalizationCertificate, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
+def d_invariant(cert: DiagonalizationCertificate) -> Fraction:
     """Correction term d = max over characteristic kappa of (kappa^T Q^{-1} kappa + m)/4.
 
     Computed exactly as a closest-vector search over the characteristic
@@ -413,15 +429,13 @@ def d_invariant(cert: DiagonalizationCertificate, cap: int = DEFAULT_ENUMERATION
     on the diagonal summand every characteristic vector already attains the
     optimum, so the search only runs on the unit-free orthogonal complement,
     whose coset minimum is then shifted by the number of split-off units.
-    The nodes diagonalize spent on the units count toward the cap.  Reported
-    under the sharpness hypothesis, which holds for the star-shaped
-    negative-definite plumbings produced by this package.
+    The search continues the certificate's budget, from cert.nodes up to
+    cert.cap.  Reported under the sharpness hypothesis, which holds for the
+    star-shaped negative-definite plumbings produced by this package.
     """
     form = cert.form
-    if cert.nodes > cap:
-        raise _exceeded(cap)
     k = len(cert.units)
     if k == form.m:
         return Fraction(0)
     sub = _split_off_units(form, cert.units)
-    return (form.m - k - _coset_minimum(sub, cap, cert.nodes)[0]) / 4
+    return (form.m - k - _coset_minimum(sub, cert.cap, cert.nodes)[0]) / 4

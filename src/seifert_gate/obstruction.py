@@ -20,7 +20,7 @@ from math import isqrt, prod
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .errors import CertificateViolation, InvalidParameter, InvalidRange, NotDiagonalizable, RankTooLarge
+from .errors import CertificateViolation, InvalidRange, NotDiagonalizable, RankTooLarge
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     DiagonalizationCertificate,
@@ -28,6 +28,7 @@ from .lattice import (
     diagonalize,
     dual_class,
     max_sharp_pairing,
+    validate_cap,
 )
 from .plumbing import MAX_SEARCH_RANK, IntersectionForm, PlumbingGraph, build_plumbing, intersection_form
 from .seifert import (
@@ -318,16 +319,15 @@ def verdict(m: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Obstruction
     Either way the tuple is obstructed; the report is the certificate.
     Each leg has a vertex, so n fibers give rank >= n + 1: RankTooLarge comes
     from n before validation, then from the plumbing tree before any matrix.
+    The cap is the one node budget of both lattice searches, checked first
+    by lattice.validate_cap: an integer >= 1 (numpy's too, a bool not).
     A report depends only on the validated multiplicities and the cap, so a
     repeat call with both equal returns the same report object, elapsed_ms
     being the first evaluation's.  Reports are kept up to MEMO_BUDGET, least
     recently used evicted first; errors are never kept and raise afresh.
-    The cap is part of the memo key, so it must be an int of at least 1 (a
-    bool is not one): InvalidParameter otherwise.
     """
     start = time.perf_counter()
-    if type(cap) is bool or not isinstance(cap, int) or cap < 1:
-        raise InvalidParameter(f"cap must be an int >= 1, got {cap!r}")
+    cap = validate_cap(cap)
     raw = tuple(m)
     if len(raw) + 1 > MAX_SEARCH_RANK:
         raise RankTooLarge(f"{len(raw)} fibers give a rank above the search limit {MAX_SEARCH_RANK}")
@@ -347,7 +347,7 @@ def verdict(m: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Obstruction
     big_a = mult.product
     if dual != -big_a:
         raise CertificateViolation(f"D.D = {dual}, not -A = {-big_a}")
-    d_val = d_invariant(cert, cap)
+    d_val = d_invariant(cert)
     bound = TwistBound.for_product(big_a)
     twist_cert = verify_twist_chain(pres, glue)
     caveats = [_SHARPNESS_CAVEAT, _VERTICAL_TWIST_CAVEAT]

@@ -86,7 +86,7 @@ def test_certificate_check_agrees_with_gram_oracle(name):
 
     def accepts(form, units):
         try:
-            DiagonalizationCertificate(form=form, units=units, nodes=0)
+            DiagonalizationCertificate(form=form, units=units, nodes=0, cap=1)
         except ValueError:
             return False
         return True

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert_gate import EnumerationCapExceeded, validate_multiplicities, verdict
+from seifert_gate import EnumerationCapExceeded, _linalg, validate_multiplicities, verdict
 from seifert_gate.cli import format_text, report_to_dict
 from seifert_gate.obstruction import balanced_twists
+from seifert_gate.plumbing import build_plumbing, intersection_form
 from seifert_gate.seifert import gluing_data, normalize, solve_unnormalized
 from oracles import crt_balanced_d, inverse_gluing_u, semigroup_steps, tau_d_invariant, tau_steps
 from test_golden import CORPORA
@@ -123,6 +124,44 @@ def test_computation_sequence_gives_p_on_the_gap_branch():
             assert tau_d_invariant(values) == (0, report.tau.P), values
             checked += 1
     assert checked == 146
+
+
+# the tuples of the identities below: the golden corpus, and a few with 4 and 5 fibers
+IDENTITY_TUPLES = sorted({t for ts in CORPORA.values() for t in ts}) + [
+    (2, 3, 5, 7),
+    (2, 3, 5, 11),
+    (3, 4, 5, 7),
+    (2, 5, 7, 9),
+    (2, 3, 5, 7, 11),
+    (3, 4, 5, 7, 11),
+]
+
+
+def n_zero(values):
+    """N0 = A (n - 2) - sum_i A/a_i for the multiplicities (a_1, ..., a_n), A their product."""
+    big_a = validate_multiplicities(values).product
+    return big_a * (len(values) - 2) - sum(big_a // a for a in values)
+
+
+def test_k_dot_d_is_minus_n_zero_minus_one():
+    # k.D = (Q^-1 k)_0 for the canonical class k_i = -Q_ii - 2, from the form's
+    # integer solve, re-checked on its rows
+    for values in IDENTITY_TUPLES:
+        norm = normalize(solve_unnormalized(validate_multiplicities(values)))
+        form = intersection_form(build_plumbing(norm))
+        k = [-q - 2 for q in form.diagonal]
+        x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
+        assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k)), values
+        assert Fraction(x[0], det) == -(n_zero(values) + 1), values
+
+
+def test_tau_is_symmetric_about_half_of_n_zero_plus_one():
+    # tau(n) = tau(N0 + 1 - n) for 0 <= n <= N0 + 1, so tau's vertex is (N0 + 1)/2
+    for values in IDENTITY_TUPLES:
+        top = n_zero(values) + 1
+        norm = normalize(solve_unnormalized(validate_multiplicities(values)))
+        taus = list(accumulate(tau_steps(norm, values, top), initial=0))
+        assert len(taus) == max(top, 0) + 1 and taus == taus[::-1], values
 
 
 def test_three_fiber_steps_follow_the_semigroup():

@@ -7,12 +7,14 @@ from itertools import combinations
 from math import gcd, prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seifert_gate import (
     CertificateViolation,
     DiagonalizationCertificate,
     EnumerationCapExceeded,
+    InvalidParameter,
     NotDiagonalizable,
     RankTooLarge,
     diagonalize,
@@ -58,8 +60,8 @@ def form_for(a):
 
 
 def d_of(f, cap=lattice.DEFAULT_ENUMERATION_CAP):
-    """d of a form, from the certificate diagonalize builds at the same cap."""
-    return d_invariant(diagonalize(f, cap), cap)
+    """d of a form, from the certificate diagonalize builds at that cap."""
+    return d_invariant(diagonalize(f, cap))
 
 
 def minus_identity(n):
@@ -173,6 +175,32 @@ class TestDiagonalize:
             diagonalize(f)
 
 
+class TestCapRule:
+    """One rule for a node budget, lattice.validate_cap, wherever a cap enters."""
+
+    # verdict's refusals are in test_obstruction.py
+    @pytest.mark.parametrize("cap", [True, 0, 10**4 + 0.5, "100"], ids=["bool", "zero", "float", "str"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            norm_minus_one_vectors,
+            diagonalize,
+            lambda f, cap: DiagonalizationCertificate(form=f, units=(), nodes=0, cap=cap),
+        ],
+        ids=["norm_minus_one_vectors", "diagonalize", "certificate"],
+    )
+    def test_a_cap_that_is_no_positive_integer_is_refused(self, entry, cap):
+        with pytest.raises(InvalidParameter, match="cap must be an int >= 1"):
+            entry(E8, cap)
+
+    def test_a_numpy_integer_cap_is_read_as_an_int(self):
+        cert = diagonalize(E8, np.int64(29))
+        assert type(cert.cap) is int and cert == diagonalize(E8, 29)
+        assert norm_minus_one_vectors(E8, np.int32(29)) == []
+        with pytest.raises(EnumerationCapExceeded):
+            diagonalize(E8, np.int64(28))
+
+
 MINUS_I2 = form_from_matrix([[-1, 0], [0, -1]])
 
 
@@ -180,7 +208,7 @@ class TestCertificateCheck:
     """Integer entries, norms -1 and distinctness up to sign, on a unimodular form."""
 
     def test_accepts_the_standard_basis_in_any_sign_and_order(self):
-        cert = DiagonalizationCertificate(form=MINUS_I2, units=((0, -1), (1, 0)), nodes=0)
+        cert = DiagonalizationCertificate(form=MINUS_I2, units=((0, -1), (1, 0)), nodes=0, cap=1)
         assert cert.present
 
     @pytest.mark.parametrize(
@@ -199,7 +227,7 @@ class TestCertificateCheck:
     )
     def test_rejects(self, form, units):
         with pytest.raises(ValueError):
-            DiagonalizationCertificate(form=form, units=units, nodes=0)
+            DiagonalizationCertificate(form=form, units=units, nodes=0, cap=1)
 
     # The check reads the off-diagonal pairs through itemgetters, and one index
     # makes an itemgetter return a bare entry: upper holds none at rank 1 and
@@ -215,11 +243,11 @@ class TestCertificateCheck:
         assert len(f.upper[2]) == f.m - 1
         units = tuple(norm_minus_one_vectors(f))
         assert units == (((1,),) if f.m == 1 else ((1, 1), (1, 0)))
-        assert DiagonalizationCertificate(form=f, units=units, nodes=0).present
+        assert DiagonalizationCertificate(form=f, units=units, nodes=0, cap=1).present
         with pytest.raises(ValueError, match="self-intersection -1"):
-            DiagonalizationCertificate(form=f, units=(forged,), nodes=0)
+            DiagonalizationCertificate(form=f, units=(forged,), nodes=0, cap=1)
         with pytest.raises(ValueError, match="integer vectors"):
-            DiagonalizationCertificate(form=f, units=(tuple(map(float, units[0])),), nodes=0)
+            DiagonalizationCertificate(form=f, units=(tuple(map(float, units[0])),), nodes=0, cap=1)
 
     def test_no_form_exists_where_cauchy_schwarz_fails(self):
         # on diag(-1, -1, 1), (1, 0, 0) and (1, 1, 1) have norm -1 and pair to -1
@@ -329,7 +357,7 @@ class TestDInvariant:
     def test_rejects_non_unimodular(self):
         f = form_from_matrix([[-2, 1], [1, -2]])
         with pytest.raises(ValueError):
-            d_invariant(DiagonalizationCertificate(form=f, units=(), nodes=0))
+            d_invariant(DiagonalizationCertificate(form=f, units=(), nodes=0, cap=1))
 
     @pytest.mark.parametrize(
         "a, complement",
@@ -402,14 +430,17 @@ class TestSearchIsPinned:
     @pytest.mark.parametrize("a, n_diag, n_d", MINIMAL_CAPS)
     def test_d_invariant_minimal_cap(self, a, n_diag, n_d):
         f = form_for(a)
+        value = d_invariant(diagonalize(f, cap=n_d))
+        with pytest.raises(EnumerationCapExceeded):
+            d_invariant(diagonalize(f, cap=n_d - 1))
+        # the d search continues a certificate's budget from its nodes, so the
+        # units found within n_diag nodes, given the cap n_d, give the same d
         cert = diagonalize(f, cap=n_diag)
-        value = d_invariant(cert, cap=n_d)
-        with pytest.raises(EnumerationCapExceeded):
-            d_invariant(cert, cap=n_d - 1)
-        # standalone, with one cap for both searches as verdict runs them
-        assert d_invariant(diagonalize(f, cap=n_d), cap=n_d) == value
-        with pytest.raises(EnumerationCapExceeded):
-            d_invariant(diagonalize(f, cap=n_d - 1), cap=n_d - 1)
+        assert cert.nodes == n_diag and cert.cap == n_diag
+        assert d_invariant(DiagonalizationCertificate(form=f, units=cert.units, nodes=n_diag, cap=n_d)) == value
+        if n_d > n_diag:
+            with pytest.raises(EnumerationCapExceeded):
+                d_invariant(DiagonalizationCertificate(form=f, units=cert.units, nodes=n_diag, cap=n_d - 1))
 
     def test_reused_certificate_must_be_orthonormal(self):
         f = form_for((2, 3, 13))
@@ -418,11 +449,13 @@ class TestSearchIsPinned:
         # each has norm -1, but Q(u, u) = -1 where orthogonality needs 0
         for units in [(u, u), (u, tuple(-c for c in u))]:
             with pytest.raises(ValueError):
-                DiagonalizationCertificate(form=f, units=units, nodes=0)
+                DiagonalizationCertificate(form=f, units=units, nodes=0, cap=1)
         with pytest.raises(ValueError):
-            DiagonalizationCertificate(form=f, units=cert.units, nodes=-1)
+            DiagonalizationCertificate(form=f, units=cert.units, nodes=-1, cap=1)
+        with pytest.raises(ValueError, match=r"node count must be in \[0, 19\], got 20"):
+            DiagonalizationCertificate(form=f, units=cert.units, nodes=cert.nodes, cap=cert.nodes - 1)
         with pytest.raises(ValueError):
-            DiagonalizationCertificate(form=f, units=(u[:-1],), nodes=0)
+            DiagonalizationCertificate(form=f, units=(u[:-1],), nodes=0, cap=1)
 
     def test_certificate_of_an_equal_form_is_reused(self):
         f = form_for((2, 3, 23))
@@ -557,7 +590,7 @@ def refuse(what, error, fn, *args, **kwargs):
 
 
 def certificate(form, units):
-    return DiagonalizationCertificate(form=form, units=units, nodes=0)
+    return DiagonalizationCertificate(form=form, units=units, nodes=0, cap=1)
 
 
 f = verdict((2, 3, 13)).form

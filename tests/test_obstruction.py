@@ -231,10 +231,15 @@ class TestVerdict:
         with pytest.raises(TypeError):
             verdict(values)
 
-    @pytest.mark.parametrize("cap", [10**4 + 0.5, True, 0])
+    @pytest.mark.parametrize("cap", [10**4 + 0.5, True, 0, "100"])
     def test_a_cap_that_is_no_positive_int_is_refused(self, cap):
         with pytest.raises(InvalidParameter, match="cap must be an int >= 1"):
             verdict((2, 3, 5), cap=cap)
+
+    def test_a_numpy_integer_cap_keys_the_memo_as_its_int(self):
+        report = verdict((2, 3, 13), cap=np.int64(10**6))
+        assert report is verdict((2, 3, 13)) and type(report.certificate.cap) is int
+        assert verdict((2, 3, 13), cap=np.int32(10**5)) is verdict((2, 3, 13), cap=10**5)
 
     def test_a_cap_of_one_node_is_accepted(self):
         # the cap is checked as a parameter, then met by the search

@@ -21,7 +21,7 @@ from seifert_gate.seifert import GluingData, gluing_data
 
 REPORTS = {"gap": verdict((2, 3, 13)), "donaldson": verdict((2, 3, 5))}
 # built anew, at a cap no other call uses so that verdict's memo cannot answer:
-# equal to the gap report's records but not the same objects
+# equal to the gap report's records but for the certificate's cap, and not the same objects
 AGAIN = verdict((2, 3, 13), cap=10**6 - 1)
 
 RECORDS = {
@@ -117,7 +117,14 @@ def test_every_record_hashes_and_equal_records_hash_alike(name):
         assert isinstance(hash(a), int)
         for b in records:
             assert a != b or hash(a) == hash(b)
-    assert name == "ObstructionReport" or records[-1] == build(name, "gap")
+    # a certificate carries its cap, which AGAIN's differs in
+    assert name in ("ObstructionReport", "DiagonalizationCertificate") or records[-1] == build(name, "gap")
+
+
+def test_a_certificate_differs_only_in_its_cap():
+    gap, again = build("DiagonalizationCertificate", "gap"), AGAIN.certificate
+    assert (gap.form, gap.units, gap.nodes) == (again.form, again.units, again.nodes)
+    assert (gap.cap, again.cap) == (10**6, 10**6 - 1) and gap != again
 
 
 def test_a_form_cannot_be_changed_through_its_rows_or_derived_arrays():
