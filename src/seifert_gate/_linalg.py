@@ -13,9 +13,9 @@ from typing import Sequence
 # pivots[i] the nonzero (j, N_ij), j > i, of row i of G after i fraction-free
 # steps, whose diagonal entry N_ii is minors[i + 1]
 Elimination = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
-# (scale, dens, cs, cols, coefs), per-level arrays with
-# scale * x^T G x = sum_i cs[i] * (dens[i] x_i + sum_j coefs[i][j] x_{cols[i][j]})^2
-IntegerLevels = tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+# (scale, dens, cs, feeds), with feeds[j] the (i, U_ij) of column j in increasing i and
+# scale * x^T G x = sum_i cs[i] * (dens[i] x_i + S_i)^2, S_i the sum of U_ij x_j over those pairs
+IntegerLevels = tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
 
 
 def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -81,20 +81,21 @@ def scaled_levels(elimination: Elimination) -> IntegerLevels:
     u_i = N_i / minors[i+1].  With g_i = gcd(minors[i+1], N_i), den_i =
     minors[i+1] / g_i, U_i = N_i / g_i, and d_i / den_i^2 = g_i^2 /
     (minors[i] minors[i+1]); scale is the lcm of these weights' denominators.
+    U is kept by column, feeds[j] the (i, U_ij) of the levels x_j enters.
     """
     minors, pivots = elimination
-    weights, dens, cols, coefs = [], [], [], []
+    weights, dens = [], []
+    feeds: list[list[tuple[int, int]]] = [[] for _ in pivots]
     for i, row in enumerate(pivots):
-        js, xs = tuple(zip(*row)) or ((), ())
-        g = gcd(minors[i + 1], *xs)
+        g = gcd(minors[i + 1], *(x for _, x in row))
         num, q = g * g, minors[i] * minors[i + 1]
         t = gcd(num, q)
         weights.append((num // t, q // t))
         dens.append(minors[i + 1] // g)
-        cols.append(js)
-        coefs.append(tuple([x // g for x in xs]))
+        for j, x in row:
+            feeds[j].append((i, x // g))
     scale = lcm(*(q for _, q in weights))
-    return scale, tuple(dens), tuple([num * (scale // q) for num, q in weights]), tuple(cols), tuple(coefs)
+    return scale, tuple(dens), tuple([num * (scale // q) for num, q in weights]), tuple(map(tuple, feeds))
 
 
 def solve(elimination: Elimination, rhs: Sequence[int]) -> tuple[list[int], int]:

@@ -15,15 +15,15 @@ assembly between them:
   its nearest coset point, a failed level closed in one step).
 
 Both searches read form.levels, that completion scaled to integers from the
-form's one fraction-free elimination and kept as the per-level arrays (scale,
-dens, cs, cols, coefs), so no Fraction arithmetic runs inside them.  Each is
-one loop over those arrays, with no recursion and no call per node; it counts
-its nodes in a local integer against the cap, charging in batches what it
-would visit whatever its order (the enumeration a level's whole interval, the
-coset search a failed level's 2 or 3 nodes), and returns them with its result.
-Each level's shift coefs[i] . x[cols[i]] is kept current as x changes, through
-the transpose of (cols, coefs) that _feeds builds, so no shift is re-summed
-per node.
+form's one fraction-free elimination and kept as (scale, dens, cs, feeds), so
+no Fraction arithmetic runs inside them.  Each is one loop over those arrays,
+with no recursion and no call per node; it counts its nodes in a local integer
+against the cap, charging in batches what it would visit whatever its order
+(the enumeration a level's whole interval, the coset search a failed level's
+2 or 3 nodes), and returns them with its result.  Each level's shift U_i . x
+is kept current as x changes: feeds[j], built once with the form, lists the
+(level, coefficient) pairs that column j enters, so no shift is re-summed per
+node.
 
 Forms are negative definite and of rank at most plumbing.MAX_SEARCH_RANK,
 and certificates unimodular, by construction: the entry points check only the cap.
@@ -60,13 +60,17 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
+def _integer(value: object) -> int:
+    """value as an int through operator.index, numpy's too; -1 for a bool or a non-integer."""
+    try:
+        return -1 if isinstance(value, bool) else index(value)
+    except TypeError:
+        return -1
+
+
 def validate_cap(cap: int) -> int:
     """A node budget as an int: an integer >= 1, numpy's too, a bool not; else InvalidParameter."""
-    try:
-        n = 0 if isinstance(cap, bool) else index(cap)
-    except TypeError:
-        n = 0
-    if n < 1:
+    if (n := _integer(cap)) < 1:
         raise InvalidParameter(f"cap must be an int >= 1, got {cap!r}")
     return n
 
@@ -77,11 +81,12 @@ class DiagonalizationCertificate(Record):
     units are all vectors of self-intersection -1 of form (one per +-pair, as
     norm_minus_one_vectors returns them), nodes the search nodes their
     enumeration spent of cap, the budget d_invariant continues.  Building one
-    checks validate_cap(cap), 0 <= nodes <= cap, |det Q| = 1 and that the units
-    lie in Z^m with Q(u, u) = -1, no two equal up to sign (else ValueError);
-    as -Q is positive definite, Cauchy-Schwarz then makes their Gram matrix
-    -I, so they are independent: present when there are m of them, the
-    columns of E; otherwise their number is the witness of the search.
+    checks validate_cap(cap), that nodes is an integer in [0, cap], read as
+    the cap is, |det Q| = 1 and that the units lie in Z^m with Q(u, u) = -1,
+    no two equal up to sign (else ValueError); as -Q is positive definite,
+    Cauchy-Schwarz then makes their Gram matrix -I, so they are independent:
+    present when there are m of them, the columns of E; otherwise their
+    number is the witness of the search.
     """
 
     form: IntersectionForm
@@ -92,8 +97,9 @@ class DiagonalizationCertificate(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cap", validate_cap(self.cap))
-        if not 0 <= self.nodes <= self.cap:
-            raise ValueError(f"node count must be in [0, {self.cap}], got {self.nodes}")
+        if not 0 <= (nodes := _integer(self.nodes)) <= self.cap:
+            raise ValueError(f"node count must be in [0, {self.cap}], got {self.nodes!r}")
+        object.__setattr__(self, "nodes", nodes)
         if abs(self.form.det) != 1:
             raise ValueError(f"form must be unimodular, det = {self.form.det}")
         m = self.form.m
@@ -125,16 +131,6 @@ def _exceeded(cap: int) -> EnumerationCapExceeded:
     return EnumerationCapExceeded(f"lattice search exceeded {cap} nodes")
 
 
-def _feeds(form: IntersectionForm) -> list[list[tuple[int, int]]]:
-    """Per column j, the (level, coefficient) pairs of the level shifts x_j enters:
-    the transpose of form.levels' (cols, coefs), by which a search keeps them current."""
-    feeds: list[list[tuple[int, int]]] = [[] for _ in range(form.m)]
-    for i, (js, ks) in enumerate(zip(*form.levels[3:])):
-        for j, k in zip(js, ks):
-            feeds[j].append((i, k))
-    return feeds
-
-
 def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tuple[int, ...]], int]:
     """Bounded search for all v with v^T Q v = -1, one per +-pair, and the nodes it spent.
 
@@ -149,10 +145,10 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
     """
     cap = validate_cap(cap)
     m = form.m
-    scale, dens, cs, _, _ = form.levels
+    scale, dens, cs, feeds = form.levels
     used = 0
     found: list[tuple[int, ...]] = []
-    x, sh, feeds = [0] * m, [0] * m, _feeds(form)
+    x, sh = [0] * m, [0] * m
     top, left = [0] * m, [0] * m  # per level: last x_i, R
     i, rest = m - 1, scale
     while True:
@@ -327,10 +323,10 @@ def _coset_minimum(form: IntersectionForm, cap: int, used: int = 0) -> tuple[Fra
     at used.
     """
     m = form.m
-    scale, dens, cs, _, _ = form.levels
+    scale, dens, cs, feeds = form.levels
     parity = _characteristic_parity(form)
     best = scale * _greedy_descent(form, parity[:])[1]
-    x, sh, feeds = [0] * m, [0] * m, _feeds(form)
+    x, sh = [0] * m, [0] * m
     acc, d_lo, d_hi = [0] * m, [0] * m, [0] * m
     # per level: den, c, the coset parity p, and den (1 - p) and 2 den, which place its nearest point
     steps = [(den, c, p, den - p * den, 2 * den) for den, c, p in zip(dens, cs, parity)]

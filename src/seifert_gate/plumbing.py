@@ -63,7 +63,7 @@ class IntersectionForm(Record):
     as is all that is derived from it, so no check goes stale and a form
     hashes.
     det Q is (-1)^m times its last minor; the solves with Q read elimination,
-    both searches levels, its integer square completion as per-level arrays.
+    both searches levels, its integer square completion (_linalg.IntegerLevels).
     diagonal keeps the Q_ii (none is 0 on a definite form), upper the nonzeros
     above them as three parallel tuples (i, j, Q_ij).
     """

@@ -523,16 +523,19 @@ def integer_levels(completion: Completion) -> IntegerLevels:
     with S = U_i . x an integer; scale is the lcm of the denominators of the
     d_i / den_i^2, and c_i = scale * d_i / den_i^2.  A search then compares
     every level's term with its budget, times scale, in integers.  Returned
-    as form.levels holds them: (scale, dens, cs, columns of U, entries of U).
+    as form.levels holds them: (scale, dens, cs, feeds), feeds[j] the
+    (i, U_ij) of column j in increasing i.
     """
     d, u = completion
     dens = [lcm(*(x.denominator for _, x in row)) for row in u]
     weights = [di / (den * den) for di, den in zip(d, dens)]
     scale = lcm(*(w.denominator for w in weights))
     cs = tuple(int(w * scale) for w in weights)
-    cols = tuple(tuple(j for j, _ in row) for row in u)
-    coefs = tuple(tuple(int(x * den) for _, x in row) for den, row in zip(dens, u))
-    return scale, tuple(dens), cs, cols, coefs
+    feeds = tuple(
+        tuple((i, int(x * den)) for i, (den, row) in enumerate(zip(dens, u)) for k, x in row if k == j)
+        for j in range(len(u))
+    )
+    return scale, tuple(dens), cs, feeds
 
 
 def solve_completion(
@@ -591,6 +594,15 @@ def semigroup_steps(values):
     for n in range(1, top + 2):
         member[n] = any(member[n - g] for g in gens if g <= n)
     return [member[n] - (n <= top and member[top - n]) for n in range(top + 2)]
+
+
+def dedekind_sum(h, k):
+    """s(h, k) = sum_{r=1}^{k-1} ((r/k)) ((h r/k)), ((x)) = x - floor(x) - 1/2 off the integers and 0 on them."""
+
+    def sawtooth(x):
+        return Fraction(0) if x.denominator == 1 else x - floor(x) - Fraction(1, 2)
+
+    return sum((sawtooth(Fraction(r, k)) * sawtooth(Fraction(h * r, k)) for r in range(1, k)), Fraction(0))
 
 
 def tau_d_invariant(values):

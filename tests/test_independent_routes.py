@@ -23,7 +23,7 @@ from seifert_gate.cli import format_text, report_to_dict
 from seifert_gate.obstruction import balanced_twists
 from seifert_gate.plumbing import build_plumbing, intersection_form
 from seifert_gate.seifert import gluing_data, normalize, solve_unnormalized
-from oracles import crt_balanced_d, inverse_gluing_u, semigroup_steps, tau_d_invariant, tau_steps
+from oracles import crt_balanced_d, dedekind_sum, inverse_gluing_u, semigroup_steps, tau_d_invariant, tau_steps
 from test_golden import CORPORA
 
 CAP = 3 * 10**4
@@ -153,6 +153,21 @@ def test_k_dot_d_is_minus_n_zero_minus_one():
         x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
         assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k)), values
         assert Fraction(x[0], det) == -(n_zero(values) + 1), values
+
+
+def test_k_squared_plus_m_is_the_dedekind_sum_formula():
+    # K^2 + m = 5 - (N0^2 + 1)/A - 12 sum_i s(w_i, a_i), w_i = -b~_i mod a_i, for
+    # K^2 = k^T Q^-1 k from the form's integer solve, k_i = -Q_ii - 2
+    for values in IDENTITY_TUPLES:
+        mult = validate_multiplicities(values)
+        norm = normalize(solve_unnormalized(mult))
+        form = intersection_form(build_plumbing(norm))
+        k = [-q - 2 for q in form.diagonal]
+        x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
+        k_squared = Fraction(sum(ki * xi for ki, xi in zip(k, x)), det)
+        sums = sum(dedekind_sum(-tb % a, a) for tb, a in zip(norm.tilde_b, mult.a))
+        n0 = n_zero(values)
+        assert k_squared + form.m == 5 - Fraction(n0 * n0 + 1, mult.product) - 12 * sums, values
 
 
 def test_tau_is_symmetric_about_half_of_n_zero_plus_one():

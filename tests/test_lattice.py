@@ -457,6 +457,16 @@ class TestSearchIsPinned:
         with pytest.raises(ValueError):
             DiagonalizationCertificate(form=f, units=(u[:-1],), nodes=0, cap=1)
 
+    @pytest.mark.parametrize("nodes", [29.5, True, "3"])
+    def test_certificate_node_count_must_be_an_integer(self, nodes):
+        # d_invariant continues the count, so a float would run, and return d
+        with pytest.raises(ValueError, match=r"node count must be in \[0, 10000\]"):
+            DiagonalizationCertificate(form=form_for((2, 3, 5)), units=(), nodes=nodes, cap=10**4)
+
+    def test_certificate_keeps_a_numpy_node_count_as_an_int(self):
+        cert = DiagonalizationCertificate(form=form_for((2, 3, 5)), units=(), nodes=np.int64(29), cap=10**4)
+        assert cert.nodes == 29 and type(cert.nodes) is int
+
     def test_certificate_of_an_equal_form_is_reused(self):
         f = form_for((2, 3, 23))
         copy = form_from_matrix(dense(f))

@@ -251,7 +251,7 @@ class TestIntersectionForm:
 
     def test_from_matrix_definiteness(self):
         f = form_from_matrix([[-1, 0], [0, -1]])
-        assert f.det == 1 and f.levels == (1, (1, 1), (1, 1), ((), ()), ((), ()))
+        assert f.det == 1 and f.levels == (1, (1, 1), (1, 1), ((), ()))
 
     @pytest.mark.parametrize(
         "rows, reason",

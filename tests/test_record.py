@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import functools
 import pickle
+from itertools import chain
 
 import pytest
 
@@ -131,8 +132,8 @@ def test_a_form_cannot_be_changed_through_its_rows_or_derived_arrays():
     form = REPORTS["gap"].form
     before = (form.rows, form.det, form.elimination, form.levels, form.diagonal, form.upper)
     minors, pivots = form.elimination
-    scale, dens, cs, cols, coefs = form.levels
-    for sequence in (form.rows, form.rows[0], minors, pivots, pivots[0], dens, cs, cols, cols[0], coefs, coefs[0]):
+    scale, dens, cs, feeds = form.levels
+    for sequence in (form.rows, form.rows[0], minors, pivots, pivots[0], dens, cs, feeds, *feeds, *chain(*feeds)):
         with pytest.raises(TypeError):
             sequence[0] = (0, 5)
     assert (form.rows, form.det, form.elimination, form.levels, form.diagonal, form.upper) == before
