@@ -241,43 +241,55 @@ class Verdict(str, Enum):
     OBSTRUCTED_FLOER_GAP = "obstructed_floer_gap"
 
 
-class ObstructionReport(Record):
-    """What the pipeline computed for one tuple that its output reads, plus the verdict."""
+# The sharpness and vertical-twist caveats of every report, then the Donaldson branch's.
+_CAVEATS = (
+    "d-invariant assumes a sharp spin-c structure; this holds for the "
+    "star-shaped negative-definite plumbings built here but is not re-derived.",
+    "the vertical regular-fiber twist value is asserted by convex-surface "
+    "theory; only its arithmetic consequences are checked.",
+    "form is not diagonalizable, so the boundary bounds no homology ball and "
+    "the sharp tau bounds do not apply; square-root forms are shown for reference.",
+)
 
-    multiplicities: Multiplicities
+
+class ObstructionReport(Record):
+    """What the pipeline computed for one tuple that its output reads.
+
+    Ten fields are stored; multiplicities, form, verdict and caveats are read
+    through them.  The branch, and with it the Donaldson caveat, is whether
+    the certificate is present.  A gap report needs gap_lower >= 1.
+    """
+
     presentation: SeifertPresentation
     normalized: NormalizedPresentation
     graph: PlumbingGraph
-    form: IntersectionForm
     certificate: DiagonalizationCertificate
     d_inv: Fraction
     twist_bound: TwistBound
     tau: TauBounds
     twist_certificate: TwistCertificate
-    verdict: Verdict
     gap_lower: int | None
-    caveats: tuple[str, ...]
     elapsed_ms: float
 
     def __post_init__(self) -> None:
-        if (self.verdict is Verdict.OBSTRUCTED_DONALDSON) == self.certificate.present:
-            raise CertificateViolation(f"verdict {self.verdict.value} contradicts diagonalizability")
-        if self.verdict is Verdict.OBSTRUCTED_FLOER_GAP and (self.gap_lower is None or self.gap_lower < 1):
+        if self.certificate.present and (self.gap_lower is None or self.gap_lower < 1):
             raise CertificateViolation(f"gap branch with gap lower bound {self.gap_lower}")
 
+    @property
+    def multiplicities(self) -> Multiplicities:
+        return self.presentation.multiplicities
 
-_SHARPNESS_CAVEAT = (
-    "d-invariant assumes a sharp spin-c structure; this holds for the "
-    "star-shaped negative-definite plumbings built here but is not re-derived."
-)
-_VERTICAL_TWIST_CAVEAT = (
-    "the vertical regular-fiber twist value is asserted by convex-surface "
-    "theory; only its arithmetic consequences are checked."
-)
-_DONALDSON_CAVEAT = (
-    "form is not diagonalizable, so the boundary bounds no homology ball and "
-    "the sharp tau bounds do not apply; square-root forms are shown for reference."
-)
+    @property
+    def form(self) -> IntersectionForm:
+        return self.certificate.form
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.OBSTRUCTED_FLOER_GAP if self.certificate.present else Verdict.OBSTRUCTED_DONALDSON
+
+    @property
+    def caveats(self) -> tuple[str, ...]:
+        return _CAVEATS[:2] if self.certificate.present else _CAVEATS
 
 
 # The weight budget of the report memo.  A report of rank m weighs m*m + 1024
@@ -350,33 +362,20 @@ def verdict(m: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Obstruction
     d_val = d_invariant(cert)
     bound = TwistBound.for_product(big_a)
     twist_cert = verify_twist_chain(pres, glue)
-    caveats = [_SHARPNESS_CAVEAT, _VERTICAL_TWIST_CAVEAT]
-    if cert.present:
-        p = max_sharp_pairing(cert, dual)
-        tau = TauBounds(A=big_a, P=p)
-        gap = tau_gap_lower(big_a, p)
-        final = Verdict.OBSTRUCTED_FLOER_GAP
-    else:
-        p = None
-        tau = TauBounds(A=big_a, P=None)
-        gap = None
-        final = Verdict.OBSTRUCTED_DONALDSON
-        caveats.append(_DONALDSON_CAVEAT)
+    p = max_sharp_pairing(cert, dual) if cert.present else None
+    tau = TauBounds(A=big_a, P=p)
+    gap = tau_gap_lower(big_a, p) if cert.present else None
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = ObstructionReport(
-        multiplicities=mult,
         presentation=pres,
         normalized=norm,
         graph=graph,
-        form=form,
         certificate=cert,
         d_inv=d_val,
         twist_bound=bound,
         tau=tau,
         twist_certificate=twist_cert,
-        verdict=final,
         gap_lower=gap,
-        caveats=tuple(caveats),
         elapsed_ms=elapsed_ms,
     )
     _keep(key, report)

@@ -617,19 +617,77 @@ def tau_d_invariant(values):
     come from one integer solve on the form's elimination, re-checked against
     its rows.
     """
-    mult = validate_multiplicities(values)
-    norm = normalize(solve_unnormalized(mult))
+    norm = normalize(solve_unnormalized(validate_multiplicities(values)))
     form = intersection_form(build_plumbing(norm))
     k = [-x - 2 for i, row in enumerate(form.rows) for j, x in row if j == i]
     x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
     assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k))
     k2 = Fraction(sum(ki * xi for ki, xi in zip(k, x)), det)
+    lowest, argmins = scanned_tau_minimum(values)
+    p = max(abs(Fraction(x[0], det) + 2 * n) for n in argmins)
+    return (k2 + form.m) / 4 - 2 * lowest, p
+
+
+def scanned_tau_minimum(values):
+    """(min tau, its minimizers) of Laufer's sequence, scanned from 0 to N (see tau_d_invariant)."""
+    mult = validate_multiplicities(values)
     big_a = mult.product
     stop = big_a * len(mult.a) - sum(big_a // a for a in mult.a) - big_a + 1
+    norm = normalize(solve_unnormalized(mult))
     taus = list(itertools.accumulate(tau_steps(norm, mult.a, stop), initial=0))
     lowest = min(taus)
-    p = max(abs(Fraction(x[0], det) + 2 * n) for n, tau in enumerate(taus) if tau == lowest)
-    return (k2 + form.m) / 4 - 2 * lowest, p
+    return lowest, [n for n, tau in enumerate(taus) if tau == lowest]
+
+
+def windowed_tau_minimum(values):
+    """(min tau, its minimizers) of Laufer's sequence, from a closed window around tau's vertex.
+
+    With G_i(r) = sum_{j<r} floor(j b~_i / a_i), tabled for r <= a_i, and
+    n = q a_i + r, tau(n) = n - e0 n(n-1)/2 + sum_i [q G_i(a_i)
+    + b~_i a_i q(q-1)/2 + G_i(r) + q b~_i r].  Since e0 - sum_i b~_i/a_i = -1/A,
+    tau(n) = (n - c)^2/(2A) + tau0 + sum_i P_i(n mod a_i) with c = (N0 + 1)/2
+    and the a_i-periodic P_i(r) = (a_i - 1) r/(2 a_i) - sum_{s<r} {s b~_i/a_i};
+    the vertex c is checked by tau0 coming out equal at floor(c) and floor(c) + 1.
+    With L_i = min P_i, every minimizer n has
+    (n - c)^2/(2A) <= tau(floor(c)) - tau0 - sum_i L_i = w^2/(2A), so the scan
+    covers [floor(c - w), ceil(c + w)] from 0 on (a point more each side).  It
+    is not clipped at N0 + 1: on the gap branch minimizers lie past it, as for
+    (2, 3, 7), whose minimizers are 0, 2, ..., 6 with N0 = 1.
+    """
+    mult = validate_multiplicities(values)
+    norm = normalize(solve_unnormalized(mult))
+    big_a = mult.product
+    fibers = []  # (a_i, b~_i, G_i(0..a_i), P_i(0..a_i - 1))
+    for a, tb in zip(mult.a, norm.tilde_b):
+        tables, periodic, fractional = [0], [], Fraction(0)
+        for r in range(a):
+            tables.append(tables[-1] + r * tb // a)
+            periodic.append(Fraction((a - 1) * r, 2 * a) - fractional)
+            fractional += Fraction(r * tb % a, a)
+        fibers.append((a, tb, tables, periodic))
+
+    def tau(n):
+        total = n - norm.e0 * n * (n - 1) // 2
+        for a, tb, tables, _ in fibers:
+            q, r = divmod(n, a)
+            total += q * tables[a] + tb * a * q * (q - 1) // 2 + tables[r] + q * tb * r
+        return total
+
+    n_zero = big_a * (len(mult.a) - 2) - sum(big_a // a for a in mult.a)
+    c = Fraction(n_zero + 1, 2)
+    floor_c = (n_zero + 1) // 2
+    assert floor_c >= 0, values
+
+    def offset(n):
+        return tau(n) - sum(periodic[n % a] for a, _, _, periodic in fibers) - (n - c) ** 2 / (2 * big_a)
+
+    tau0 = offset(floor_c)
+    assert offset(floor_c + 1) == tau0, values
+    reach = isqrt(floor(2 * big_a * (tau(floor_c) - tau0 - sum(min(periodic) for *_, periodic in fibers))))
+    window = range(max(0, floor_c - reach - 1), floor_c + reach + 3)
+    taus = [tau(n) for n in window]
+    lowest = min(taus)
+    return lowest, [n for n, value in zip(window, taus) if value == lowest]
 
 
 def lazy_pool_handover(ranks, times, jobs, cpus, pool_after_s):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seifert_gate import EnumerationCapExceeded, _linalg, validate_multiplicities, verdict
@@ -23,7 +23,16 @@ from seifert_gate.cli import format_text, report_to_dict
 from seifert_gate.obstruction import balanced_twists
 from seifert_gate.plumbing import build_plumbing, intersection_form
 from seifert_gate.seifert import gluing_data, normalize, solve_unnormalized
-from oracles import crt_balanced_d, dedekind_sum, inverse_gluing_u, semigroup_steps, tau_d_invariant, tau_steps
+from oracles import (
+    crt_balanced_d,
+    dedekind_sum,
+    inverse_gluing_u,
+    scanned_tau_minimum,
+    semigroup_steps,
+    tau_d_invariant,
+    tau_steps,
+    windowed_tau_minimum,
+)
 from test_golden import CORPORA
 
 CAP = 3 * 10**4
@@ -137,6 +146,11 @@ IDENTITY_TUPLES = sorted({t for ts in CORPORA.values() for t in ts}) + [
 ]
 
 
+# the two identities of the form's integer solve also run on every 4- and 5-fiber tuple of coprime_tuples()
+MULTI_FIBER_TUPLES = [t for t in coprime_tuples() if len(t) > 3]
+SOLVE_IDENTITY_TUPLES = sorted({*IDENTITY_TUPLES, *MULTI_FIBER_TUPLES})
+
+
 def n_zero(values):
     """N0 = A (n - 2) - sum_i A/a_i for the multiplicities (a_1, ..., a_n), A their product."""
     big_a = validate_multiplicities(values).product
@@ -146,7 +160,8 @@ def n_zero(values):
 def test_k_dot_d_is_minus_n_zero_minus_one():
     # k.D = (Q^-1 k)_0 for the canonical class k_i = -Q_ii - 2, from the form's
     # integer solve, re-checked on its rows
-    for values in IDENTITY_TUPLES:
+    assert len(MULTI_FIBER_TUPLES) == 261
+    for values in SOLVE_IDENTITY_TUPLES:
         norm = normalize(solve_unnormalized(validate_multiplicities(values)))
         form = intersection_form(build_plumbing(norm))
         k = [-q - 2 for q in form.diagonal]
@@ -158,7 +173,7 @@ def test_k_dot_d_is_minus_n_zero_minus_one():
 def test_k_squared_plus_m_is_the_dedekind_sum_formula():
     # K^2 + m = 5 - (N0^2 + 1)/A - 12 sum_i s(w_i, a_i), w_i = -b~_i mod a_i, for
     # K^2 = k^T Q^-1 k from the form's integer solve, k_i = -Q_ii - 2
-    for values in IDENTITY_TUPLES:
+    for values in SOLVE_IDENTITY_TUPLES:
         mult = validate_multiplicities(values)
         norm = normalize(solve_unnormalized(mult))
         form = intersection_form(build_plumbing(norm))
@@ -216,3 +231,27 @@ def test_report_invariants(triple):
     assert f"  verdict: {doc['verdict']}" in text
     value = Fraction(int(doc["d_invariant"]["num"]), int(doc["d_invariant"]["den"]))
     assert value == d and f"  d-invariant = {value}" in text
+
+
+# the windowed route's tuples: the triples above, the 4-fiber tuples of range(2, 14) and (2, 3, 5, 7, 11)
+WINDOW_TUPLES = COPRIME_TRIPLES + [
+    t for t in combinations(range(2, 14), 4) if all(gcd(x, y) == 1 for x, y in combinations(t, 2))
+] + [(2, 3, 5, 7, 11)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from(WINDOW_TUPLES))
+@example((9, 10, 11, 13))
+@example((2, 3, 5, 7, 11))
+def test_the_tau_window_holds_every_minimizer_of_the_full_scan(values):
+    assert windowed_tau_minimum(values) == scanned_tau_minimum(values)
+
+
+def test_p_reads_the_minimizers_past_n_zero_plus_one():
+    # P = max |2n - (N0 + 1)| over all minimizers equals the report's P; those in
+    # [0, N0 + 1], the half window [c - w, c] and its mirror, give less
+    for values, full, clipped in [((2, 3, 7), 10, 2), ((2, 3, 13), 16, 8), ((3, 4, 5), 16, 14)]:
+        top = n_zero(values) + 1
+        argmins = windowed_tau_minimum(values)[1]
+        assert max(abs(2 * n - top) for n in argmins) == full == verdict(values).tau.P, values
+        assert max(abs(2 * n - top) for n in argmins if n <= top) == clipped, values

@@ -248,11 +248,17 @@ class TestVerdict:
         assert verdict((2, 3, 5), cap=10**4).d_inv == 2
 
     def test_inconsistent_report_is_refused(self):
+        # the verdict is read from the certificate, so only gap_lower can contradict it
         r = verdict((2, 3, 13))
         with pytest.raises(CertificateViolation):
-            ObstructionReport(**{**vars(r), "verdict": Verdict.OBSTRUCTED_DONALDSON})
-        with pytest.raises(CertificateViolation):
             ObstructionReport(**{**vars(r), "gap_lower": 0})
+
+    @pytest.mark.parametrize("name", ["verdict", "caveats", "form", "multiplicities"])
+    def test_read_through_attributes_are_not_fields(self, name):
+        r = verdict((2, 3, 5))
+        assert len(vars(r)) == 10 and name not in vars(r)
+        with pytest.raises(TypeError):
+            ObstructionReport(**{**vars(r), name: getattr(r, name)})
 
     def test_four_fiber_tuple(self):
         r = verdict((2, 3, 5, 7))
