@@ -8,7 +8,8 @@ assembly between them:
   isqrt);
 * assembly of an orthonormal change of basis from those vectors, which for a
   unimodular negative-definite form exists exactly when the form is
-  diagonalizable over the integers;
+  diagonalizable over the integers; its certificate checks all k norms at
+  once: each vector nonzero and trace E^T Q E = -k, as -Q(u, u) >= 1 if u != 0;
 * a branch-and-bound minimum over the characteristic coset of the vectors'
   orthogonal complement, which gives the correction-term invariant of the
   boundary under the sharpness hypothesis (each level walked outward from
@@ -36,9 +37,9 @@ and a failure raises CertificateViolation, also under python -O.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 from math import isqrt
-from operator import index, itemgetter, mul, neg
+from operator import index, mul, neg
 from typing import Sequence
 
 from . import _linalg
@@ -75,6 +76,13 @@ def validate_cap(cap: int) -> int:
     return n
 
 
+def _trace(form: IntersectionForm, rows: Sequence[Sequence[int]]) -> int:
+    """Trace of E^T Q E from the rows r_i of E: sum Q_ii <r_i, r_i> + 2 sum_{i<j} Q_ij <r_i, r_j>."""
+    cols, partners, entries = form.upper
+    cross = map(sum, map(map, repeat(mul), map(rows.__getitem__, cols), map(rows.__getitem__, partners)))
+    return sum(map(mul, form.diagonal, map(sum, map(map, repeat(mul), rows, rows)))) + 2 * sum(map(mul, entries, cross))
+
+
 class DiagonalizationCertificate(Record):
     """Either a unimodular E with E^T Q E = -I, or a proof-of-absence witness.
 
@@ -86,7 +94,10 @@ class DiagonalizationCertificate(Record):
     no two equal up to sign (else ValueError); as -Q is positive definite,
     Cauchy-Schwarz then makes their Gram matrix -I, so they are independent:
     present when there are m of them, the columns of E; otherwise their
-    number is the witness of the search.
+    number is the witness of the search.  The k norms are checked together:
+    each unit nonzero, and the trace of E^T Q E, over E's rows, -k.  As -Q is
+    integral and positive definite, -Q(u, u) >= 1 for every nonzero integer
+    u, so the norms sum to -k only when each is -1.
     """
 
     form: IntersectionForm
@@ -102,20 +113,13 @@ class DiagonalizationCertificate(Record):
         object.__setattr__(self, "nodes", nodes)
         if abs(self.form.det) != 1:
             raise ValueError(f"form must be unimodular, det = {self.form.det}")
-        m = self.form.m
-        if not all(len(v) == m and all(map(isinstance, v, repeat(int))) for v in self.units):
+        m, units = self.form.m, self.units
+        if not all(map(m.__eq__, map(len, units))) or not all(map(isinstance, chain.from_iterable(units), repeat(int))):
             raise ValueError(f"units must be integer vectors of length {m}")
-        # Q(u, u): the diagonal, plus twice the nonzeros above it, read through
-        # itemgetters padded by two pairs of weight 0, as one index gives no tuple
-        diag = self.form.diagonal
-        cols, partners, entries = self.form.upper
-        at_cols, at_partners, entries = itemgetter(0, 0, *cols), itemgetter(0, 0, *partners), (0, 0, *entries)
-        for u in self.units:
-            on_diag = sum(map(mul, diag, map(mul, u, u)))
-            off_diag = sum(map(mul, entries, map(mul, at_cols(u), at_partners(u))))
-            if on_diag + 2 * off_diag != -1:
-                raise ValueError("units must have self-intersection -1")
-        if len({max(v, tuple(map(neg, v))) for v in self.units}) != len(self.units):
+        leads = list(map(next, map(filter, repeat(None), units), repeat(0)))
+        if units and (not all(leads) or _trace(self.form, tuple(zip(*units))) != -len(units)):
+            raise ValueError("units must have self-intersection -1")
+        if len({v if lead > 0 else tuple(map(neg, v)) for v, lead in zip(units, leads)}) != len(units):
             raise ValueError("units must be distinct up to sign")
 
     @property
@@ -207,9 +211,10 @@ def norm_minus_one_vectors(
 
 
 def _images(form: IntersectionForm, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Q w for each w in vectors, over the nonzero entries of Q only."""
-    split = [tuple(zip(*row)) for row in form.rows]
-    return [[sum(map(mul, coefs, map(w.__getitem__, cols))) for cols, coefs in split] for w in vectors]
+    """Q w for each w in vectors: the products Q_ij w_j over form.split, summed row by row."""
+    cols, coefs, lengths = form.split
+    products = (map(mul, coefs, map(w.__getitem__, cols)) for w in vectors)
+    return [[sum(islice(p, n)) for n in lengths] for p in products]
 
 
 def _pairing(v: Sequence[int], qw: Sequence[int]) -> int:

@@ -65,7 +65,8 @@ class IntersectionForm(Record):
     det Q is (-1)^m times its last minor; the solves with Q read elimination,
     both searches levels, its integer square completion (_linalg.IntegerLevels).
     diagonal keeps the Q_ii (none is 0 on a definite form), upper the nonzeros
-    above them as three parallel tuples (i, j, Q_ij).
+    above them as three parallel tuples (i, j, Q_ij), split the nonzeros of
+    all rows, in row order, as (columns, entries, row lengths).
     """
 
     rows: tuple[tuple[tuple[int, int], ...], ...]
@@ -74,8 +75,9 @@ class IntersectionForm(Record):
     levels: _linalg.IntegerLevels
     diagonal: tuple[int, ...]
     upper: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    _derived = ("det", "elimination", "levels", "diagonal", "upper")
-    _uncompared = ("elimination", "levels", "diagonal", "upper")
+    split: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    _derived = ("det", "elimination", "levels", "diagonal", "upper", "split")
+    _uncompared = ("elimination", "levels", "diagonal", "upper", "split")
 
     def __post_init__(self) -> None:
         if len(self.rows) > MAX_SEARCH_RANK:
@@ -98,6 +100,9 @@ class IntersectionForm(Record):
         object.__setattr__(self, "levels", _linalg.scaled_levels(elimination))
         object.__setattr__(self, "diagonal", tuple(x for i, row in enumerate(rows) for j, x in row if j == i))
         object.__setattr__(self, "upper", tuple(zip(*upper)) if upper else ((), (), ()))
+        nonzeros = [entry for row in rows for entry in row]
+        cols, coefs = zip(*nonzeros) if nonzeros else ((), ())
+        object.__setattr__(self, "split", (cols, coefs, tuple(map(len, rows))))
 
     @property
     def m(self) -> int:

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
+from operator import itemgetter, mul, neg
 from typing import Sequence
 
 import numpy as np
@@ -134,6 +135,30 @@ def units_are_orthonormal(form, units):
         for i, v in enumerate(units)
         for j in range(i, len(units))
     )
+
+
+def per_unit_units_check(form, units):
+    """The units' check DiagonalizationCertificate ran unit by unit, as it was.
+
+    Integer entries and length m, then Q(u, u) = -1 for each unit in turn
+    (the diagonal, plus twice the nonzeros above it, read through
+    itemgetters padded by two pairs of weight 0, as one index gives no
+    tuple), then no two units equal up to sign; ValueError with the
+    library's message at the first that fails.
+    """
+    m = form.m
+    if not all(len(v) == m and all(map(isinstance, v, itertools.repeat(int))) for v in units):
+        raise ValueError(f"units must be integer vectors of length {m}")
+    diag = form.diagonal
+    cols, partners, entries = form.upper
+    at_cols, at_partners, entries = itemgetter(0, 0, *cols), itemgetter(0, 0, *partners), (0, 0, *entries)
+    for u in units:
+        on_diag = sum(map(mul, diag, map(mul, u, u)))
+        off_diag = sum(map(mul, entries, map(mul, at_cols(u), at_partners(u))))
+        if on_diag + 2 * off_diag != -1:
+            raise ValueError("units must have self-intersection -1")
+    if len({max(v, tuple(map(neg, v))) for v in units}) != len(units):
+        raise ValueError("units must be distinct up to sign")
 
 
 def box_norm_minus_one(qrows):

@@ -12,18 +12,21 @@ Regenerate both only when an output change is intended, with
 
 from __future__ import annotations
 
+import functools
 import json
 from itertools import combinations
 from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seifert_gate import DiagonalizationCertificate, diagonalize, validate_multiplicities
 from seifert_gate.seifert import normalize, solve_unnormalized
 from seifert_gate.plumbing import build_plumbing, intersection_form
 from seifert_gate.cli import _render_tuple
-from oracles import units_are_orthonormal
+from oracles import per_unit_units_check, units_are_orthonormal
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NODES = GOLDEN / "diagonalize_nodes.json"
@@ -108,6 +111,78 @@ def test_certificate_check_agrees_with_gram_oracle(name):
             tries.append(units + (tuple(a + b for a, b in zip(units[0], units[1])),))
         for t in tries:
             assert accepts(form, t) == units_are_orthonormal(form, t), (values, t)
+
+
+@functools.cache
+def all_corpus_certificates():
+    return [cert for name in sorted(CORPORA) for _, cert in corpus_certificates(name)]
+
+
+def forge(kind, units, m, i, j, p):
+    """units changed as kind says, at unit i (and a second unit j) and entry p, each taken mod its range."""
+    units, k = list(units), len(units)
+    i, j, p = i % k, j % k, p % m
+    scaled = lambda v, c: tuple(c * x for x in v)
+    added = lambda v, w: tuple(a + b for a, b in zip(v, w))
+    if j == i:
+        j = (i + 1) % k
+    if kind == "zero beside norm -2":  # the trace balances; only the nonzero check sees it
+        units[i], units[j] = (0,) * m, added(units[i], units[j])
+    elif kind == "sum of two units":
+        units[i] = added(units[i], units[j])
+    elif kind == "doubled":
+        units[i] = scaled(units[i], 2)
+    elif kind == "repeated":
+        units.append(units[i])
+    elif kind == "negated":
+        units.append(scaled(units[i], -1))
+    elif kind == "float entry":
+        units[i] = units[i][:p] + (float(units[i][p]),) + units[i][p + 1:]
+    elif kind == "bool entries":  # isinstance(True, int), so these are accepted
+        units[i] = tuple(bool(x) if x in (0, 1) else x for x in units[i])
+    return tuple(units)
+
+
+FORGERIES = ("none", "zero beside norm -2", "sum of two units", "doubled", "repeated", "negated", "float entry", "bool entries")
+
+
+def check_message(check, form, units):
+    """None if check accepts units on form, else its ValueError's message."""
+    try:
+        check(form, units)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def certificate_check(form, units):
+    DiagonalizationCertificate(form=form, units=units, nodes=0, cap=1)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 10**4), st.sampled_from(FORGERIES), st.integers(0, 10**4), st.integers(0, 10**4), st.integers(0, 10**4))
+def test_certificate_check_matches_the_per_unit_oracle(n, kind, i, j, p):
+    """The trace check and the per-unit check accept the same unit lists and reject them with one message.
+
+    Tried on the units of every corpus certificate (both corpora, the gap
+    ladder among them), as they are or forged as FORGERIES names.
+    """
+    certs = all_corpus_certificates()
+    cert = certs[n % len(certs)]
+    units = cert.units if kind == "none" or len(cert.units) < 2 else forge(kind, cert.units, cert.form.m, i, j, p)
+    expected = check_message(per_unit_units_check, cert.form, units)
+    assert check_message(certificate_check, cert.form, units) == expected
+    if kind == "zero beside norm -2" and len(cert.units) > 1:
+        assert expected == "units must have self-intersection -1"
+
+
+@pytest.mark.parametrize("kind", FORGERIES)
+def test_each_forgery_meets_the_oracle_on_every_gap_rung(kind):
+    for values, cert in corpus_certificates("gap_ladder.jsonl"):
+        units = cert.units if kind == "none" else forge(kind, cert.units, cert.form.m, 0, 1, 0)
+        expected = check_message(per_unit_units_check, cert.form, units)
+        assert check_message(certificate_check, cert.form, units) == expected, (values, kind)
+        assert (expected is None) == (kind in ("none", "bool entries")), (values, kind, expected)
 
 
 def test_diagonalize_nodes_match_pins():

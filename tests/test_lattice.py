@@ -229,10 +229,9 @@ class TestCertificateCheck:
         with pytest.raises(ValueError):
             DiagonalizationCertificate(form=form, units=units, nodes=0, cap=1)
 
-    # The check reads the off-diagonal pairs through itemgetters, and one index
-    # makes an itemgetter return a bare entry: upper holds none at rank 1 and
-    # one at rank 2.  Accepting (1, 1) needs the entry, and (1, -1), of norm
-    # -5, would pass with the entry's sign flipped.
+    # The trace reads the off-diagonal pairs from upper, which holds none at
+    # rank 1 and one at rank 2.  Accepting (1, 1) needs the entry, and
+    # (1, -1), of norm -5, would pass with the entry's sign flipped.
     @pytest.mark.parametrize(
         "rows, forged",
         [([[-1]], (2,)), ([[-1, 1], [1, -2]], (1, -1))],

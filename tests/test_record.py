@@ -40,9 +40,9 @@ RECORDS = {
     "TransverseWitness": lambda r: transverse_contact_exists(r.normalized),
 }
 # fields computed at construction, and fields left out of ==, hash and repr
-DERIVED = {"IntersectionForm": ("det", "elimination", "levels", "diagonal", "upper")}
+DERIVED = {"IntersectionForm": ("det", "elimination", "levels", "diagonal", "upper", "split")}
 UNCOMPARED = {
-    "IntersectionForm": ("elimination", "levels", "diagonal", "upper"),
+    "IntersectionForm": ("elimination", "levels", "diagonal", "upper", "split"),
     "DiagonalizationCertificate": ("form",),
 }
 
@@ -130,13 +130,15 @@ def test_a_certificate_differs_only_in_its_cap():
 
 def test_a_form_cannot_be_changed_through_its_rows_or_derived_arrays():
     form = REPORTS["gap"].form
-    before = (form.rows, form.det, form.elimination, form.levels, form.diagonal, form.upper)
+    before = (form.rows, form.det, form.elimination, form.levels, form.diagonal, form.upper, form.split)
     minors, pivots = form.elimination
     scale, dens, cs, feeds = form.levels
-    for sequence in (form.rows, form.rows[0], minors, pivots, pivots[0], dens, cs, feeds, *feeds, *chain(*feeds)):
+    for sequence in (form.rows, form.rows[0], minors, pivots, pivots[0], dens, cs, feeds, *feeds, *chain(*feeds), form.split, *form.split):
         with pytest.raises(TypeError):
             sequence[0] = (0, 5)
-    assert (form.rows, form.det, form.elimination, form.levels, form.diagonal, form.upper) == before
+    assert (form.rows, form.det, form.elimination, form.levels, form.diagonal, form.upper, form.split) == before
+    cols, coefs, lengths = form.split
+    assert list(zip(cols, coefs)) == list(chain(*form.rows)) and lengths == tuple(map(len, form.rows))
 
 
 def test_a_form_built_from_lists_keeps_tuples():
