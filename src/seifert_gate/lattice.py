@@ -94,10 +94,11 @@ class DiagonalizationCertificate(Record):
     no two equal up to sign (else ValueError); as -Q is positive definite,
     Cauchy-Schwarz then makes their Gram matrix -I, so they are independent:
     present when there are m of them, the columns of E; otherwise their
-    number is the witness of the search.  The k norms are checked together:
-    each unit nonzero, and the trace of E^T Q E, over E's rows, -k.  As -Q is
-    integral and positive definite, -Q(u, u) >= 1 for every nonzero integer
-    u, so the norms sum to -k only when each is -1.
+    number is the witness of the search.  units is kept as tuples, as a
+    form's rows are, so no check goes stale and a certificate hashes.  The k
+    norms are checked together: each unit nonzero, and the trace of E^T Q E,
+    over E's rows, -k.  As -Q is integral and positive definite, -Q(u, u) >= 1
+    for every nonzero integer u, so the norms sum to -k only when each is -1.
     """
 
     form: IntersectionForm
@@ -113,7 +114,8 @@ class DiagonalizationCertificate(Record):
         object.__setattr__(self, "nodes", nodes)
         if abs(self.form.det) != 1:
             raise ValueError(f"form must be unimodular, det = {self.form.det}")
-        m, units = self.form.m, self.units
+        m, units = self.form.m, tuple(map(tuple, self.units))
+        object.__setattr__(self, "units", units)
         if not all(map(m.__eq__, map(len, units))) or not all(map(isinstance, chain.from_iterable(units), repeat(int))):
             raise ValueError(f"units must be integer vectors of length {m}")
         leads = list(map(next, map(filter, repeat(None), units), repeat(0)))

@@ -630,29 +630,6 @@ def dedekind_sum(h, k):
     return sum((sawtooth(Fraction(r, k)) * sawtooth(Fraction(h * r, k)) for r in range(1, k)), Fraction(0))
 
 
-def tau_d_invariant(values):
-    """(d, P) of Sigma(values) from Laufer's computation sequence, with no lattice search.
-
-    tau(0) = 0 and tau(n + 1) = tau(n) + Delta(n) (tau_steps); then
-    d = (K^2 + m)/4 - 2 min tau, with K^2 = k^T Q^-1 k and k_i = -Q_ii - 2 on
-    the plumbing's form (Nemethi; Can-Karakurt), and
-    P = max over the minimizers n of tau of |k.D + 2n|, k.D = (Q^-1 k)_0.  Past
-    N = ceil(A (sum_i (1 - 1/a_i) - 1)) + 1 every step is at least
-    1 + n/A - sum_i (1 - 1/a_i) > 0, so the scan stops there.  K^2 and k.D
-    come from one integer solve on the form's elimination, re-checked against
-    its rows.
-    """
-    norm = normalize(solve_unnormalized(validate_multiplicities(values)))
-    form = intersection_form(build_plumbing(norm))
-    k = [-x - 2 for i, row in enumerate(form.rows) for j, x in row if j == i]
-    x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
-    assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k))
-    k2 = Fraction(sum(ki * xi for ki, xi in zip(k, x)), det)
-    lowest, argmins = scanned_tau_minimum(values)
-    p = max(abs(Fraction(x[0], det) + 2 * n) for n in argmins)
-    return (k2 + form.m) / 4 - 2 * lowest, p
-
-
 def scanned_tau_minimum(values):
     """(min tau, its minimizers) of Laufer's sequence, scanned from 0 to N (see tau_d_invariant)."""
     mult = validate_multiplicities(values)
@@ -662,6 +639,31 @@ def scanned_tau_minimum(values):
     taus = list(itertools.accumulate(tau_steps(norm, mult.a, stop), initial=0))
     lowest = min(taus)
     return lowest, [n for n, tau in enumerate(taus) if tau == lowest]
+
+
+def tau_d_invariant(values, tau_minimum=scanned_tau_minimum):
+    """(d, P) of Sigma(values) from Laufer's computation sequence, with no lattice search.
+
+    tau(0) = 0 and tau(n + 1) = tau(n) + Delta(n) (tau_steps); then
+    d = (K^2 + m)/4 - 2 min tau, with K^2 = k^T Q^-1 k and k_i = -Q_ii - 2 on
+    the plumbing's form (Nemethi; Can-Karakurt), and
+    P = max over the minimizers n of tau of |k.D + 2n|, k.D = (Q^-1 k)_0.  Past
+    N = ceil(A (sum_i (1 - 1/a_i) - 1)) + 1 every step is at least
+    1 + n/A - sum_i (1 - 1/a_i) > 0, so the scan stops there.  K^2 and k.D
+    come from one integer solve on the form's elimination, re-checked against
+    its rows.  tau_minimum gives (min tau, its minimizers): the full scan,
+    scanned_tau_minimum, by default, or windowed_tau_minimum, which a
+    property test pins to it and which scans far fewer points.
+    """
+    norm = normalize(solve_unnormalized(validate_multiplicities(values)))
+    form = intersection_form(build_plumbing(norm))
+    k = [-x - 2 for i, row in enumerate(form.rows) for j, x in row if j == i]
+    x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
+    assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k))
+    k2 = Fraction(sum(ki * xi for ki, xi in zip(k, x)), det)
+    lowest, argmins = tau_minimum(values)
+    p = max(abs(Fraction(x[0], det) + 2 * n) for n in argmins)
+    return (k2 + form.m) / 4 - 2 * lowest, p
 
 
 def windowed_tau_minimum(values):

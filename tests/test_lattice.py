@@ -25,6 +25,7 @@ from seifert_gate import lattice, obstruction, plumbing
 from seifert_gate.seifert import normalize, solve_unnormalized
 from seifert_gate.plumbing import (
     MAX_SEARCH_RANK,
+    IntersectionForm,
     build_plumbing,
     intersection_form,
 )
@@ -466,6 +467,16 @@ class TestSearchIsPinned:
         cert = DiagonalizationCertificate(form=form_for((2, 3, 5)), units=(), nodes=np.int64(29), cap=10**4)
         assert cert.nodes == 29 and type(cert.nodes) is int
 
+    def test_certificate_freezes_its_units(self):
+        # as a form freezes its rows: a list of lists is kept as tuples, so it
+        # hashes and cannot grow past its check
+        minus_i2 = IntersectionForm(rows=(((0, -1),), ((1, -1),)))
+        cert = DiagonalizationCertificate(form=minus_i2, units=[[1, 0], [0, 1]], nodes=0, cap=1)
+        same = DiagonalizationCertificate(form=minus_i2, units=((1, 0), (0, 1)), nodes=0, cap=1)
+        assert cert == same and hash(cert) == hash(same) and cert.present
+        with pytest.raises(AttributeError):
+            cert.units.append((1, 1))
+
     def test_certificate_of_an_equal_form_is_reused(self):
         f = form_for((2, 3, 23))
         copy = form_from_matrix(dense(f))
@@ -610,6 +621,8 @@ refuse("forged dual class", CertificateViolation, max_sharp_pairing, diagonalize
 minus_i2 = IntersectionForm(rows=[[(0, -1)], [(1, -1)]])
 rational = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
 refuse("rational units", ValueError, certificate, minus_i2, rational)
+# a zero unit beside (1, 1), of norm -2, balances the trace of E^T Q E; only the nonzero check refuses it
+refuse("zero unit", ValueError, certificate, minus_i2, ((0, 0), (1, 1)))
 refuse("det 3 certificate", ValueError, certificate, IntersectionForm(rows=[[(0, -2), (1, 1)], [(0, 1), (1, -2)]]), ())
 refuse("indefinite form", ValueError, IntersectionForm, [[(0, 1)], [(1, -1)]])
 for rows in (

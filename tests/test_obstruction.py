@@ -239,7 +239,7 @@ class TestVerdict:
     def test_a_numpy_integer_cap_keys_the_memo_as_its_int(self):
         report = verdict((2, 3, 13), cap=np.int64(10**6))
         assert report is verdict((2, 3, 13)) and type(report.certificate.cap) is int
-        assert verdict((2, 3, 13), cap=np.int32(10**5)) is verdict((2, 3, 13), cap=10**5)
+        assert verdict((2, 3, 13), cap=np.int32(10**5)) is verdict((2, 3, 13), cap=10**5) is not report
 
     def test_a_cap_of_one_node_is_accepted(self):
         # the cap is checked as a parameter, then met by the search
@@ -257,6 +257,7 @@ class TestVerdict:
     def test_read_through_attributes_are_not_fields(self, name):
         r = verdict((2, 3, 5))
         assert len(vars(r)) == 10 and name not in vars(r)
+        assert r.verdict is Verdict.OBSTRUCTED_DONALDSON and len(r.caveats) == 3 and r.form is r.certificate.form
         with pytest.raises(TypeError):
             ObstructionReport(**{**vars(r), name: getattr(r, name)})
 
