@@ -9,10 +9,6 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Sequence
 
-# (minors, pivots): minors[i] is the leading i x i minor of G (minors[0] = 1),
-# pivots[i] the nonzero (j, N_ij), j > i, of row i of G after i fraction-free
-# steps, whose diagonal entry N_ii is minors[i + 1]
-Elimination = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
 # (scale, dens, cs, feeds), with feeds[j] the (i, U_ij) of column j in increasing i and
 # scale * x^T G x = sum_i cs[i] * (dens[i] x_i + S_i)^2, S_i the sum of U_ij x_j over those pairs
 IntegerLevels = tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
@@ -47,17 +43,24 @@ def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in work[:r] if any(row)]
 
 
-def eliminate(g: Sequence[Sequence[tuple[int, int]]]) -> Elimination:
-    """Bareiss (fraction-free) elimination of a positive definite form, in index order.
+def eliminate(g: Sequence[Sequence[tuple[int, int]]]) -> tuple[tuple[int, ...], IntegerLevels]:
+    """(minors, levels): Bareiss (fraction-free) elimination of a positive definite
+    form in index order, minors[i] the leading i x i minor (minors[0] = 1).
 
     g lists the nonzero (j, G_ij) of each row; only j >= i is read.  A step
     updates only the rows its pivot row touches, first scaling each to the
     current step as the steps that skipped it would have, so every division
     is exact.  Raises ValueError at the first pivot that is not positive.
+    Pivot row i, N_i with N_ii = minors[i+1], is scaled into level i and
+    dropped: d_i (x_i + u_i . x)^2, d_i = minors[i+1] / minors[i], u_i = N_i /
+    minors[i+1].  With g_i = gcd(N_i), den_i = minors[i+1] / g_i and U_i = N_i
+    / g_i, d_i / den_i^2 = g_i^2 / (minors[i] minors[i+1]); scale is the lcm
+    of these weights' denominators.
     """
     upper = [{j: x for j, x in row if j >= i and x} for i, row in enumerate(g)]
     step = [0] * len(upper)  # row k holds minors[step[k]] times its Schur complement
-    minors, pivots = [1], []
+    minors, weights, dens = [1], [], []
+    feeds: list[list[tuple[int, int]]] = [[] for _ in upper]
     for i, row in enumerate(upper):
         prev, lift = minors[i], minors[step[i]]
         p = row.pop(i, 0) * prev // lift
@@ -69,48 +72,37 @@ def eliminate(g: Sequence[Sequence[tuple[int, int]]]) -> Elimination:
             for l in target.keys() | cols.keys():
                 target[l] = (p * target.get(l, 0) * prev // lift - nk * cols.get(l, 0)) // prev
             step[k] = i + 1
-        minors.append(p)
-        pivots.append(ni)
-    return tuple(minors), tuple(pivots)
-
-
-def scaled_levels(elimination: Elimination) -> IntegerLevels:
-    """The square completion of G, each level scaled to integers.
-
-    Level i is d_i (x_i + u_i . x)^2 with d_i = minors[i+1] / minors[i] and
-    u_i = N_i / minors[i+1].  With g_i = gcd(minors[i+1], N_i), den_i =
-    minors[i+1] / g_i, U_i = N_i / g_i, and d_i / den_i^2 = g_i^2 /
-    (minors[i] minors[i+1]); scale is the lcm of these weights' denominators.
-    U is kept by column, feeds[j] the (i, U_ij) of the levels x_j enters.
-    """
-    minors, pivots = elimination
-    weights, dens = [], []
-    feeds: list[list[tuple[int, int]]] = [[] for _ in pivots]
-    for i, row in enumerate(pivots):
-        g = gcd(minors[i + 1], *(x for _, x in row))
-        num, q = g * g, minors[i] * minors[i + 1]
+        g_i = gcd(p, *(x for _, x in ni))
+        num, q = g_i * g_i, prev * p
         t = gcd(num, q)
         weights.append((num // t, q // t))
-        dens.append(minors[i + 1] // g)
-        for j, x in row:
-            feeds[j].append((i, x // g))
+        dens.append(p // g_i)
+        for j, x in ni:
+            feeds[j].append((i, x // g_i))
+        minors.append(p)
     scale = lcm(*(q for _, q in weights))
-    return scale, tuple(dens), tuple([num * (scale // q) for num, q in weights]), tuple(map(tuple, feeds))
+    cs = tuple([num * (scale // q) for num, q in weights])
+    return tuple(minors), (scale, tuple(dens), cs, tuple(map(tuple, feeds)))
 
 
-def solve(elimination: Elimination, rhs: Sequence[int]) -> tuple[list[int], int]:
-    """(X, det G) with G X = det G * rhs: the forward steps on rhs, scaled as in
-    eliminate, then back substitution of the integer X (Cramer's rule)."""
-    minors, pivots = elimination
-    b, step = list(rhs), [0] * len(rhs)
-    for i, row in enumerate(pivots):
-        prev = minors[i]
-        b[i] = b[i] * prev // minors[step[i]]
-        for k, nk in row:
-            b[k] = (minors[i + 1] * b[k] * prev // minors[step[k]] - nk * b[i]) // prev
-            step[k] = i + 1
+def solve(minors: Sequence[int], levels: IntegerLevels, rhs: Sequence[int]) -> tuple[list[int], int]:
+    """(X, det G) with G X = det G * rhs: eliminate's forward steps on rhs, then
+    back substitution of the integer X (Cramer's rule), both column by column
+    over feeds, with N_ij = g_i U_ij and g_i = minors[i+1] / dens[i]."""
+    _, dens, _, feeds = levels
+    gs = [n // den for n, den in zip(minors[1:], dens)]
+    b = list(rhs)
+    for k, col in enumerate(feeds):
+        bk, lift = b[k], 1  # as a row in eliminate, bk is lift times its reduced value
+        for i, u in col:
+            prev = minors[i]
+            bk = (minors[i + 1] * bk * prev // lift - gs[i] * u * b[i]) // prev
+            lift = minors[i + 1]
+        b[k] = bk * minors[k] // lift
     det = minors[-1]
-    x = [0] * len(b)
-    for i in reversed(range(len(b))):
-        x[i] = (det * b[i] - sum(nij * x[j] for j, nij in pivots[i])) // minors[i + 1]
+    x, s = [0] * len(b), [0] * len(b)  # s[i]: the sum of U_ij x_j over the x_j found so far
+    for j in reversed(range(len(b))):
+        x[j] = (det * b[j] - gs[j] * s[j]) // minors[j + 1]
+        for i, u in feeds[j]:
+            s[i] += u * x[j]
     return x, det

@@ -17,14 +17,15 @@ assembly between them:
 
 Both searches read form.levels, that completion scaled to integers from the
 form's one fraction-free elimination and kept as (scale, dens, cs, feeds), so
-no Fraction arithmetic runs inside them.  Each is one loop over those arrays,
-with no recursion and no call per node; it counts its nodes in a local integer
-against the cap, charging in batches what it would visit whatever its order
-(the enumeration a level's whole interval, the coset search a failed level's
-2 or 3 nodes), and returns them with its result.  Each level's shift U_i . x
-is kept current as x changes: feeds[j], built once with the form, lists the
-(level, coefficient) pairs that column j enters, so no shift is re-summed per
-node.
+no Fraction arithmetic runs inside them; its feeds, the only copy of the pivot
+rows a form keeps, and form.minors serve the solves for D and the coset too.
+Each is one loop over those arrays, with no recursion and no call per node; it
+counts its nodes in a local integer against the cap, charging in batches what
+it would visit whatever its order (the enumeration a level's whole interval,
+the coset search a failed level's 2 or 3 nodes), and returns them with its
+result.  Each level's shift U_i . x is kept current as x changes: feeds[j],
+built once with the form, lists the (level, coefficient) pairs that column j
+enters, so no shift is re-summed per node.
 
 Forms are negative definite and of rank at most plumbing.MAX_SEARCH_RANK,
 and certificates unimodular, by construction: the entry points check only the cap.
@@ -242,10 +243,10 @@ def diagonalize(
 def dual_class(form: IntersectionForm) -> Fraction:
     """Self-intersection D.D = (Q^{-1})_11 of the class D dual to the central vertex.
 
-    D = Q^{-1} e_1 = X / det, solved in integers through the form's
-    elimination of -Q; Q X = det * e_1 is re-checked over the nonzeros of Q.
+    D = Q^{-1} e_1 = X / det, solved in integers from the form's minors and
+    levels of -Q; Q X = det * e_1 is re-checked over the nonzeros of Q.
     """
-    x, det = _linalg.solve(form.elimination, [-int(i == 0) for i in range(form.m)])
+    x, det = _linalg.solve(form.minors, form.levels, [-int(i == 0) for i in range(form.m)])
     if _images(form, [x])[0] != [det * (i == 0) for i in range(form.m)]:
         raise CertificateViolation("the solve for Q^-1 e_1 does not satisfy Q D = e_1")
     return Fraction(x[0], det)
@@ -307,7 +308,7 @@ def _characteristic_parity(form: IntersectionForm) -> list[int]:
     the primal form with its small banded entries.
     """
     minus_diag = [-q for q in form.diagonal]  # (-Q) w = -diag(Q)
-    x, det = _linalg.solve(form.elimination, minus_diag)
+    x, det = _linalg.solve(form.minors, form.levels, minus_diag)
     if any(xi % det for xi in x):
         raise CertificateViolation("Q^-1 diag(Q) is not an integer vector")
     return [xi // det % 2 for xi in x]

@@ -56,14 +56,14 @@ class IntersectionForm(Record):
 
     rows, the only input a form is built from, lists the nonzero (j, Q_ij) of
     each row of Q in strictly increasing j.  Building one raises RankTooLarge
-    above MAX_SEARCH_RANK, and ValueError unless rows is so written and
-    symmetric, and unless the form is negative definite, that is unless its
-    fraction-free elimination of -Q in index order (_linalg.eliminate) finds
-    every pivot positive, so no other form exists.  rows is kept as tuples,
-    as is all that is derived from it, so no check goes stale and a form
-    hashes.
-    det Q is (-1)^m times its last minor; the solves with Q read elimination,
-    both searches levels, its integer square completion (_linalg.IntegerLevels).
+    above MAX_SEARCH_RANK, and ValueError unless rows is nonempty, so written
+    and symmetric, and unless the form is negative definite, that is unless
+    its fraction-free elimination of -Q in index order (_linalg.eliminate)
+    finds every pivot positive, so no other form exists.  rows is kept as
+    tuples, as is all that is derived from it, so no check goes stale and a
+    form hashes.
+    Of that elimination the form keeps minors and levels, its integer square
+    completion, read by both searches and every solve; det Q is (-1)^m minors[-1].
     diagonal keeps the Q_ii (none is 0 on a definite form), upper the nonzeros
     above them as three parallel tuples (i, j, Q_ij), split the nonzeros of
     all rows, in row order, as (columns, entries, row lengths).
@@ -71,15 +71,17 @@ class IntersectionForm(Record):
 
     rows: tuple[tuple[tuple[int, int], ...], ...]
     det: int
-    elimination: _linalg.Elimination
+    minors: tuple[int, ...]
     levels: _linalg.IntegerLevels
     diagonal: tuple[int, ...]
     upper: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     split: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    _derived = ("det", "elimination", "levels", "diagonal", "upper", "split")
-    _uncompared = ("elimination", "levels", "diagonal", "upper", "split")
+    _derived = ("det", "minors", "levels", "diagonal", "upper", "split")
+    _uncompared = ("minors", "levels", "diagonal", "upper", "split")
 
     def __post_init__(self) -> None:
+        if not self.rows:
+            raise ValueError("form must have rank at least 1")
         if len(self.rows) > MAX_SEARCH_RANK:
             raise RankTooLarge(f"form of rank {len(self.rows)} is above the search limit {MAX_SEARCH_RANK}")
         rows = tuple([tuple(map(tuple, row)) for row in self.rows])
@@ -92,16 +94,16 @@ class IntersectionForm(Record):
         if set(upper) != {(j, i, x) for i, row in enumerate(rows) for j, x in row if j < i}:
             raise ValueError("matrix must be symmetric")
         try:
-            elimination = _linalg.eliminate([[(j, -x) for j, x in row] for row in rows])
+            minors, levels = _linalg.eliminate([[(j, -x) for j, x in row] for row in rows])
         except ValueError:
             raise ValueError("form must be negative definite") from None
-        object.__setattr__(self, "det", (-1) ** len(rows) * elimination[0][-1])
-        object.__setattr__(self, "elimination", elimination)
-        object.__setattr__(self, "levels", _linalg.scaled_levels(elimination))
+        object.__setattr__(self, "det", (-1) ** len(rows) * minors[-1])
+        object.__setattr__(self, "minors", minors)
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "diagonal", tuple(x for i, row in enumerate(rows) for j, x in row if j == i))
         object.__setattr__(self, "upper", tuple(zip(*upper)) if upper else ((), (), ()))
         nonzeros = [entry for row in rows for entry in row]
-        cols, coefs = zip(*nonzeros) if nonzeros else ((), ())
+        cols, coefs = zip(*nonzeros)  # a definite form has every Q_ii
         object.__setattr__(self, "split", (cols, coefs, tuple(map(len, rows))))
 
     @property

@@ -46,6 +46,12 @@ def form_from_matrix(matrix):
     return IntersectionForm(rows=[[(j, x) for j, x in enumerate(row) if x] for row in q])
 
 
+def form_for(a):
+    """The plumbing's form of Sigma(a), built as verdict builds it."""
+    m = validate_multiplicities(a)
+    return intersection_form(build_plumbing(normalize(solve_unnormalized(m))))
+
+
 def complement_by_gram(form, units):
     """The units' orthogonal complement by the dense route.
 
@@ -650,15 +656,15 @@ def tau_d_invariant(values, tau_minimum=scanned_tau_minimum):
     P = max over the minimizers n of tau of |k.D + 2n|, k.D = (Q^-1 k)_0.  Past
     N = ceil(A (sum_i (1 - 1/a_i) - 1)) + 1 every step is at least
     1 + n/A - sum_i (1 - 1/a_i) > 0, so the scan stops there.  K^2 and k.D
-    come from one integer solve on the form's elimination, re-checked against
-    its rows.  tau_minimum gives (min tau, its minimizers): the full scan,
-    scanned_tau_minimum, by default, or windowed_tau_minimum, which a
+    come from one integer solve on the form's minors and levels, re-checked
+    against its rows.  tau_minimum gives (min tau, its minimizers): the full
+    scan, scanned_tau_minimum, by default, or windowed_tau_minimum, which a
     property test pins to it and which scans far fewer points.
     """
     norm = normalize(solve_unnormalized(validate_multiplicities(values)))
     form = intersection_form(build_plumbing(norm))
     k = [-x - 2 for i, row in enumerate(form.rows) for j, x in row if j == i]
-    x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
+    x, det = _linalg.solve(form.minors, form.levels, [-ki for ki in k])  # Q x = det k
     assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k))
     k2 = Fraction(sum(ki * xi for ki, xi in zip(k, x)), det)
     lowest, argmins = tau_minimum(values)

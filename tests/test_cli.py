@@ -43,6 +43,36 @@ class SerialPool:
         pass
 
 
+class RecordingPool(SerialPool):
+    """SerialPool that records each pool's max_workers, and the items and the
+    chunksize of each map, in class lists that clear() empties."""
+
+    sizes: list = []
+    handed: list = []
+    chunksizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        self.handed.append(items)
+        self.chunksizes.append(chunksize)
+        return map(fn, items)
+
+    @classmethod
+    def clear(cls):
+        for record in (cls.sizes, cls.handed, cls.chunksizes):
+            record.clear()
+
+
+def recording_pool(monkeypatch):
+    """RecordingPool in place of the process pool, its records emptied."""
+    RecordingPool.clear()
+    monkeypatch.setattr(cli, "_process_pool", RecordingPool)
+    return RecordingPool
+
+
 SCHEMA_KEYS_DONALDSON = [
     "input",
     "A",
@@ -311,17 +341,7 @@ class TestBatchMode:
         # than there are CPUs this process may use and tuples; the stand-in
         # pool starts none.  The affinity mask decides, not the host's 8 CPUs;
         # without a mask, a host count of None counts as 1.
-        sizes, chunksizes = [], []
-
-        class RecordingPool(SerialPool):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, items, chunksize=1):
-                chunksizes.append(chunksize)
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
+        pool = recording_pool(monkeypatch)
         if cpus is None:
             monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
@@ -334,13 +354,12 @@ class TestBatchMode:
         code, out = run_json(capsys, ["--batch", str(f), "--json", "--jobs", str(jobs)])
         assert code == 0
         assert len(out.splitlines()) == lines
-        assert sizes == ([] if workers is None else [workers])
-        assert chunksizes == ([] if workers is None else [1])
+        assert pool.sizes == ([] if workers is None else [workers])
+        assert pool.chunksizes == ([] if workers is None else [1])
 
     def test_pool_takes_over_once_evaluation_has_cost_its_start(self, tmp_path, monkeypatch, capsys):
         # The 2nd distinct tuple alone takes the threshold, so the pool gets
         # exactly the distinct tuples after it, and the lines do not change.
-        sizes, handed = [], []
         real = cli.verdict
 
         def slow_second(values, **kwargs):
@@ -348,32 +367,24 @@ class TestBatchMode:
                 time.sleep(cli.POOL_AFTER_S)
             return real(values, **kwargs)
 
-        class RecordingPool(SerialPool):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, items, chunksize=1):
-                handed.append(list(items))
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
+        pool = recording_pool(monkeypatch)
         monkeypatch.setattr(cli, "verdict", slow_second)
         allow_cpus(monkeypatch, 4)
         f = tmp_path / "batch.txt"
         f.write_text("2 3 5\n2 3 7\n2 3 5\n2 3 11\n2 3 13\n2 3 7\n2 3 17\n")
         want = [main(["--batch", str(f), "--jobs", "1"]), capsys.readouterr().out]
-        assert sizes == handed == []
+        assert pool.sizes == pool.handed == []
         for jobs in ("5000", "2"):
             assert [main(["--batch", str(f), "--jobs", jobs]), capsys.readouterr().out] == want
-        assert sizes == [3, 2]  # min(jobs, 3 tuples left, 4 CPUs)
-        assert handed == [[(2, 3, 11), (2, 3, 13), (2, 3, 17)]] * 2
+        assert pool.sizes == [3, 2]  # min(jobs, 3 tuples left, 4 CPUs)
+        assert pool.handed == [[(2, 3, 11), (2, 3, 13), (2, 3, 17)]] * 2
 
     def run_with_a_slow_first_tuple(self, tmp_path, monkeypatch, capsys, tuples):
         """Run tuples at --jobs 1, 5000 and 2, with 4 CPUs, the first tuple
         alone taking POOL_AFTER_S.  Returns the pools' sizes, the tuples each
         was handed, the tuples tree_rank weighed, and the summaries' pool
         fields; every run must print the --jobs 1 lines."""
-        sizes, handed, weighed = [], [], []
+        weighed = []
         real_verdict, real_rank = cli.verdict, cli.tree_rank
 
         def slow_first(values, **kwargs):
@@ -385,28 +396,20 @@ class TestBatchMode:
             weighed.append(values)
             return real_rank(values)
 
-        class RecordingPool(SerialPool):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, items, chunksize=1):
-                handed.append(list(items))
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
+        pool = recording_pool(monkeypatch)
         monkeypatch.setattr(cli, "verdict", slow_first)
         monkeypatch.setattr(cli, "tree_rank", recorded_rank)
         allow_cpus(monkeypatch, 4)
         f = tmp_path / "batch.txt"
         f.write_text("".join(" ".join(map(str, t)) + "\n" for t in tuples))
         want = [main(["--batch", str(f), "--jobs", "1"]), capsys.readouterr().out]
-        assert sizes == handed == weighed == []
+        assert pool.sizes == pool.handed == weighed == []
         pools = []
         for jobs in ("5000", "2"):
             got = [main(["--batch", str(f), "--jobs", jobs]), capsys.readouterr()]
             assert [got[0], got[1].out] == want
             pools.append(got[1].err.splitlines()[-1].split("; pool: ")[1])
-        return sizes, handed, weighed, pools
+        return pool.sizes, pool.handed, weighed, pools
 
     def test_no_pool_when_the_work_left_cannot_repay_its_start(self, tmp_path, monkeypatch, capsys):
         # (2, 3, 197) has rank 40; the ranks left, 4, 5 and 6, add up to 77
@@ -483,22 +486,14 @@ class TestBatchMode:
         advances it, so both rules see exactly the same times."""
         rng = random.Random(23)
         clock = 0
-        ranks, times, started = {}, {}, []
+        ranks, times = {}, {}
 
         def timed_verdict(values, **kwargs):
             nonlocal clock
             clock += times[values]
             raise InvalidRange("not evaluated")
 
-        class RecordingPool(SerialPool):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def map(self, fn, items, chunksize=1):
-                started.append(len(items))
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
+        pool = recording_pool(monkeypatch)
         monkeypatch.setattr(cli, "verdict", timed_verdict)
         monkeypatch.setattr(cli, "tree_rank", ranks.__getitem__)
         monkeypatch.setattr(cli, "perf_counter", lambda: clock)
@@ -519,10 +514,10 @@ class TestBatchMode:
             jobs, cpus = rng.randint(1, 5), rng.randint(1, 4)
             allow_cpus(monkeypatch, cpus)
             f.write_text("".join(" ".join(map(str, t)) + "\n" for t in lines))
-            started.clear()
+            pool.clear()
             assert main(["--batch", str(f), "--jobs", str(jobs)]) == 0
             assert len(capsys.readouterr().out.splitlines()) == len(lines)
-            got = (n - started[1], started[0]) if started else None
+            got = (n - len(pool.handed[0]), pool.sizes[0]) if pool.sizes else None
             want = lazy_pool_handover(
                 [ranks[t] for t in distinct], [times[t] for t in distinct], jobs, cpus, 50_000
             )

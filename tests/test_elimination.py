@@ -1,9 +1,10 @@
 """The fraction-free elimination every form carries, against its Fraction oracle.
 
-IntersectionForm eliminates -Q once in integers (_linalg.eliminate); its
-determinant, its scaled levels and its solves must equal what the rational
-square completion in tests/oracles.py gives, exactly, and both must refuse
-the same matrices.
+IntersectionForm eliminates -Q once in integers (_linalg.eliminate) and
+keeps of it only the leading minors and the scaled levels, whose feeds are
+the pivot rows by column; its determinant, minors, levels and the solves
+read from them must equal what the rational square completion in
+tests/oracles.py gives, exactly, and both must refuse the same matrices.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from test_golden import CORPORA, corpus_certificates
 
 
 def assert_matches_oracle(form):
-    """det, levels and the solves for -e_1 and -diag(Q) agree with the oracle."""
+    """det, minors, levels and the solves for -e_1 and -diag(Q) agree with the oracle."""
     q = dense(form)
     d, u = cholesky_form([[-x for x in row] for row in q])
     assert form.det == (-1) ** form.m * prod(d)
+    assert form.minors == tuple(prod(d[:i]) for i in range(form.m + 1))
     assert form.levels == integer_levels((d, u))
     for rhs in ([-int(i == 0) for i in range(form.m)], [-q[i][i] for i in range(form.m)]):
-        x, det = _linalg.solve(form.elimination, rhs)
+        x, det = _linalg.solve(form.minors, form.levels, rhs)
         assert det == prod(d)
         assert [Fraction(xi, det) for xi in x] == solve_completion(d, u, rhs)
 

@@ -166,7 +166,7 @@ def test_k_dot_d_is_minus_n_zero_minus_one():
         norm = normalize(solve_unnormalized(validate_multiplicities(values)))
         form = intersection_form(build_plumbing(norm))
         k = [-q - 2 for q in form.diagonal]
-        x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
+        x, det = _linalg.solve(form.minors, form.levels, [-ki for ki in k])  # Q x = det k
         assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k)), values
         assert Fraction(x[0], det) == -(n_zero(values) + 1), values
 
@@ -179,7 +179,7 @@ def test_k_squared_plus_m_is_the_dedekind_sum_formula():
         norm = normalize(solve_unnormalized(mult))
         form = intersection_form(build_plumbing(norm))
         k = [-q - 2 for q in form.diagonal]
-        x, det = _linalg.solve(form.elimination, [-ki for ki in k])  # Q x = det k
+        x, det = _linalg.solve(form.minors, form.levels, [-ki for ki in k])  # Q x = det k
         k_squared = Fraction(sum(ki * xi for ki, xi in zip(k, x)), det)
         sums = sum(dedekind_sum(-tb % a, a) for tb, a in zip(norm.tilde_b, mult.a))
         n0 = n_zero(values)

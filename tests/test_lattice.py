@@ -22,11 +22,9 @@ from seifert_gate import (
     validate_multiplicities,
 )
 from seifert_gate import lattice, obstruction, plumbing
-from seifert_gate.seifert import normalize, solve_unnormalized
 from seifert_gate.plumbing import (
     MAX_SEARCH_RANK,
     IntersectionForm,
-    build_plumbing,
     intersection_form,
 )
 from seifert_gate.lattice import (
@@ -46,6 +44,7 @@ from oracles import (
     complement_by_gram,
     dense,
     dense_cholesky,
+    form_for,
     form_from_matrix,
     gauss_inverse,
     integer_levels,
@@ -53,11 +52,6 @@ from oracles import (
     quad_value,
     transpose,
 )
-
-
-def form_for(a):
-    m = validate_multiplicities(a)
-    return intersection_form(build_plumbing(normalize(solve_unnormalized(m))))
 
 
 def d_of(f, cap=lattice.DEFAULT_ENUMERATION_CAP):
@@ -400,8 +394,8 @@ class TestDInvariant:
             if not 0 < len(units) < f.m:
                 continue
             sub, expected = _split_off_units(f, units), complement_by_gram(f, units)
-            assert (sub.rows, sub.det, sub.elimination, sub.levels) == (
-                expected.rows, expected.det, expected.elimination, expected.levels
+            assert (sub.rows, sub.det, sub.minors, sub.levels) == (
+                expected.rows, expected.det, expected.minors, expected.levels
             ), a
             seen += 1
         assert seen == 369

@@ -188,9 +188,7 @@ class TestIntersectionForm:
             g = graph_for(values)
             f, dense = intersection_form(g), form_from_matrix(dense_intersection_matrix(g))
             assert f == dense
-            assert (f.rows, f.det, f.elimination, f.levels) == (
-                dense.rows, dense.det, dense.elimination, dense.levels
-            )
+            assert (f.rows, f.det, f.minors, f.levels) == (dense.rows, dense.det, dense.minors, dense.levels)
             assert _split_off_units(f, ()).levels == f.levels
 
     def test_2_3_7_matrix(self):
@@ -281,6 +279,14 @@ class TestIntersectionForm:
         with pytest.raises(ValueError, match="strictly increasing columns"):
             IntersectionForm(rows=rows)
 
+    @pytest.mark.parametrize("rows", [(), []])
+    def test_a_rank_0_form_is_rejected(self, rows):
+        # a plumbing always has its centre; the searches and the solve index row 0
+        with pytest.raises(ValueError, match="rank at least 1"):
+            IntersectionForm(rows=rows)
+        with pytest.raises(ValueError, match="rank at least 1"):
+            form_from_matrix(rows)
+
 
 class TestInverseEntry:
     def test_known_values(self):
@@ -304,6 +310,12 @@ class TestInverseEntry:
         f = form_for((2, 3, 1661))
         assert abs(f.det) == 1
         assert dual_class(f) == -2 * 3 * 1661
+
+    def test_solve_at_the_rank_limit(self):
+        # rank 891, just under MAX_SEARCH_RANK: the largest form a verdict builds
+        f = form_for((2, 3, 5329))
+        assert f.m == 891
+        assert dual_class(f) == -2 * 3 * 5329 == -31974
 
     # dual_class needs an invertible negative definite form; building the form
     # turns any other matrix away, before a solve is attempted

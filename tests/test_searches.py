@@ -18,23 +18,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seifert_gate import EnumerationCapExceeded, validate_multiplicities
+from seifert_gate import EnumerationCapExceeded
 from seifert_gate.lattice import (
     DEFAULT_ENUMERATION_CAP,
     _coset_minimum,
     _fixed_norm_enumeration,
     _split_off_units,
 )
-from seifert_gate.plumbing import build_plumbing, intersection_form
-from seifert_gate.seifert import normalize, solve_unnormalized
 import oracles
-from oracles import Budget, dense, form_from_matrix, fraction_coset_minimum, fraction_norm_enumeration
+from oracles import Budget, dense, form_for, form_from_matrix, fraction_coset_minimum, fraction_norm_enumeration
 from test_golden import CORPORA
-
-
-def form_for(a):
-    m = validate_multiplicities(a)
-    return intersection_form(build_plumbing(normalize(solve_unnormalized(m))))
 
 
 def coprime_triples(top):
