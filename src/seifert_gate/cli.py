@@ -236,19 +236,6 @@ def _render(d: dict[str, Any], json_output: bool, compact: bool = False) -> str:
     return format_text(d)
 
 
-def _run_single(values: Sequence[int], cap: int, json_output: bool) -> int:
-    try:
-        report = verdict(tuple(values), cap=cap)
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SeifertGateError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    print(_render(report_to_dict(report), json_output), flush=True)
-    return 0
-
-
 def _parse_batch_line(raw: str) -> tuple[int, ...] | None:
     text = raw.split("#", 1)[0].strip()
     if not text:
@@ -391,16 +378,8 @@ def _run_batch(path: str, cap: int, jobs: int, json_output: bool) -> int:
 
 
 def _run_family(argv: Sequence[str]) -> int:
-    parser = _build_family_parser()
-    try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        data = mpl_family(args.p, args.ell) if args.ell is not None else mp_family(args.p)
-    except InvalidParameter as exc:
-        print(f"error: InvalidParameter: {exc}", file=sys.stderr)
-        return 2
+    args = _build_family_parser().parse_args(argv)
+    data = mpl_family(args.p, args.ell) if args.ell is not None else mp_family(args.p)
     out: dict[str, Any] = {
         "family": args.name,
         "p": args.p,
@@ -426,41 +405,50 @@ def _run_family(argv: Sequence[str]) -> int:
             "note": "the transverse criterion implemented here applies to three singular fibers",
         }
     if args.json:
-        print(json.dumps(out, indent=2))
+        text = _render(out, True)
     else:
-        r_text = ", ".join(_fmt_q(q) for q in out["r"])
-        print(f"M({data.e0}; {r_text})")
         t = out["transverse_contact_structure"]
-        if not t["applicable"]:
-            print(f"  transverse test: not applicable ({t['note']})")
+        lines = [f"M({data.e0}; {', '.join(_fmt_q(q) for q in out['r'])})"]
+        if t["applicable"]:
+            lines.append(f"  transverse contact structure: none (all m < {t['searched_m_below']} exhausted)")
+            lines.append(f"  note: {t['note']}")
         else:
-            print(
-                f"  transverse contact structure: none (all m < {t['searched_m_below']} exhausted)"
-            )
-            print(f"  note: {t['note']}")
+            lines.append(f"  transverse test: not applicable ({t['note']})")
+        text = "\n".join(lines)
+    # flushed here, so that a closed stdout shows inside main's guard
+    print(text, flush=True)
+    return 0
+
+
+def _run(argv: list[str]) -> int:
+    if argv and argv[0] == "family":
+        return _run_family(argv[1:])
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for name, value, least in (("cap", args.cap, MIN_CAP), ("jobs", args.jobs, 1)):
+        if value < least:
+            raise InvalidParameter(f"{name} must be >= {least}, got {value}")
+    if bool(args.batch) == bool(args.multiplicities):  # a tuple or --batch, not both
+        parser.print_usage(sys.stderr)
+        return 2
+    if args.batch:
+        return _run_batch(args.batch, args.cap, args.jobs, args.json)
+    print(_render(report_to_dict(verdict(tuple(args.multiplicities), cap=args.cap)), args.json), flush=True)
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "family":
-        return _run_family(argv[1:])
-    parser = _build_parser()
+    """Run one invocation and turn its outcome, in any mode, into the exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return _run(list(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # argparse: --help, or a usage error
         return int(exc.code or 0)
-    for name, value, least in (("cap", args.cap, MIN_CAP), ("jobs", args.jobs, 1)):
-        if value < least:
-            print(f"error: InvalidParameter: {name} must be >= {least}, got {value}", file=sys.stderr)
-            return 2
-    if bool(args.batch) == bool(args.multiplicities):  # a tuple or --batch, not both
-        parser.print_usage(sys.stderr)
+    except EnumerationCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except SeifertGateError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.batch:
-            return _run_batch(args.batch, args.cap, args.jobs, args.json)
-        return _run_single(args.multiplicities, args.cap, args.json)
     except BrokenPipeError:
         # The reader closed stdout early, as `head` does: write nothing more,
         # not even the flush at interpreter exit.

@@ -46,10 +46,14 @@ def form_from_matrix(matrix):
     return IntersectionForm(rows=[[(j, x) for j, x in enumerate(row) if x] for row in q])
 
 
+def graph_for(a):
+    """The plumbing graph of Sigma(a), built as verdict builds it."""
+    return build_plumbing(normalize(solve_unnormalized(validate_multiplicities(a))))
+
+
 def form_for(a):
     """The plumbing's form of Sigma(a), built as verdict builds it."""
-    m = validate_multiplicities(a)
-    return intersection_form(build_plumbing(normalize(solve_unnormalized(m))))
+    return intersection_form(graph_for(a))
 
 
 def complement_by_gram(form, units):

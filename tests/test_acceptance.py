@@ -31,6 +31,7 @@ from oracles import (
     box_norm_minus_one,
     brute_force_sharp_max,
     dense,
+    form_for,
     random_coprime_tuples,
 )
 from seifert_gate.lattice import norm_minus_one_vectors
@@ -39,11 +40,6 @@ from seifert_gate.lattice import norm_minus_one_vectors
 def gate(name, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     assert ok, name
-
-
-def pipeline_form(t):
-    m = validate_multiplicities(t)
-    return intersection_form(build_plumbing(normalize(solve_unnormalized(m))))
 
 
 def test_criterion_1_poincare_end_to_end():
@@ -133,7 +129,7 @@ def test_criterion_4_oracle_equivalence():
     checked = 0
     ok = True
     for t in candidates:
-        f = pipeline_form(t)
+        f = form_for(t)
         cert = diagonalize(f)
         if not cert.present or f.m > 12:
             continue

@@ -12,7 +12,7 @@ import pytest
 
 from seifert_gate import cli
 from seifert_gate.cli import main, report_to_dict
-from seifert_gate.errors import InvalidRange, SeifertGateError
+from seifert_gate.errors import CertificateViolation, InvalidRange, SeifertGateError
 from seifert_gate.obstruction import verdict
 from oracles import lazy_pool_handover
 
@@ -590,6 +590,14 @@ def test_parameter_errors(tmp_path, capsys, batch, option, message):
     assert capsys.readouterr() == ("", f"error: InvalidParameter: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--bogus"], 2), (["family", "xx", "--p", "3"], 2), (["--help"], 0), (["family", "--help"], 0)],
+)
+def test_argparse_exit_is_the_exit_code(capsys, argv, code):
+    assert main(argv) == code
+
+
 # Repeats, a parse error, a validation error and a cap error at cap 10^3.
 MIXED_BATCH = "2 3 5\n2 3 7  # repeated below\n2 3 five\n2 4 5\n5 7 11 13\n2 3 5\n2  3 7\n2 3 13\n2 4 5\n"
 
@@ -774,6 +782,32 @@ def test_closed_stdout_stops_the_batch(tmp_path):
     assert 0 < len(evaluated) <= 4 * (2 + 2 + 3) < len(distinct)
 
 
+@pytest.mark.parametrize(
+    "argv", [["family", "mp", "--p", "3"], ["family", "mp", "--p", "3", "--json"], ["2", "3", "13", "--json"]]
+)
+def test_closed_stdout_exits_141_in_every_mode(argv):
+    # The pipe's reader is closed before the CLI starts, so its first write
+    # fails.  PYTHONUNBUFFERED is dropped, so stdout is block-buffered as in
+    # a shell pipeline and a write left to the flush at interpreter exit
+    # would fail outside main.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "seifert_gate", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env={**env, "PYTHONPATH": SRC},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_STDOUT_CLOSED == 141, proc.stderr
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
+
+
 class TestFamilyMode:
     def test_mp_two_absent(self, capsys):
         code, out = run_json(capsys, ["family", "mp", "--p", "2", "--json"])
@@ -823,6 +857,14 @@ class TestFamilyMode:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: InvalidParameter: ell must be <= 449, got 450\n"
+
+    def test_package_error_is_an_error_line_and_exit_2(self, capsys, monkeypatch):
+        def failing(p):
+            raise CertificateViolation("x")
+
+        monkeypatch.setattr(cli, "mp_family", failing)
+        assert main(["family", "mp", "--p", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: CertificateViolation: x\n")
 
 
 def test_console_entry_point_runs():

@@ -14,13 +14,11 @@ from seifert_gate import (
     diagonalize,
     validate_multiplicities,
 )
-from seifert_gate.seifert import normalize, solve_unnormalized
 from seifert_gate import plumbing
 from seifert_gate.plumbing import (
     IntersectionForm,
     PlumbingGraph,
     _cf_runs,
-    build_plumbing,
     intersection_form,
     neg_cf,
     tree_rank,
@@ -32,21 +30,14 @@ from oracles import (
     dense,
     dense_intersection_matrix,
     entrywise_neg_cf,
+    form_for,
     form_from_matrix,
     fraction_neg_cf,
     gauss_inverse,
+    graph_for,
     random_coprime_tuples,
 )
 from test_golden import CORPORA
-
-
-def graph_for(a):
-    m = validate_multiplicities(a)
-    return build_plumbing(normalize(solve_unnormalized(m)))
-
-
-def form_for(a):
-    return intersection_form(graph_for(a))
 
 
 def complement_for(a):
@@ -107,15 +98,13 @@ class TestNegCf:
 
 class TestBuildPlumbing:
     def test_poincare_is_e8_tree(self):
-        m = validate_multiplicities((2, 3, 5))
-        g = build_plumbing(normalize(solve_unnormalized(m)))
+        g = graph_for((2, 3, 5))
         assert g.center_weight == -2
         assert g.legs == ((-2,), (-2, -2), (-2, -2, -2, -2))
         assert intersection_form(g).m == 8
 
     def test_2_3_7(self):
-        m = validate_multiplicities((2, 3, 7))
-        g = build_plumbing(normalize(solve_unnormalized(m)))
+        g = graph_for((2, 3, 7))
         assert g.center_weight == -1
         assert g.legs == ((-2,), (-3,), (-7,))
 
@@ -144,8 +133,7 @@ class TestBuildPlumbing:
             neg_cf(13, -2)
 
     def test_2_3_13(self):
-        m = validate_multiplicities((2, 3, 13))
-        g = build_plumbing(normalize(solve_unnormalized(m)))
+        g = graph_for((2, 3, 13))
         assert g.center_weight == -1
         assert g.legs == ((-2,), (-3,), (-7, -2))
 
