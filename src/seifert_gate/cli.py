@@ -415,8 +415,7 @@ def _run_family(argv: Sequence[str]) -> int:
         else:
             lines.append(f"  transverse test: not applicable ({t['note']})")
         text = "\n".join(lines)
-    # flushed here, so that a closed stdout shows inside main's guard
-    print(text, flush=True)
+    print(text)
     return 0
 
 
@@ -433,14 +432,17 @@ def _run(argv: list[str]) -> int:
         return 2
     if args.batch:
         return _run_batch(args.batch, args.cap, args.jobs, args.json)
-    print(_render(report_to_dict(verdict(tuple(args.multiplicities), cap=args.cap)), args.json), flush=True)
+    print(_render(report_to_dict(verdict(tuple(args.multiplicities), cap=args.cap)), args.json))
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one invocation and turn its outcome, in any mode, into the exit code."""
     try:
-        return _run(list(sys.argv[1:] if argv is None else argv))
+        try:
+            return _run(list(sys.argv[1:] if argv is None else argv))
+        finally:  # what any mode printed, argparse's help too, is written inside this guard
+            sys.stdout.flush()
     except SystemExit as exc:  # argparse: --help, or a usage error
         return int(exc.code or 0)
     except EnumerationCapExceeded as exc:

@@ -70,19 +70,21 @@ def twist_lower_bound(big_a: int) -> int:
 
 
 class TwistBound(Record):
-    """tw_min = least integer > -sqrt(A), with the exact-squaring invariants checked."""
+    """tw_min = least integer > -sqrt(A), derived from A, with the exact-squaring invariants checked."""
 
     A: int
     tw_min: int
+    _derived = ("tw_min",)
 
     def __post_init__(self) -> None:
-        t = self.tw_min
+        t = twist_lower_bound(self.A)
         if not (t <= 0 and t * t < self.A <= (1 - t) * (1 - t)):
             raise CertificateViolation(f"tw_min = {t} is not the least integer > -sqrt({self.A})")
+        object.__setattr__(self, "tw_min", t)
 
     @classmethod
     def for_product(cls, big_a: int) -> "TwistBound":
-        return cls(A=big_a, tw_min=twist_lower_bound(big_a))
+        return cls(A=big_a)
 
 
 class TauBounds(Record):
@@ -255,9 +257,9 @@ _CAVEATS = (
 class ObstructionReport(Record):
     """What the pipeline computed for one tuple that its output reads.
 
-    Ten fields are stored; multiplicities, form, verdict and caveats are read
-    through them.  The branch, and with it the Donaldson caveat, is whether
-    the certificate is present.  A gap report needs gap_lower >= 1.
+    Seven fields are given; twist_bound, tau and gap_lower are derived from A
+    and the certificate (P from E), so none can contradict it, and multiplicities,
+    form, verdict and caveats are read through.  The certificate's presence is the branch.
     """
 
     presentation: SeifertPresentation
@@ -270,10 +272,14 @@ class ObstructionReport(Record):
     twist_certificate: TwistCertificate
     gap_lower: int | None
     elapsed_ms: float
+    _derived = ("twist_bound", "tau", "gap_lower")
 
     def __post_init__(self) -> None:
-        if self.certificate.present and (self.gap_lower is None or self.gap_lower < 1):
-            raise CertificateViolation(f"gap branch with gap lower bound {self.gap_lower}")
+        big_a = self.multiplicities.product
+        p = max_sharp_pairing(self.certificate, Fraction(-big_a)) if self.certificate.present else None
+        object.__setattr__(self, "twist_bound", TwistBound.for_product(big_a))
+        object.__setattr__(self, "tau", TauBounds(A=big_a, P=p))
+        object.__setattr__(self, "gap_lower", tau_gap_lower(big_a, p) if p is not None else None)
 
     @property
     def multiplicities(self) -> Multiplicities:
@@ -360,11 +366,7 @@ def verdict(m: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Obstruction
     if dual != -big_a:
         raise CertificateViolation(f"D.D = {dual}, not -A = {-big_a}")
     d_val = d_invariant(cert)
-    bound = TwistBound.for_product(big_a)
     twist_cert = verify_twist_chain(pres, glue)
-    p = max_sharp_pairing(cert, dual) if cert.present else None
-    tau = TauBounds(A=big_a, P=p)
-    gap = tau_gap_lower(big_a, p) if cert.present else None
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = ObstructionReport(
         presentation=pres,
@@ -372,10 +374,7 @@ def verdict(m: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Obstruction
         graph=graph,
         certificate=cert,
         d_inv=d_val,
-        twist_bound=bound,
-        tau=tau,
         twist_certificate=twist_cert,
-        gap_lower=gap,
         elapsed_ms=elapsed_ms,
     )
     _keep(key, report)

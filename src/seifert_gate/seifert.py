@@ -56,26 +56,24 @@ class Multiplicities(Record):
 
 
 class SeifertPresentation(Record):
-    """Canonical surgery presentation (0; (a_1, b_1), ..., (a_n, b_n)).
+    """Canonical surgery presentation (0; (a_1, b_1), ..., (a_n, b_n)), one b_k per a_k.
 
-    The defining identity A * sum(b_k / a_k) == 1 is checked exactly.
+    The pairs are derived (ValueError if the lengths differ), and the defining
+    identity A * sum(b_k / a_k) == 1 is checked exactly.
     """
 
     multiplicities: Multiplicities
+    coefficients: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
+    _derived = ("pairs",)
 
     def __post_init__(self) -> None:
-        a = self.multiplicities.a
-        if tuple(ak for ak, _ in self.pairs) != a:
-            raise CertificateViolation(f"pairs {self.pairs} do not carry the multiplicities {a}")
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        object.__setattr__(self, "pairs", tuple(zip(self.multiplicities.a, self.coefficients, strict=True)))
         big_a = self.multiplicities.product
         total = sum(Fraction(bk, ak) for ak, bk in self.pairs)
         if big_a * total != 1:
             raise CertificateViolation(f"presentation identity violated: {big_a}*{total} != 1")
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return tuple(bk for _, bk in self.pairs)
 
 
 class NormalizedPresentation(Record):
@@ -128,8 +126,7 @@ def solve_unnormalized(m: Multiplicities) -> SeifertPresentation:
     if rem != 0:
         raise CertificateViolation("the residue sum is not 1 mod A")
     coeffs[0] -= shift * m.a[0]
-    pairs = tuple(zip(m.a, coeffs))
-    return SeifertPresentation(multiplicities=m, pairs=pairs)
+    return SeifertPresentation(multiplicities=m, coefficients=coeffs)
 
 
 def normalize(p: SeifertPresentation) -> NormalizedPresentation:

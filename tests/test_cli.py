@@ -783,7 +783,15 @@ def test_closed_stdout_stops_the_batch(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["family", "mp", "--p", "3"], ["family", "mp", "--p", "3", "--json"], ["2", "3", "13", "--json"]]
+    "argv",
+    [
+        ["family", "mp", "--p", "3"],
+        ["family", "mp", "--p", "3", "--json"],
+        ["2", "3", "13", "--json"],
+        ["--help"],
+        ["family", "--help"],
+        ["family", "mp", "--help"],
+    ],
 )
 def test_closed_stdout_exits_141_in_every_mode(argv):
     # The pipe's reader is closed before the CLI starts, so its first write

@@ -627,15 +627,15 @@ for rows in (
 ):
     refuse(f"malformed rows {rows}", ValueError, IntersectionForm, rows)
 refuse("rank 901", RankTooLarge, IntersectionForm, [[(i, -1)] for i in range(901)])
-refuse("forged twist bound", CertificateViolation, TwistBound, A=10, tw_min=5)
+refuse("forged twist bound", TypeError, TwistBound, A=10, tw_min=5)
 refuse("twist_lower_bound(0)", ValueError, twist_lower_bound, 0)
 refuse("empty leg", ValueError, PlumbingGraph, -1, ((-2,), ()))
 refuse("leg weight -1", ValueError, PlumbingGraph, -1, ((-2, -1),))
 refuse("float multiplicity", TypeError, verdict, (2.5, 3, 5))
 # 30 * (1/2 + 1/3 + 1/5) = 31, not 1
 m235 = validate_multiplicities((2, 3, 5))
-refuse("forged presentation", CertificateViolation, SeifertPresentation, m235, ((2, 1), (3, 1), (5, 1)))
-refuse("pairs of other multiplicities", CertificateViolation, SeifertPresentation, m235, ((2, -1), (3, 1)))
+refuse("forged presentation", CertificateViolation, SeifertPresentation, m235, (1, 1, 1))
+refuse("coefficients of the wrong length", ValueError, SeifertPresentation, m235, (-1, 1))
 refuse("normalized fraction 1", InvalidRange, NormalizedPresentation, -2, (Fraction(1),))
 refuse("fiber fraction 0", InvalidRange, NormalizedPresentation, -1, (Fraction(1, 2), Fraction(0), Fraction(1, 3)))
 refuse("five-fiber transverse test", InvalidRange, transverse_contact_exists, mpl_family(3, 2))

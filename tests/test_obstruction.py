@@ -23,7 +23,7 @@ from seifert_gate import (
 )
 from seifert_gate import obstruction
 from seifert_gate.lattice import DEFAULT_ENUMERATION_CAP
-from seifert_gate.seifert import GluingData, gluing_data, solve_unnormalized
+from seifert_gate.seifert import GluingData, SeifertPresentation, gluing_data, solve_unnormalized
 from seifert_gate.obstruction import (
     TauBounds,
     TwistBound,
@@ -38,6 +38,12 @@ from oracles import per_twist_slope_checks, random_coprime_tuples
 from test_golden import CORPORA
 
 TWIST_CHECKS = ["tcr_slope_dominates_singular_sum", "last_fiber_slope_bound_k<=-1"]
+# what an ObstructionReport is built from; the rest of it is derived or read through
+REPORT_INPUTS = ("presentation", "normalized", "graph", "certificate", "d_inv", "twist_certificate", "elapsed_ms")
+
+
+def report_inputs(report):
+    return {name: getattr(report, name) for name in REPORT_INPUTS}
 
 
 def presentation(a):
@@ -61,6 +67,12 @@ class TestTwistLowerBound:
             assert t * t < big_a  # t > -sqrt(A)
             assert (1 - t) * (1 - t) >= big_a  # t - 1 <= -sqrt(A)
             TwistBound.for_product(big_a)  # construction re-checks the same
+
+    @pytest.mark.parametrize("wrong", [5, -2])
+    def test_the_squaring_check_refuses_a_wrong_derived_bound(self, monkeypatch, wrong):
+        monkeypatch.setattr(obstruction, "twist_lower_bound", lambda big_a: wrong)
+        with pytest.raises(CertificateViolation, match=f"tw_min = {wrong} is not"):
+            TwistBound(A=10)
 
 
 class TestTauBounds:
@@ -248,10 +260,15 @@ class TestVerdict:
         assert verdict((2, 3, 5), cap=10**4).d_inv == 2
 
     def test_inconsistent_report_is_refused(self):
-        # the verdict is read from the certificate, so only gap_lower can contradict it
+        # the bounds are derived from A and the certificate, so none can be given to contradict it
         r = verdict((2, 3, 13))
-        with pytest.raises(CertificateViolation):
-            ObstructionReport(**{**vars(r), "gap_lower": 0})
+        for name, value in [
+            ("tau", TauBounds(A=30, P=None)),
+            ("twist_bound", TwistBound.for_product(30)),
+            ("gap_lower", 0),
+        ]:
+            with pytest.raises(TypeError):
+                ObstructionReport(**report_inputs(r), **{name: value})
 
     @pytest.mark.parametrize("name", ["verdict", "caveats", "form", "multiplicities"])
     def test_read_through_attributes_are_not_fields(self, name):
@@ -259,7 +276,13 @@ class TestVerdict:
         assert len(vars(r)) == 10 and name not in vars(r)
         assert r.verdict is Verdict.OBSTRUCTED_DONALDSON and len(r.caveats) == 3 and r.form is r.certificate.form
         with pytest.raises(TypeError):
-            ObstructionReport(**{**vars(r), name: getattr(r, name)})
+            ObstructionReport(**report_inputs(r), **{name: getattr(r, name)})
+
+    def test_a_donaldson_report_rebuilt_from_its_inputs_is_equal(self):
+        r = verdict((2, 3, 5))
+        again = ObstructionReport(**report_inputs(r))
+        assert again == r and vars(again) == vars(r)
+        assert (again.tau.P, again.gap_lower, again.twist_bound.tw_min) == (None, None, -5)
 
     def test_four_fiber_tuple(self):
         r = verdict((2, 3, 5, 7))
@@ -389,8 +412,14 @@ class TestReportMemo:
         (InvalidRange, lambda: fiber_boundary_slope(2, 1, 2, 1, -1)),  # a*k + u = 0
         (InvalidRange, lambda: cut_and_round_slope([Fraction(0), Fraction(0)], 1)),
         (InvalidRange, lambda: TauBounds(A=0, P=None).contact_tau_lower_at_tw_min),
-        (CertificateViolation, lambda: TwistBound(A=10, tw_min=5)),
-        (CertificateViolation, lambda: TwistBound(A=10, tw_min=-2)),
+        # a report derives P from its certificate, whose first row has squared norm 78, not A = 66
+        (CertificateViolation, lambda: ObstructionReport(
+            **{**report_inputs(verdict((2, 3, 13))), "presentation": presentation((2, 3, 11))[0]}
+        )),
+        # 30 * (1/2 + 1/3 + 1/5) = 31, not 1
+        (CertificateViolation, lambda: SeifertPresentation(
+            multiplicities=validate_multiplicities((2, 3, 5)), coefficients=(1, 1, 1)
+        )),
         (CertificateViolation, lambda: TauBounds(A=78, P=8)),  # P < ceil(sqrt(78)) = 9
         (CertificateViolation, lambda: tau_gap_lower(78, 6)),  # -8 + 6 + 1 < 1
         # u_1 = 0 breaks 0 < u_i < a_i, and the k_i check refuses it:

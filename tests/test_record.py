@@ -40,7 +40,12 @@ RECORDS = {
     "TransverseWitness": lambda r: transverse_contact_exists(r.normalized),
 }
 # fields computed at construction, and fields left out of ==, hash and repr
-DERIVED = {"IntersectionForm": ("det", "minors", "levels", "diagonal", "upper", "split")}
+DERIVED = {
+    "IntersectionForm": ("det", "minors", "levels", "diagonal", "upper", "split"),
+    "SeifertPresentation": ("pairs",),
+    "TwistBound": ("tw_min",),
+    "ObstructionReport": ("twist_bound", "tau", "gap_lower"),
+}
 UNCOMPARED = {
     "IntersectionForm": ("minors", "levels", "diagonal", "upper", "split"),
     "DiagonalizationCertificate": ("form",),
