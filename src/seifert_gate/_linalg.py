@@ -1,7 +1,8 @@
 """Exact linear algebra for small integer quadratic forms.
 
 Everything here works over arbitrary-precision integers; no floating point
-and no fractions are used anywhere.
+and no fractions are used anywhere.  eliminate takes a plumbing star from its
+legs' continuants, any other form (the units' complement) by Bareiss steps.
 """
 
 from __future__ import annotations
@@ -9,9 +10,13 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Sequence
 
+from .errors import CertificateViolation
+
 # (scale, dens, cs, feeds), with feeds[j] the (i, U_ij) of column j in increasing i and
 # scale * x^T G x = sum_i cs[i] * (dens[i] x_i + S_i)^2, S_i the sum of U_ij x_j over those pairs
 IntegerLevels = tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
+# (minors, gcds, feeds) of the pivot rows N_i: g_i = gcd(N_i), feeds[j] the (i, N_ij / g_i) in increasing i
+PivotRows = tuple[list[int], list[int], list[list[tuple[int, int]]]]
 
 
 def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -43,29 +48,46 @@ def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in work[:r] if any(row)]
 
 
-def eliminate(g: Sequence[Sequence[tuple[int, int]]]) -> tuple[tuple[int, ...], IntegerLevels]:
-    """(minors, levels): Bareiss (fraction-free) elimination of a positive definite
-    form in index order, minors[i] the leading i x i minor (minors[0] = 1).
+def eliminate(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[tuple[int, ...], IntegerLevels]:
+    """(minors, levels): fraction-free elimination in index order of G = -Q for
+    a negative definite Q, minors[i] the leading i x i minor of G (minors[0] = 1).
 
-    g lists the nonzero (j, G_ij) of each row; only j >= i is read.  A step
-    updates only the rows its pivot row touches, first scaling each to the
-    current step as the steps that skipped it would have, so every division
-    is exact.  Raises ValueError at the first pivot that is not positive.
-    Pivot row i, N_i with N_ii = minors[i+1], is scaled into level i and
-    dropped: d_i (x_i + u_i . x)^2, d_i = minors[i+1] / minors[i], u_i = N_i /
-    minors[i+1].  With g_i = gcd(N_i), den_i = minors[i+1] / g_i and U_i = N_i
-    / g_i, d_i / den_i^2 = g_i^2 / (minors[i] minors[i+1]); scale is the lcm
-    of these weights' denominators.
+    rows lists the nonzero (j, Q_ij) of each row of a symmetric Q in strictly
+    increasing j, as IntersectionForm checks them.  A star's rows take its
+    legs' continuants (_star), any other rows Bareiss steps; both give the
+    pivot rows N_i (N_ii = minors[i+1]) as their gcds g_i and the N_i / g_i
+    by column, and raise ValueError at the first pivot that is not positive.
+    Row i is scaled into level i: d_i (x_i + u_i . x)^2, d_i = minors[i+1] /
+    minors[i], u_i = N_i / minors[i+1].  With den_i = minors[i+1] / g_i and
+    U_i = N_i / g_i, d_i / den_i^2 = g_i^2 / (minors[i] minors[i+1]); scale
+    is the lcm of these weights' denominators.
     """
-    upper = [{j: x for j, x in row if j >= i and x} for i, row in enumerate(g)]
+    shape = _star_shape(rows)
+    minors, gs, feeds = _bareiss(rows) if shape is None else _star(*shape)
+    weights = []
+    for prev, p, g_i in zip(minors, minors[1:], gs):
+        num, q = g_i * g_i, prev * p
+        t = gcd(num, q)
+        weights.append((num // t, q // t))
+    scale = lcm(*(q for _, q in weights))
+    cs = tuple([num * (scale // q) for num, q in weights])
+    dens = tuple([p // g_i for p, g_i in zip(minors[1:], gs)])
+    return tuple(minors), (scale, dens, cs, tuple(map(tuple, feeds)))
+
+
+def _bareiss(rows: Sequence[Sequence[tuple[int, int]]]) -> PivotRows:
+    """The pivot rows by Bareiss steps.  A step updates only the rows its pivot
+    row touches, first scaling each to the current step as the steps that
+    skipped it would have, so every division is exact; each pivot row is
+    divided into feeds once it is final, then dropped."""
+    upper = [{j: -x for j, x in row if j >= i and x} for i, row in enumerate(rows)]
     step = [0] * len(upper)  # row k holds minors[step[k]] times its Schur complement
-    minors, weights, dens = [1], [], []
-    feeds: list[list[tuple[int, int]]] = [[] for _ in upper]
+    minors, gs, feeds = [1], [], [[] for _ in upper]
     for i, row in enumerate(upper):
         prev, lift = minors[i], minors[step[i]]
         p = row.pop(i, 0) * prev // lift
         if p <= 0:
-            raise ValueError("form is not positive definite")
+            raise ValueError(f"-Q is not positive definite at pivot {i}")
         ni = tuple(sorted((j, x * prev // lift) for j, x in row.items() if x))
         for a, (k, nk) in enumerate(ni):
             target, lift, cols = upper[k], minors[step[k]], dict(ni[a:])
@@ -73,16 +95,68 @@ def eliminate(g: Sequence[Sequence[tuple[int, int]]]) -> tuple[tuple[int, ...], 
                 target[l] = (p * target.get(l, 0) * prev // lift - nk * cols.get(l, 0)) // prev
             step[k] = i + 1
         g_i = gcd(p, *(x for _, x in ni))
-        num, q = g_i * g_i, prev * p
-        t = gcd(num, q)
-        weights.append((num // t, q // t))
-        dens.append(p // g_i)
         for j, x in ni:
             feeds[j].append((i, x // g_i))
         minors.append(p)
-    scale = lcm(*(q for _, q in weights))
-    cs = tuple([num * (scale // q) for num, q in weights])
-    return tuple(minors), (scale, tuple(dens), cs, tuple(map(tuple, feeds)))
+        gs.append(g_i)
+    return minors, gs, feeds
+
+
+def _star_shape(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[int], list[int]] | None:
+    """(the legs' first vertices, the G_ii) if rows are a star's, centre first
+    and each leg outward, else None: the centre's row is (0, Q_00) and its
+    edges, every other row its inner edge, (i, Q_ii) and, unless a leg starts
+    at i + 1, (i + 1, 1); every edge is 1.  As the rows are symmetric and in
+    increasing columns, each vertex but the centre has one inner edge, the
+    one its inner neighbour's row lists."""
+    centre, m = rows[0], len(rows)
+    if not centre or centre[0][0] != 0 or any(x != 1 for _, x in centre[1:]):
+        return None
+    starts = [j for j, _ in centre[1:]]
+    first, diagonal = set(starts), [-centre[0][1]]
+    for i in range(1, m):
+        row, outer = rows[i], i + 1 < m and i + 1 not in first
+        if len(row) != 2 + outer or row[1][0] != i or outer and row[2] != (i + 1, 1):
+            return None
+        diagonal.append(-row[1][1])
+    return starts, diagonal
+
+
+def _star(starts: list[int], diagonal: list[int]) -> PivotRows:
+    """A star's pivot rows with O(1) big-integer steps per vertex.
+
+    The centre, a leg of its own here, starts with shared = 0 and s = -1.
+    Along a leg minors[i+1] = G_ii minors[i] - minors[i-1], a continuant; at
+    its first vertex shared stands in for -minors[i-1]: minors[i] times the
+    Schur entry the first vertices not yet eliminated share.  Pivot row i
+    holds -minors[i] at its leg's next vertex and s, the shared its leg began
+    with, at every later leg's first vertex; then shared = (minors[i+1] shared
+    - s^2) / minors[i], an exact division.
+    """
+    minors, gs, feeds = [1], [], [[] for _ in diagonal]
+    shared, s = 0, -1
+    for k, (f, end) in enumerate(zip([0, *starts], [*starts, len(diagonal)])):
+        later = starts[k:]
+        for i in range(f, end):
+            prev = minors[i]
+            p = diagonal[i] * prev + (shared if i == f else -minors[i - 1])
+            if p <= 0:
+                raise ValueError(f"-Q is not positive definite at pivot {i}")
+            nxt = i + 1 < end
+            g_i = gcd(p, prev if nxt else 0, s if later else 0)
+            if nxt:
+                feeds[i + 1].append((i, -prev // g_i))
+            if later:
+                entry = (i, s // g_i)
+                for j in later:
+                    feeds[j].append(entry)
+                shared, r = divmod(p * shared - s * s, prev)
+                if r:
+                    raise CertificateViolation(f"star step {i}: shared entry not integral")
+            minors.append(p)
+            gs.append(g_i)
+        s = shared
+    return minors, gs, feeds
 
 
 def solve(minors: Sequence[int], levels: IntegerLevels, rhs: Sequence[int]) -> tuple[list[int], int]:

@@ -32,7 +32,7 @@ class EnumerationCapExceeded(SeifertGateError):
 class RankTooLarge(SeifertGateError):
     """The rank, from the fiber count, the leg lengths or the form, is above plumbing.MAX_SEARCH_RANK.
 
-    The limit bounds the report and validation, and the form build only in part.
+    The limit bounds the report, validation and the plumbing's form build.
     """
 
 

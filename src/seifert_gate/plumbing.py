@@ -30,10 +30,10 @@ __all__ = [
 # The searches need no call stack; the limit bounds what grows with the rank m
 # (measured on 2 CPUs, Python 3.11.7).  The report is O(m^2): E makes 2.4 MB of
 # JSON at m = 891.  The fiber count n is refused before validation, whose
-# pairwise gcds are O(n^2): 1.5 s for the first 4000 primes.  The form build is
-# bounded only in part: its centre-first elimination fills a star densely, and
-# stars with n one-vertex legs took 0.12, 1.1, 12.5 and 187 s for n = 100, 200,
-# 400 and 800 (the first 80 primes, rank 671, took 1.5 s).
+# pairwise gcds are O(n^2): 1.5 s for the first 4000 primes.  The form build
+# eliminates a star from its legs' continuants: 0.02-0.04 s for n = 800 one-vertex
+# legs, 0.41-0.53 s for the first 80 primes (rank 671) and 0.94-0.98 s for the
+# first 98 (rank 866), mostly for the levels' common scale.
 MAX_SEARCH_RANK = 900
 
 
@@ -59,9 +59,11 @@ class IntersectionForm(Record):
     above MAX_SEARCH_RANK, and ValueError unless rows is nonempty, so written
     and symmetric, and unless the form is negative definite, that is unless
     its fraction-free elimination of -Q in index order (_linalg.eliminate)
-    finds every pivot positive, so no other form exists.  rows is kept as
-    tuples, as is all that is derived from it, so no check goes stale and a
-    form hashes.
+    finds every pivot positive, so no other form exists.  A star in the
+    order intersection_form writes is eliminated from its legs' continuants,
+    any other form by Bareiss steps, to the same minors and levels.  rows is
+    kept as tuples, as is all that is derived from it, so no check goes stale
+    and a form hashes.
     Of that elimination the form keeps minors and levels, its integer square
     completion, read by both searches and every solve; det Q is (-1)^m minors[-1].
     diagonal keeps the Q_ii (none is 0 on a definite form), upper the nonzeros
@@ -94,7 +96,7 @@ class IntersectionForm(Record):
         if set(upper) != {(j, i, x) for i, row in enumerate(rows) for j, x in row if j < i}:
             raise ValueError("matrix must be symmetric")
         try:
-            minors, levels = _linalg.eliminate([[(j, -x) for j, x in row] for row in rows])
+            minors, levels = _linalg.eliminate(rows)
         except ValueError:
             raise ValueError("form must be negative definite") from None
         object.__setattr__(self, "det", (-1) ** len(rows) * minors[-1])

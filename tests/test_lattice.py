@@ -585,7 +585,7 @@ from fractions import Fraction
 from seifert_gate import (
     CertificateViolation, DiagonalizationCertificate, InvalidRange, RankTooLarge, diagonalize, verdict,
 )
-from seifert_gate import plumbing
+from seifert_gate import _linalg, plumbing
 from seifert_gate.lattice import max_sharp_pairing
 from seifert_gate.obstruction import TwistBound, twist_lower_bound
 from seifert_gate.families import mpl_family, transverse_contact_exists
@@ -619,6 +619,8 @@ refuse("rational units", ValueError, certificate, minus_i2, rational)
 refuse("zero unit", ValueError, certificate, minus_i2, ((0, 0), (1, 1)))
 refuse("det 3 certificate", ValueError, certificate, IntersectionForm(rows=[[(0, -2), (1, 1)], [(0, 1), (1, -2)]]), ())
 refuse("indefinite form", ValueError, IntersectionForm, [[(0, 1)], [(1, -1)]])
+# eliminated from its legs' continuants, this star's second leg meets a zero pivot
+refuse("indefinite star", ValueError, plumbing.intersection_form, PlumbingGraph(-1, ((-2,), (-2,), (-2,))))
 for rows in (
     [[(0, -2), (1, 1)], [(1, -2)]],  # not symmetric
     [[(0, -1), (1, 0)]],  # a zero entry, in a column past the last row
@@ -641,6 +643,9 @@ refuse("fiber fraction 0", InvalidRange, NormalizedPresentation, -1, (Fraction(1
 refuse("five-fiber transverse test", InvalidRange, transverse_contact_exists, mpl_family(3, 2))
 plumbing._evaluate_cf = lambda entries: (1, 1)
 refuse("expansion that does not evaluate back", CertificateViolation, neg_cf, 13, -2)
+# a star step whose shared entry leaves a remainder
+_linalg.divmod = lambda a, b: (a // b, 1)
+refuse("inexact star step", CertificateViolation, plumbing.intersection_form, PlumbingGraph(-2, ((-2,), (-2,))))
 """
     src = str(Path(lattice.__file__).parents[1])
     proc = subprocess.run(

@@ -312,7 +312,8 @@ class TestInverseEntry:
             form_from_matrix([[0]])
 
     def test_not_negative_definite_rejected(self):
-        # indefinite with a zero diagonal, indefinite
-        for rows in ([[0, 1], [1, 0]], [[1, 0], [0, -1]]):
+        # indefinite with a zero diagonal, indefinite, and a star but for its
+        # zero centre, whose first edge its row lists where Q_00 would be
+        for rows in ([[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -3, 1], [-3, -5, 0], [1, 0, -5]]):
             with pytest.raises(ValueError, match="negative definite"):
                 form_from_matrix(rows)
