@@ -17,6 +17,8 @@ from .errors import CertificateViolation
 IntegerLevels = tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
 # (minors, gcds, feeds) of the pivot rows N_i: g_i = gcd(N_i), feeds[j] the (i, N_ij / g_i) in increasing i
 PivotRows = tuple[list[int], list[int], list[list[tuple[int, int]]]]
+# the nonzero Q_ij with i < j of a symmetric Q, as parallel tuples (i, j, Q_ij) in strictly increasing (i, j)
+Upper = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -48,22 +50,23 @@ def row_lattice_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in work[:r] if any(row)]
 
 
-def eliminate(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[tuple[int, ...], IntegerLevels]:
+def eliminate(diagonal: Sequence[int], upper: Upper) -> tuple[tuple[int, ...], IntegerLevels]:
     """(minors, levels): fraction-free elimination in index order of G = -Q for
     a negative definite Q, minors[i] the leading i x i minor of G (minors[0] = 1).
 
-    rows lists the nonzero (j, Q_ij) of each row of a symmetric Q in strictly
-    increasing j, as IntersectionForm checks them.  A star's rows take its
-    legs' continuants (_star), any other rows Bareiss steps; both give the
-    pivot rows N_i (N_ii = minors[i+1]) as their gcds g_i and the N_i / g_i
-    by column, and raise ValueError at the first pivot that is not positive.
+    diagonal holds the Q_ii, upper the nonzero Q_ij with i < j (Q_ji = Q_ij) as
+    parallel tuples (i, j, Q_ij) in strictly increasing (i, j), as
+    IntersectionForm checks them.  A star takes its legs' continuants (_star),
+    any other form Bareiss steps; both give the pivot rows N_i (N_ii =
+    minors[i+1]) as their gcds g_i and the N_i / g_i by column, and raise
+    ValueError at the first pivot that is not positive.
     Row i is scaled into level i: d_i (x_i + u_i . x)^2, d_i = minors[i+1] /
     minors[i], u_i = N_i / minors[i+1].  With den_i = minors[i+1] / g_i and
     U_i = N_i / g_i, d_i / den_i^2 = g_i^2 / (minors[i] minors[i+1]); scale
     is the lcm of these weights' denominators.
     """
-    shape = _star_shape(rows)
-    minors, gs, feeds = _bareiss(rows) if shape is None else _star(*shape)
+    starts = _star_shape(diagonal, upper)
+    minors, gs, feeds = _bareiss(diagonal, upper) if starts is None else _star(starts, diagonal)
     weights = []
     for prev, p, g_i in zip(minors, minors[1:], gs):
         num, q = g_i * g_i, prev * p
@@ -75,22 +78,24 @@ def eliminate(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[tuple[int, ...
     return tuple(minors), (scale, dens, cs, tuple(map(tuple, feeds)))
 
 
-def _bareiss(rows: Sequence[Sequence[tuple[int, int]]]) -> PivotRows:
-    """The pivot rows by Bareiss steps.  A step updates only the rows its pivot
-    row touches, first scaling each to the current step as the steps that
-    skipped it would have, so every division is exact; each pivot row is
-    divided into feeds once it is final, then dropped."""
-    upper = [{j: -x for j, x in row if j >= i and x} for i, row in enumerate(rows)]
-    step = [0] * len(upper)  # row k holds minors[step[k]] times its Schur complement
-    minors, gs, feeds = [1], [], [[] for _ in upper]
-    for i, row in enumerate(upper):
+def _bareiss(diagonal: Sequence[int], upper: Upper) -> PivotRows:
+    """The pivot rows by Bareiss steps on the upper triangle of G.  A step
+    updates only the rows its pivot row touches, first scaling each to the
+    current step as the steps that skipped it would have, so every division
+    is exact; each pivot row is divided into feeds once it is final, then dropped."""
+    work = [{i: -q} for i, q in enumerate(diagonal)]
+    for i, j, x in zip(*upper):
+        work[i][j] = -x
+    step = [0] * len(work)  # row k holds minors[step[k]] times its Schur complement
+    minors, gs, feeds = [1], [], [[] for _ in work]
+    for i, row in enumerate(work):
         prev, lift = minors[i], minors[step[i]]
-        p = row.pop(i, 0) * prev // lift
+        p = row.pop(i) * prev // lift
         if p <= 0:
             raise ValueError(f"-Q is not positive definite at pivot {i}")
         ni = tuple(sorted((j, x * prev // lift) for j, x in row.items() if x))
         for a, (k, nk) in enumerate(ni):
-            target, lift, cols = upper[k], minors[step[k]], dict(ni[a:])
+            target, lift, cols = work[k], minors[step[k]], dict(ni[a:])
             for l in target.keys() | cols.keys():
                 target[l] = (p * target.get(l, 0) * prev // lift - nk * cols.get(l, 0)) // prev
             step[k] = i + 1
@@ -102,31 +107,27 @@ def _bareiss(rows: Sequence[Sequence[tuple[int, int]]]) -> PivotRows:
     return minors, gs, feeds
 
 
-def _star_shape(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[int], list[int]] | None:
-    """(the legs' first vertices, the G_ii) if rows are a star's, centre first
-    and each leg outward, else None: the centre's row is (0, Q_00) and its
-    edges, every other row its inner edge, (i, Q_ii) and, unless a leg starts
-    at i + 1, (i + 1, 1); every edge is 1.  As the rows are symmetric and in
-    increasing columns, each vertex but the centre has one inner edge, the
-    one its inner neighbour's row lists."""
-    centre, m = rows[0], len(rows)
-    if not centre or centre[0][0] != 0 or any(x != 1 for _, x in centre[1:]):
+def _star_shape(diagonal: Sequence[int], upper: Upper) -> tuple[int, ...] | None:
+    """The legs' first vertices if the form is a star, centre first and each
+    leg outward, else None: every edge is 1, the centre's edges go to the legs'
+    first vertices, and every other vertex i has the inner edge (i - 1, i), so
+    -I_2, with no edge, is no star."""
+    lo, hi, entries = upper
+    starts = hi[: lo.count(0)]  # the keys increase, so the centre's edges come first
+    first = set(starts)
+    inner = [i for i in range(1, len(diagonal)) if i not in first]
+    n = len(starts)
+    if entries.count(1) != len(entries) or hi[n:] != tuple(inner) or lo[n:] != tuple([i - 1 for i in inner]):
         return None
-    starts = [j for j, _ in centre[1:]]
-    first, diagonal = set(starts), [-centre[0][1]]
-    for i in range(1, m):
-        row, outer = rows[i], i + 1 < m and i + 1 not in first
-        if len(row) != 2 + outer or row[1][0] != i or outer and row[2] != (i + 1, 1):
-            return None
-        diagonal.append(-row[1][1])
-    return starts, diagonal
+    return starts
 
 
-def _star(starts: list[int], diagonal: list[int]) -> PivotRows:
-    """A star's pivot rows with O(1) big-integer steps per vertex.
+def _star(starts: Sequence[int], diagonal: Sequence[int]) -> PivotRows:
+    """A star's pivot rows with O(1) big-integer steps per vertex, from the
+    legs' first vertices and the Q_ii.
 
     The centre, a leg of its own here, starts with shared = 0 and s = -1.
-    Along a leg minors[i+1] = G_ii minors[i] - minors[i-1], a continuant; at
+    Along a leg minors[i+1] = -Q_ii minors[i] - minors[i-1], a continuant; at
     its first vertex shared stands in for -minors[i-1]: minors[i] times the
     Schur entry the first vertices not yet eliminated share.  Pivot row i
     holds -minors[i] at its leg's next vertex and s, the shared its leg began
@@ -139,7 +140,7 @@ def _star(starts: list[int], diagonal: list[int]) -> PivotRows:
         later = starts[k:]
         for i in range(f, end):
             prev = minors[i]
-            p = diagonal[i] * prev + (shared if i == f else -minors[i - 1])
+            p = (shared if i == f else -minors[i - 1]) - diagonal[i] * prev
             if p <= 0:
                 raise ValueError(f"-Q is not positive definite at pivot {i}")
             nxt = i + 1 < end

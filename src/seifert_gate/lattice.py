@@ -38,7 +38,7 @@ and a failure raises CertificateViolation, also under python -O.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import isqrt
 from operator import index, mul, neg
 from typing import Sequence
@@ -96,7 +96,7 @@ class DiagonalizationCertificate(Record):
     Cauchy-Schwarz then makes their Gram matrix -I, so they are independent:
     present when there are m of them, the columns of E; otherwise their
     number is the witness of the search.  units is kept as tuples, as a
-    form's rows are, so no check goes stale and a certificate hashes.  The k
+    form's entries are, so no check goes stale and a certificate hashes.  The k
     norms are checked together: each unit nonzero, and the trace of E^T Q E,
     over E's rows, -k.  As -Q is integral and positive definite, -Q(u, u) >= 1
     for every nonzero integer u, so the norms sum to -k only when each is -1.
@@ -213,11 +213,14 @@ def norm_minus_one_vectors(
     return _fixed_norm_enumeration(form, cap)[0]
 
 
-def _images(form: IntersectionForm, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Q w for each w in vectors: the products Q_ij w_j over form.split, summed row by row."""
-    cols, coefs, lengths = form.split
-    products = (map(mul, coefs, map(w.__getitem__, cols)) for w in vectors)
-    return [[sum(islice(p, n)) for n in lengths] for p in products]
+def _image(form: IntersectionForm, w: Sequence[int]) -> list[int]:
+    """Q w: the Q_ii w_i, with each entry Q_ij of form.upper added to both
+    sides, Q_ij w_j to (Q w)_i and Q_ij w_i to (Q w)_j."""
+    qw = list(map(mul, form.diagonal, w))
+    for i, j, x in zip(*form.upper):
+        qw[i] += x * w[j]
+        qw[j] += x * w[i]
+    return qw
 
 
 def _pairing(v: Sequence[int], qw: Sequence[int]) -> int:
@@ -247,7 +250,7 @@ def dual_class(form: IntersectionForm) -> Fraction:
     levels of -Q; Q X = det * e_1 is re-checked over the nonzeros of Q.
     """
     x, det = _linalg.solve(form.minors, form.levels, [-int(i == 0) for i in range(form.m)])
-    if _images(form, [x])[0] != [det * (i == 0) for i in range(form.m)]:
+    if _image(form, x) != [det * (i == 0) for i in range(form.m)]:
         raise CertificateViolation("the solve for Q^-1 e_1 does not satisfy Q D = e_1")
     return Fraction(x[0], det)
 
@@ -277,16 +280,20 @@ def _greedy_descent(form: IntersectionForm, v: list[int]) -> tuple[list[int], in
     """Coordinate descent by +-2 steps on v^T(-Q)v; keeps the coset, only improves.
 
     Returns the seed and its value.  Qv is kept in integers over the nonzeros
-    of Q: a step s on coordinate i lowers the value by 2 s (Qv)_i + s^2 Q_ii,
-    and is taken when that is positive.
+    of Q, listed by vertex: a step s on coordinate i lowers the value by
+    2 s (Qv)_i + s^2 Q_ii, and is taken when that is positive.
     """
-    rows, diag = form.rows, form.diagonal
-    qv = _images(form, [v])[0]
+    diag = form.diagonal
+    neighbours = [[(i, q)] for i, q in enumerate(diag)]  # (j, Q_ij) for each nonzero Q_ij, j = i first
+    for i, j, x in zip(*form.upper):
+        neighbours[i].append((j, x))
+        neighbours[j].append((i, x))
+    qv = _image(form, v)
     value = -_pairing(v, qv)
     improved = True
     while improved:
         improved = False
-        for i, row in enumerate(rows):
+        for i, row in enumerate(neighbours):
             for step in (2, -2):
                 gain = 2 * step * qv[i] + step * step * diag[i]
                 if gain > 0:
@@ -397,29 +404,22 @@ def _split_off_units(
     one product of the images' entries i with a column of the units.  The
     complement is again unimodular and negative definite, now with no
     (-1)-vectors at all.  With no units it is the form itself, returned as it
-    is.  Its row i is the nonzero pairings of basis vector i with the basis
-    images.
+    is.  Its diagonal and upper triangle are the pairings of each basis
+    vector with the basis images, written once each.
     """
     if not units:
         return form
     m = form.m
     unit_cols = list(zip(*units))
-    projected = [[sum(map(mul, qe, col)) for col in unit_cols] for qe in zip(*_images(form, units))]
+    projected = [[sum(map(mul, qe, col)) for col in unit_cols] for qe in zip(*(_image(form, u) for u in units))]
     for i, row in enumerate(projected):
         row[i] += 1
     basis = _linalg.row_lattice_basis(projected)
     if len(basis) != m - len(units):
         raise CertificateViolation(f"complement has rank {len(basis)}, not {m - len(units)}")
-    basis_images = _images(form, basis)
-    # the Gram is symmetric: pair the upper triangle, each entry to both rows in order
-    rows: list[list[tuple[int, int]]] = [[] for _ in basis]
-    for i, b in enumerate(basis):
-        for j in range(i, len(basis)):
-            if x := _pairing(b, basis_images[j]):
-                rows[i].append((j, x))
-                if j > i:
-                    rows[j].append((i, x))
-    sub = IntersectionForm(rows=rows)
+    images, n = [_image(form, b) for b in basis], len(basis)
+    upper = [(i, j, x) for i in range(n) for j in range(i + 1, n) if (x := _pairing(basis[i], images[j]))]
+    sub = IntersectionForm(list(map(_pairing, basis, images)), tuple(zip(*upper)) or ((), (), ()))
     if abs(sub.det) != 1:
         raise CertificateViolation(f"complement has det {sub.det}, not +-1")
     return sub

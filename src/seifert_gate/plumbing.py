@@ -9,8 +9,9 @@ center outward, so that index 0 always refers to the central vertex.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import gcd, prod
-from operator import lt
+from operator import index, lt
 from typing import Iterator, Sequence
 
 from . import _linalg
@@ -52,65 +53,57 @@ class PlumbingGraph(Record):
 
 
 class IntersectionForm(Record):
-    """Symmetric negative-definite integer form of the plumbing, with exact determinant.
+    """Negative-definite integer form of the plumbing, with exact determinant.
 
-    rows, the only input a form is built from, lists the nonzero (j, Q_ij) of
-    each row of Q in strictly increasing j.  Building one raises RankTooLarge
-    above MAX_SEARCH_RANK, and ValueError unless rows is nonempty, so written
-    and symmetric, and unless the form is negative definite, that is unless
-    its fraction-free elimination of -Q in index order (_linalg.eliminate)
-    finds every pivot positive, so no other form exists.  A star in the
-    order intersection_form writes is eliminated from its legs' continuants,
-    any other form by Bareiss steps, to the same minors and levels.  rows is
-    kept as tuples, as is all that is derived from it, so no check goes stale
-    and a form hashes.
-    Of that elimination the form keeps minors and levels, its integer square
-    completion, read by both searches and every solve; det Q is (-1)^m minors[-1].
-    diagonal keeps the Q_ii (none is 0 on a definite form), upper the nonzeros
-    above them as three parallel tuples (i, j, Q_ij), split the nonzeros of
-    all rows, in row order, as (columns, entries, row lengths).
+    A form takes only its independent entries: diagonal, the Q_ii, and upper,
+    the nonzero Q_ij with i < j as parallel tuples (i, j, Q_ij) in strictly
+    increasing (i, j), so Q is symmetric by construction.  Each entry is read
+    through operator.index, numpy's too, and kept as an int in tuples, so no
+    check goes stale and a form hashes.  Building one raises RankTooLarge
+    above MAX_SEARCH_RANK, and ValueError for an empty diagonal, a malformed
+    upper, or unless -Q's fraction-free elimination in index order
+    (_linalg.eliminate) finds every pivot positive, that is unless Q is
+    negative definite, so no other form exists.  A star in the order
+    intersection_form writes is eliminated from its legs' continuants, any
+    other form by Bareiss steps, to the same minors and levels, which the form
+    keeps: its integer square completion, read by both searches and every
+    solve.  det Q is (-1)^m minors[-1].
     """
 
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-    det: int
+    diagonal: tuple[int, ...]
+    upper: _linalg.Upper
     minors: tuple[int, ...]
     levels: _linalg.IntegerLevels
-    diagonal: tuple[int, ...]
-    upper: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    split: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    _derived = ("det", "minors", "levels", "diagonal", "upper", "split")
-    _uncompared = ("minors", "levels", "diagonal", "upper", "split")
+    _derived = _uncompared = ("minors", "levels")
 
     def __post_init__(self) -> None:
-        if not self.rows:
+        m = len(self.diagonal)
+        if not m:
             raise ValueError("form must have rank at least 1")
-        if len(self.rows) > MAX_SEARCH_RANK:
-            raise RankTooLarge(f"form of rank {len(self.rows)} is above the search limit {MAX_SEARCH_RANK}")
-        rows = tuple([tuple(map(tuple, row)) for row in self.rows])
-        object.__setattr__(self, "rows", rows)
-        for i, row in enumerate(rows):
-            cols = [j for j, x in row if x]
-            if len(cols) != len(row) or not all(map(lt, cols, cols[1:])):
-                raise ValueError(f"row {i} must list nonzero entries in strictly increasing columns")
-        upper = [(i, j, x) for i, row in enumerate(rows) for j, x in row if j > i]
-        if set(upper) != {(j, i, x) for i, row in enumerate(rows) for j, x in row if j < i}:
-            raise ValueError("matrix must be symmetric")
+        if m > MAX_SEARCH_RANK:
+            raise RankTooLarge(f"form of rank {m} is above the search limit {MAX_SEARCH_RANK}")
+        diagonal = tuple(map(index, self.diagonal))
+        lo, hi, entries = upper = tuple([tuple(map(index, part)) for part in self.upper])
+        keys = list(zip(lo, hi))
+        if not (len(lo) == len(hi) == len(entries) and all(entries) and all(map(lt, keys, keys[1:]))
+                and all(map(lt, lo, hi)) and 0 <= min(lo, default=0) and max(hi, default=0) < m):
+            raise ValueError("upper must list nonzero Q_ij, 0 <= i < j < m, in strictly increasing (i, j)")
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "upper", upper)
         try:
-            minors, levels = _linalg.eliminate(rows)
+            minors, levels = _linalg.eliminate(diagonal, upper)
         except ValueError:
             raise ValueError("form must be negative definite") from None
-        object.__setattr__(self, "det", (-1) ** len(rows) * minors[-1])
         object.__setattr__(self, "minors", minors)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "diagonal", tuple(x for i, row in enumerate(rows) for j, x in row if j == i))
-        object.__setattr__(self, "upper", tuple(zip(*upper)) if upper else ((), (), ()))
-        nonzeros = [entry for row in rows for entry in row]
-        cols, coefs = zip(*nonzeros)  # a definite form has every Q_ii
-        object.__setattr__(self, "split", (cols, coefs, tuple(map(len, rows))))
 
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return len(self.diagonal)
+
+    @property
+    def det(self) -> int:
+        return (-1) ** self.m * self.minors[-1]
 
 
 def _evaluate_cf(entries: tuple[int, ...]) -> tuple[int, int]:
@@ -204,16 +197,12 @@ def tree_rank(a: Sequence[int]) -> int:
 def intersection_form(g: PlumbingGraph) -> IntersectionForm:
     """Intersection form of the plumbing: weights on the diagonal, 1 for each edge.
 
-    The sparse rows are written while the legs are walked, in O(m); no dense
-    matrix is built.  A vertex's inner neighbour comes before it and its outer
-    one after, so every row comes out sorted.
+    The edges are written from the legs' lengths, in O(m): the centre's first,
+    then each leg's from the centre outward, so their keys come out in
+    increasing (i, j); no dense matrix is built.
     """
-    rows = [[(0, g.center_weight)]]
-    for leg in g.legs:
-        prev = 0
-        for w in leg:
-            i = len(rows)
-            rows[prev].append((i, 1))
-            rows.append([(prev, 1), (i, w)])
-            prev = i
-    return IntersectionForm(rows=rows)
+    diagonal = (g.center_weight, *chain.from_iterable(g.legs))
+    starts = list(accumulate(map(len, g.legs), initial=1))[:-1]
+    inner = [j for s, leg in zip(starts, g.legs) for j in range(s + 1, s + len(leg))]
+    lo = (0,) * len(starts) + tuple([j - 1 for j in inner])
+    return IntersectionForm(diagonal, (lo, (*starts, *inner), (1,) * (len(diagonal) - 1)))

@@ -30,20 +30,30 @@ Completion = tuple[list[Fraction], list[list[tuple[int, Fraction]]]]
 
 
 def dense(form):
-    """The form's m x m matrix Q as lists, written out from its sparse rows."""
-    out = [[0] * form.m for _ in form.rows]
-    for row, sparse in zip(out, form.rows):
-        for j, x in sparse:
-            row[j] = x
+    """The form's m x m matrix Q as lists, written out from its diagonal and upper entries."""
+    out = [[0] * form.m for _ in range(form.m)]
+    for i, q in enumerate(form.diagonal):
+        out[i][i] = q
+    for i, j, x in zip(*form.upper):
+        out[i][j] = out[j][i] = x
     return out
 
 
-def form_from_matrix(matrix):
-    """The form of a dense square integer matrix, built from the nonzeros of its rows."""
-    q = [list(map(int, row)) for row in matrix]
+def form_entries(matrix):
+    """(diagonal, upper) of a dense square symmetric matrix: its Q_ii, and its
+    nonzero Q_ij with i < j as parallel tuples (i, j, Q_ij) in row order."""
+    q = [list(row) for row in matrix]
     if any(len(row) != len(q) for row in q):
         raise ValueError("matrix must be square")
-    return IntersectionForm(rows=[[(j, x) for j, x in enumerate(row) if x] for row in q])
+    if any(q[i][j] != q[j][i] for i in range(len(q)) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    upper = [(i, j, q[i][j]) for i in range(len(q)) for j in range(i + 1, len(q)) if q[i][j]]
+    return tuple(q[i][i] for i in range(len(q))), tuple(zip(*upper)) or ((), (), ())
+
+
+def form_from_matrix(matrix):
+    """The form of a dense square symmetric integer matrix, built from its independent entries."""
+    return IntersectionForm(*form_entries(matrix))
 
 
 def graph_for(a):
@@ -61,7 +71,7 @@ def complement_by_gram(form, units):
 
     Each projected basis vector is written out coordinate by coordinate, and
     the complement's Gram matrix B Q B^T, over the dense Q, is turned into a
-    form by form_from_matrix; the library writes its sparse rows directly.
+    form by form_from_matrix; the library writes its diagonal and upper entries directly.
     """
     m, q = form.m, dense(form)
     projected = []
@@ -661,15 +671,15 @@ def tau_d_invariant(values, tau_minimum=scanned_tau_minimum):
     N = ceil(A (sum_i (1 - 1/a_i) - 1)) + 1 every step is at least
     1 + n/A - sum_i (1 - 1/a_i) > 0, so the scan stops there.  K^2 and k.D
     come from one integer solve on the form's minors and levels, re-checked
-    against its rows.  tau_minimum gives (min tau, its minimizers): the full
+    against its dense matrix.  tau_minimum gives (min tau, its minimizers): the full
     scan, scanned_tau_minimum, by default, or windowed_tau_minimum, which a
     property test pins to it and which scans far fewer points.
     """
     norm = normalize(solve_unnormalized(validate_multiplicities(values)))
     form = intersection_form(build_plumbing(norm))
-    k = [-x - 2 for i, row in enumerate(form.rows) for j, x in row if j == i]
+    k = [-x - 2 for x in form.diagonal]
     x, det = _linalg.solve(form.minors, form.levels, [-ki for ki in k])  # Q x = det k
-    assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k))
+    assert all(sum(map(mul, row, x)) == det * ki for row, ki in zip(dense(form), k))
     k2 = Fraction(sum(ki * xi for ki, xi in zip(k, x)), det)
     lowest, argmins = tau_minimum(values)
     p = max(abs(Fraction(x[0], det) + 2 * n) for n in argmins)

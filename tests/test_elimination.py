@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from seifert_gate import _linalg
 from seifert_gate.lattice import _split_off_units
 from seifert_gate.plumbing import PlumbingGraph, intersection_form
-from oracles import cholesky_form, dense, form_for, form_from_matrix, integer_levels, solve_completion
+from oracles import cholesky_form, dense, form_entries, form_for, form_from_matrix, integer_levels, solve_completion
 from test_golden import CORPORA, corpus_certificates
 from test_independent_routes import coprime_tuples
 
@@ -79,7 +79,7 @@ def test_elimination_refuses_what_the_oracle_refuses(rows):
         cholesky_form(g)
     except ValueError:
         with pytest.raises(ValueError, match="not positive definite"):
-            _linalg.eliminate([[(j, x) for j, x in enumerate(row) if x] for row in rows])
+            _linalg.eliminate(*form_entries(rows))
         with pytest.raises(ValueError, match="negative definite"):
             form_from_matrix(rows)
     else:
@@ -94,10 +94,9 @@ def test_elimination_matches_the_oracle_on_the_corpus(name):
             assert_matches_oracle(_split_off_units(cert.form, cert.units))
 
 
-def test_rows_are_the_nonzeros_of_q():
-    rows = [[-2, 1, 0], [1, -3, 0], [0, 0, -1]]
-    f = form_from_matrix(rows)
-    assert f.rows == (((0, -2), (1, 1)), ((0, 1), (1, -3)), ((2, -1),))
+def test_diagonal_and_upper_are_the_independent_entries_of_q():
+    f = form_from_matrix([[-2, 1, 0], [1, -3, 2], [0, 2, -5]])
+    assert (f.diagonal, f.upper) == ((-2, -3, -5), ((0, 1), (1, 2), (1, 2)))
 
 
 def bareiss_only():
@@ -110,10 +109,10 @@ def star_route():
     return mock.patch.object(_linalg, "_star", wraps=_linalg._star)
 
 
-def eliminate_or_refusal(rows):
-    """_linalg.eliminate(rows), or the message of the ValueError it raised."""
+def eliminate_or_refusal(entries):
+    """_linalg.eliminate(*entries), or the message of the ValueError it raised."""
     try:
-        return _linalg.eliminate(rows)
+        return _linalg.eliminate(*entries)
     except ValueError as e:
         return str(e)
 
@@ -150,23 +149,23 @@ def stars(draw):
 
 def test_star_route_matches_bareiss_on_the_corpora_and_coprime_tuples():
     tuples = [t for name in sorted(CORPORA) for t in CORPORA[name]] + list(coprime_tuples())
-    rows = [form_for(t).rows for t in tuples]
+    entries = [(f.diagonal, f.upper) for f in map(form_for, tuples)]
     with star_route() as star:
-        by_star = list(map(_linalg.eliminate, rows))
+        by_star = [_linalg.eliminate(*e) for e in entries]
     assert star.call_count == len(tuples)
     with bareiss_only():
-        for t, r, expected in zip(tuples, rows, by_star):
-            assert _linalg.eliminate(r) == expected, t
+        for t, e, expected in zip(tuples, entries, by_star):
+            assert _linalg.eliminate(*e) == expected, t
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(stars())
 def test_star_route_agrees_with_bareiss_or_refuses_at_the_same_pivot(q):
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in q]
+    entries = form_entries(q)
     with star_route() as star:
-        by_star = eliminate_or_refusal(rows)
+        by_star = eliminate_or_refusal(entries)
     with bareiss_only():
-        assert eliminate_or_refusal(rows) == by_star
+        assert eliminate_or_refusal(entries) == by_star
     assert star.call_count == 1
     if not isinstance(by_star, str):
         assert_matches_oracle(form_from_matrix(q))
@@ -196,14 +195,23 @@ def with_edge(q, i, j, x):
         lambda: with_edge(star_2_3_13(), 0, 3, -1),  # an edge -1
         lambda: with_edge([[-5, 1, 0], [1, -5, 1], [0, 1, -5]], 0, 1, 2),  # an edge 2 at the centre
         lambda: with_edge([[-5, 1, 0], [1, -5, 1], [0, 1, -5]], 1, 2, 2),  # an edge 2 along a leg
+        # a vertex past the centre with no inner edge: each is definite, and a
+        # star check that did not ask for the edge would refuse it
+        lambda: [[-1, 0], [0, -1]],  # -I_2
+        lambda: [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],  # -I_3
+        lambda: [[-2, 1, 0], [1, -2, 0], [0, 0, -3]],  # a centre with one leg, and an isolated vertex
     ],
-    ids=["tips-first", "centre-second", "leg-inward", "edge-minus-1", "centre-edge-2", "leg-edge-2"],
+    ids=[
+        "tips-first", "centre-second", "leg-inward", "edge-minus-1", "centre-edge-2", "leg-edge-2",
+        "minus-I2", "minus-I3", "isolated-vertex",
+    ],
 )
 def test_other_shapes_take_bareiss(matrix):
     q = matrix()
     with star_route() as star:
         form = form_from_matrix(q)
     assert not star.called
+    assert form.minors == tuple(_linalg._bareiss(form.diagonal, form.upper)[0])
     assert_matches_oracle(form)
 
 

@@ -14,6 +14,7 @@ import json
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import gcd
+from operator import mul
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from seifert_gate.seifert import gluing_data, normalize, solve_unnormalized
 from oracles import (
     crt_balanced_d,
     dedekind_sum,
+    dense,
     inverse_gluing_u,
     scanned_tau_minimum,
     semigroup_steps,
@@ -160,14 +162,14 @@ def n_zero(values):
 
 def test_k_dot_d_is_minus_n_zero_minus_one():
     # k.D = (Q^-1 k)_0 for the canonical class k_i = -Q_ii - 2, from the form's
-    # integer solve, re-checked on its rows
+    # integer solve, re-checked on its dense matrix
     assert len(MULTI_FIBER_TUPLES) == 261
     for values in SOLVE_IDENTITY_TUPLES:
         norm = normalize(solve_unnormalized(validate_multiplicities(values)))
         form = intersection_form(build_plumbing(norm))
         k = [-q - 2 for q in form.diagonal]
         x, det = _linalg.solve(form.minors, form.levels, [-ki for ki in k])  # Q x = det k
-        assert all(sum(q * x[j] for j, q in row) == det * ki for row, ki in zip(form.rows, k)), values
+        assert all(sum(map(mul, row, x)) == det * ki for row, ki in zip(dense(form), k)), values
         assert Fraction(x[0], det) == -(n_zero(values) + 1), values
 
 

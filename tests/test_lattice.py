@@ -394,8 +394,8 @@ class TestDInvariant:
             if not 0 < len(units) < f.m:
                 continue
             sub, expected = _split_off_units(f, units), complement_by_gram(f, units)
-            assert (sub.rows, sub.det, sub.minors, sub.levels) == (
-                expected.rows, expected.det, expected.minors, expected.levels
+            assert (sub.diagonal, sub.upper, sub.det, sub.minors, sub.levels) == (
+                expected.diagonal, expected.upper, expected.det, expected.minors, expected.levels
             ), a
             seen += 1
         assert seen == 369
@@ -462,9 +462,9 @@ class TestSearchIsPinned:
         assert cert.nodes == 29 and type(cert.nodes) is int
 
     def test_certificate_freezes_its_units(self):
-        # as a form freezes its rows: a list of lists is kept as tuples, so it
+        # as a form freezes its entries: a list of lists is kept as tuples, so it
         # hashes and cannot grow past its check
-        minus_i2 = IntersectionForm(rows=(((0, -1),), ((1, -1),)))
+        minus_i2 = IntersectionForm(diagonal=(-1, -1), upper=((), (), ()))
         cert = DiagonalizationCertificate(form=minus_i2, units=[[1, 0], [0, 1]], nodes=0, cap=1)
         same = DiagonalizationCertificate(form=minus_i2, units=((1, 0), (0, 1)), nodes=0, cap=1)
         assert cert == same and hash(cert) == hash(same) and cert.present
@@ -612,23 +612,26 @@ u = diagonalize(f).units[0]
 refuse("forged certificate", ValueError, certificate, f, (u, u))
 # E's first row has squared norm 78 = -D.D; a dual class claiming D.D = -77 is refused
 refuse("forged dual class", CertificateViolation, max_sharp_pairing, diagonalize(f), Fraction(-77))
-minus_i2 = IntersectionForm(rows=[[(0, -1)], [(1, -1)]])
+minus_i2 = IntersectionForm([-1, -1], [[], [], []])
 rational = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
 refuse("rational units", ValueError, certificate, minus_i2, rational)
 # a zero unit beside (1, 1), of norm -2, balances the trace of E^T Q E; only the nonzero check refuses it
 refuse("zero unit", ValueError, certificate, minus_i2, ((0, 0), (1, 1)))
-refuse("det 3 certificate", ValueError, certificate, IntersectionForm(rows=[[(0, -2), (1, 1)], [(0, 1), (1, -2)]]), ())
-refuse("indefinite form", ValueError, IntersectionForm, [[(0, 1)], [(1, -1)]])
+refuse("det 3 certificate", ValueError, certificate, IntersectionForm([-2, -2], [[0], [1], [1]]), ())
+refuse("indefinite form", ValueError, IntersectionForm, [1, -1], [[], [], []])
 # eliminated from its legs' continuants, this star's second leg meets a zero pivot
 refuse("indefinite star", ValueError, plumbing.intersection_form, PlumbingGraph(-1, ((-2,), (-2,), (-2,))))
-for rows in (
-    [[(0, -2), (1, 1)], [(1, -2)]],  # not symmetric
-    [[(0, -1), (1, 0)]],  # a zero entry, in a column past the last row
-    [[(0, -3), (1, 1), (1, 1)], [(0, 1), (0, 1), (1, -3)]],  # a mirrored duplicate column
-    [[(1, 1), (0, -2)], [(0, 1), (1, -2)]],  # unsorted
+for upper in (
+    [[0], [1], [0]],  # a zero entry
+    [[0, 0], [1, 1], [1, 1]],  # a repeated key
+    [[1, 0], [2, 1], [1, 1]],  # unsorted
+    [[1], [0], [1]],  # below the diagonal
+    [[0], [3], [1]],  # past the last row
+    [[0, 1], [1], [1, 1]],  # tuples of unequal length
 ):
-    refuse(f"malformed rows {rows}", ValueError, IntersectionForm, rows)
-refuse("rank 901", RankTooLarge, IntersectionForm, [[(i, -1)] for i in range(901)])
+    refuse(f"malformed upper {upper}", ValueError, IntersectionForm, [-3, -3, -3], upper)
+refuse("rank 0", ValueError, IntersectionForm, [], [[], [], []])
+refuse("rank 901", RankTooLarge, IntersectionForm, [-1] * 901, [[], [], []])
 refuse("forged twist bound", TypeError, TwistBound, A=10, tw_min=5)
 refuse("twist_lower_bound(0)", ValueError, twist_lower_bound, 0)
 refuse("empty leg", ValueError, PlumbingGraph, -1, ((-2,), ()))

@@ -1,9 +1,10 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
 from seifert_gate import (
@@ -145,7 +146,7 @@ class TestTreeRank:
         triples = [t for t in combinations(range(2, 40), 3) if all(gcd(x, y) == 1 for x, y in combinations(t, 2))]
         more = random_coprime_tuples(random.Random(5), 20, max_product=10**6, length=4, hi=60)
         for t in [t for name in sorted(CORPORA) for t in CORPORA[name]] + triples + more:
-            assert tree_rank(t) == len(form_for(t).rows), t
+            assert tree_rank(t) == form_for(t).m, t
 
     def test_counts_up_to_the_rank_limit(self):
         assert tree_rank((2, 3, 5329)) == 1 + sum(map(len, graph_for((2, 3, 5329)).legs)) == 891
@@ -164,19 +165,21 @@ class TestTreeRank:
         # n + 1 above the limit is refused before any arithmetic; 899 fibers
         # take one division and inverse each, and give a rank above it
         assert tree_rank(primes[:1000]) == tree_rank(primes[:899]) == tree_rank([2] * 1000) == 0
-        assert tree_rank(primes[:40]) == len(form_for(primes[:40]).rows)
+        assert tree_rank(primes[:40]) == form_for(primes[:40]).m
         assert time.perf_counter() - start < 1.0
 
 
 class TestIntersectionForm:
     @pytest.mark.parametrize("name", sorted(CORPORA))
     def test_tree_form_equals_the_dense_route(self, name):
-        # the O(m) rows from the tree against the form of the dense matrix
+        # the O(m) entries from the tree against the form of the dense matrix
         for values in CORPORA[name]:
             g = graph_for(values)
             f, dense = intersection_form(g), form_from_matrix(dense_intersection_matrix(g))
             assert f == dense
-            assert (f.rows, f.det, f.minors, f.levels) == (dense.rows, dense.det, dense.minors, dense.levels)
+            assert (f.diagonal, f.upper, f.det, f.minors, f.levels) == (
+                dense.diagonal, dense.upper, dense.det, dense.minors, dense.levels
+            )
             assert _split_off_units(f, ()).levels == f.levels
 
     def test_2_3_7_matrix(self):
@@ -252,26 +255,46 @@ class TestIntersectionForm:
             form_from_matrix(rows)
 
     @pytest.mark.parametrize(
-        "rows",
+        "upper",
         [
-            # a mirrored duplicate column: set-wise symmetric, and read as Q_01 = 2
-            # by the searches but eliminated with Q_01 = 1
-            [[(0, -3), (1, 1), (1, 1)], [(0, 1), (0, 1), (1, -3)]],
-            # unsorted, but otherwise a symmetric definite form
-            [[(1, 1), (0, -2)], [(0, 1), (1, -2)]],
-            [[(0, -2), (1, 0)], [(1, -2)]],
+            ((0,), (1,), (0,)),
+            # a repeated key, which the searches would read as Q_01 = 2
+            ((0, 0), (1, 1), (1, 1)),
+            ((1, 0), (2, 1), (1, 1)),
+            ((1,), (1,), (1,)),
+            ((1,), (0,), (1,)),
+            ((0,), (3,), (1,)),
+            ((-1,), (0,), (1,)),
+            ((0, 1), (1,), (1, 1)),
+            ((0,), (1,), ()),
         ],
-        ids=["duplicate", "unsorted", "zero"],
+        ids=[
+            "zero", "duplicate", "unsorted", "i-equals-j", "i-above-j", "j-past-m", "i-negative", "short-j",
+            "short-entries",
+        ],
     )
-    def test_rows_it_would_misread_are_rejected(self, rows):
-        with pytest.raises(ValueError, match="strictly increasing columns"):
-            IntersectionForm(rows=rows)
+    def test_entries_it_would_misread_are_rejected(self, upper):
+        # each would be a definite form of rank 3 read rightly, or is no form at all
+        with pytest.raises(ValueError, match="strictly increasing"):
+            IntersectionForm(diagonal=(-3, -3, -3), upper=upper)
+
+    @pytest.mark.parametrize(
+        "rank, weight",
+        # in int64 the first overflows, and the second wraps a pivot to a negative value
+        [(4, -1000), (5, -70000)],
+    )
+    def test_numpy_entries_are_read_as_ints(self, rank, weight):
+        ints = (tuple([weight] * rank), (tuple(range(rank - 1)), tuple(range(1, rank)), (1,) * (rank - 1)))
+        f = IntersectionForm(*ints)
+        g = IntersectionForm(np.array(ints[0]), np.array(ints[1]))
+        assert f == g and (f.det, f.minors, f.levels) == (g.det, g.minors, g.levels)
+        assert {type(x) for x in (*g.diagonal, *chain(*g.upper), *g.minors)} == {int}
 
     @pytest.mark.parametrize("rows", [(), []])
     def test_a_rank_0_form_is_rejected(self, rows):
         # a plumbing always has its centre; the searches and the solve index row 0
         with pytest.raises(ValueError, match="rank at least 1"):
-            IntersectionForm(rows=rows)
+            IntersectionForm(diagonal=rows, upper=((), (), ()))
         with pytest.raises(ValueError, match="rank at least 1"):
             form_from_matrix(rows)
 

@@ -41,13 +41,13 @@ RECORDS = {
 }
 # fields computed at construction, and fields left out of ==, hash and repr
 DERIVED = {
-    "IntersectionForm": ("det", "minors", "levels", "diagonal", "upper", "split"),
+    "IntersectionForm": ("minors", "levels"),
     "SeifertPresentation": ("pairs",),
     "TwistBound": ("tw_min",),
     "ObstructionReport": ("twist_bound", "tau", "gap_lower"),
 }
 UNCOMPARED = {
-    "IntersectionForm": ("minors", "levels", "diagonal", "upper", "split"),
+    "IntersectionForm": ("minors", "levels"),
     "DiagonalizationCertificate": ("form",),
 }
 
@@ -133,25 +133,24 @@ def test_a_certificate_differs_only_in_its_cap():
     assert (gap.cap, again.cap) == (10**6, 10**6 - 1) and gap != again
 
 
-def test_a_form_cannot_be_changed_through_its_rows_or_derived_arrays():
+def test_a_form_cannot_be_changed_through_its_entries_or_derived_arrays():
     form = REPORTS["gap"].form
-    before = (form.rows, form.det, form.minors, form.levels, form.diagonal, form.upper, form.split)
+    before = (form.diagonal, form.upper, form.det, form.minors, form.levels)
     scale, dens, cs, feeds = form.levels
-    for sequence in (form.rows, form.rows[0], form.minors, dens, cs, feeds, *feeds, *chain(*feeds), form.split, *form.split):
+    for sequence in (form.diagonal, form.upper, *form.upper, form.minors, dens, cs, feeds, *feeds, *chain(*feeds)):
         with pytest.raises(TypeError):
             sequence[0] = (0, 5)
-    assert (form.rows, form.det, form.minors, form.levels, form.diagonal, form.upper, form.split) == before
-    cols, coefs, lengths = form.split
-    assert list(zip(cols, coefs)) == list(chain(*form.rows)) and lengths == tuple(map(len, form.rows))
+    assert (form.diagonal, form.upper, form.det, form.minors, form.levels) == before
 
 
 def test_a_form_built_from_lists_keeps_tuples():
-    lists = [[[0, -2], [1, 1]], [[0, 1], [1, -2]]]
-    form = IntersectionForm(rows=lists)
-    assert form.rows == (((0, -2), (1, 1)), ((0, 1), (1, -2)))
-    assert form == IntersectionForm(rows=form.rows) and hash(form) == hash(IntersectionForm(rows=form.rows))
-    lists[0][0][1] = -5
-    assert form.rows[0][0] == (0, -2)
+    diagonal, upper = [-2, -2], [[0], [1], [1]]
+    form = IntersectionForm(diagonal=diagonal, upper=upper)
+    assert (form.diagonal, form.upper) == ((-2, -2), ((0,), (1,), (1,)))
+    again = IntersectionForm(diagonal=form.diagonal, upper=form.upper)
+    assert form == again and hash(form) == hash(again) and vars(form) == vars(again)
+    diagonal[0], upper[2][0] = -5, 2
+    assert (form.diagonal, form.upper) == ((-2, -2), ((0,), (1,), (1,)))
 
 
 def test_two_types_with_the_same_values_differ():
@@ -160,15 +159,16 @@ def test_two_types_with_the_same_values_differ():
     assert graph != gluing and gluing != graph
 
 
-def test_form_equality_ignores_the_derived_arrays_but_compares_det():
+def test_form_equality_ignores_the_derived_arrays_but_compares_the_entries():
     form = REPORTS["gap"].form
     for field in UNCOMPARED["IntersectionForm"]:
         forged = copy.copy(form)
         object.__setattr__(forged, field, None)
         assert forged == form and repr(forged) == repr(form)
-    forged = copy.copy(form)
-    object.__setattr__(forged, "det", form.det + 1)
-    assert forged != form and repr(forged) != repr(form)
+    for field, value in (("diagonal", (-2, *form.diagonal[1:])), ("upper", (*form.upper[:2], (1, 1, 1, 2)))):
+        forged = copy.copy(form)
+        object.__setattr__(forged, field, value)
+        assert forged != form and repr(forged) != repr(form)
 
 
 @pytest.mark.parametrize("kind", sorted(REPORTS))
