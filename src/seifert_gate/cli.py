@@ -208,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_ENUMERATION_CAP,
-        help=f"lattice search node cap (default {DEFAULT_ENUMERATION_CAP})",
+        help=f"lattice search node cap, at least {MIN_CAP} (default {DEFAULT_ENUMERATION_CAP})",
     )
     parser.add_argument(
         "--jobs",

@@ -255,11 +255,12 @@ def dual_class(form: IntersectionForm) -> Fraction:
     return Fraction(x[0], det)
 
 
-def max_sharp_pairing(cert: DiagonalizationCertificate, dual: Fraction) -> int:
+def max_sharp_pairing(cert: DiagonalizationCertificate, dual: Fraction | int) -> int:
     """Maximum pairing of a sharp characteristic vector with the dual class, given D.D.
 
-    In an orthonormal basis the sharp vectors have all coefficients +-1, so
-    the maximum is the L1 norm of the first row of E.  The identities it must
+    D.D may be an int or a Fraction, as dual_class returns it.  In an
+    orthonormal basis the sharp vectors have all coefficients +-1, so the
+    maximum is the L1 norm of the first row of E.  The identities it must
     satisfy (its L2 norm squared equals -D.D, an integer, which p^2 bounds
     and shares p's parity) are checked; CertificateViolation if one fails.
     """

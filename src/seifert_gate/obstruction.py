@@ -276,7 +276,7 @@ class ObstructionReport(Record):
 
     def __post_init__(self) -> None:
         big_a = self.multiplicities.product
-        p = max_sharp_pairing(self.certificate, Fraction(-big_a)) if self.certificate.present else None
+        p = max_sharp_pairing(self.certificate, -big_a) if self.certificate.present else None
         object.__setattr__(self, "twist_bound", TwistBound.for_product(big_a))
         object.__setattr__(self, "tau", TauBounds(A=big_a, P=p))
         object.__setattr__(self, "gap_lower", tau_gap_lower(big_a, p) if p is not None else None)

@@ -1,11 +1,12 @@
 """Seifert invariants of Brieskorn homology spheres.
 
-All arithmetic is exact: multiplicities are arbitrary-precision integers and
-fiber sums are ``fractions.Fraction``.  Every defining identity is checked at
-construction time rather than trusted, and a failure raises
-CertificateViolation, also under python -O, so an instance of one of these
-types is itself a small certificate.  NormalizedPresentation is the one type
-for normalized invariants M(e0; r_1, ..., r_n), also of the small families.
+All arithmetic is exact: multiplicities and coefficients are integers and
+fiber fractions ``fractions.Fraction``.  The defining identity
+A * sum(b_k / a_k) = 1 is checked once, in integers, where a
+SeifertPresentation is built (CertificateViolation, also under python -O);
+the normalized invariants and the gluing columns derive from it and hold by
+construction.  NormalizedPresentation is the one type for normalized
+invariants M(e0; r_1, ..., r_n), also of the small families.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ __all__ = [
 
 
 class Multiplicities(Record):
-    """Fiber multiplicities (a_1, ..., a_n): n >= 3, each >= 2, pairwise coprime."""
+    """Fiber multiplicities (a_1, ..., a_n): integers (operator.index), n >= 3, each >= 2, pairwise coprime."""
 
     a: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "a", tuple(map(index, self.a)))
         if len(self.a) < 3:
             raise TooFewFibers(f"need at least 3 multiplicities, got {len(self.a)}")
         for x in self.a:
@@ -58,8 +60,9 @@ class Multiplicities(Record):
 class SeifertPresentation(Record):
     """Canonical surgery presentation (0; (a_1, b_1), ..., (a_n, b_n)), one b_k per a_k.
 
-    The pairs are derived (ValueError if the lengths differ), and the defining
-    identity A * sum(b_k / a_k) == 1 is checked exactly.
+    Each b_k is read through operator.index (TypeError for a float), the pairs
+    are derived (ValueError if the lengths differ), and the defining identity
+    A * sum(b_k / a_k) = 1 is checked as the integer sum sum(b_k * A/a_k) = 1.
     """
 
     multiplicities: Multiplicities
@@ -68,21 +71,24 @@ class SeifertPresentation(Record):
     _derived = ("pairs",)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        object.__setattr__(self, "coefficients", tuple(map(index, self.coefficients)))
         object.__setattr__(self, "pairs", tuple(zip(self.multiplicities.a, self.coefficients, strict=True)))
         big_a = self.multiplicities.product
-        total = sum(Fraction(bk, ak) for ak, bk in self.pairs)
-        if big_a * total != 1:
-            raise CertificateViolation(f"presentation identity violated: {big_a}*{total} != 1")
+        if sum(bk * (big_a // ak) for ak, bk in self.pairs) != 1:
+            raise CertificateViolation(f"presentation identity violated: sum(b * A/a) != 1 for b = {self.coefficients}")
 
 
 class NormalizedPresentation(Record):
-    """Normalized invariants M(e0; r_1, ..., r_n): InvalidRange unless every r_j is in (0, 1)."""
+    """Normalized invariants M(e0; r_1, ..., r_n): e0 an integer, each r_j a Fraction in (0, 1)."""
 
     e0: int
     r: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "e0", index(self.e0))
+        object.__setattr__(self, "r", tuple(self.r))
+        if not all(isinstance(rj, Fraction) for rj in self.r):
+            raise TypeError(f"fiber fractions {self.r} are not all Fractions")
         if not all(0 < rj < 1 for rj in self.r):
             raise InvalidRange(f"fiber fractions {self.r} are not all in (0, 1)")
 
@@ -93,7 +99,7 @@ class NormalizedPresentation(Record):
 
 
 class GluingData(Record):
-    """Solid-torus gluing columns: a_i*v_i - b_i*u_i = 1 with 0 < u_i < a_i."""
+    """Solid-torus gluing columns: a_i*v_i - b_i*u_i = 1 with 0 < u_i < a_i, as gluing_data builds them."""
 
     u: tuple[int, ...]
     v: tuple[int, ...]
@@ -106,64 +112,43 @@ def validate_multiplicities(raw: Iterable[int]) -> Multiplicities:
     string, say), and TooFewFibers, MultiplicityTooSmall or NotCoprime on bad
     input.
     """
-    return Multiplicities(a=tuple(index(x) for x in raw))
+    return Multiplicities(a=raw)
 
 
 def solve_unnormalized(m: Multiplicities) -> SeifertPresentation:
     """Produce the canonical presentation with b = 0.
 
-    Each b_j starts as the representative of (A/a_j)^(-1) mod a_j in [0, a_j);
-    the surplus is then absorbed into b_1 so that sum(b_k * A/a_k) == 1 holds
-    on the nose.  The choice is deterministic: only b_1 is shifted.
+    Each b_j starts as the representative of (A/a_j)^(-1) mod a_j in [0, a_j),
+    so sum(b_k * A/a_k) is 1 mod A by the Chinese remainder theorem; b_1
+    absorbs the surplus, a multiple of A, so the sum is 1 on the nose (the
+    presentation checks it).  Deterministic: only b_1 is shifted.
     """
     big_a = m.product
-    coeffs = []
-    for aj in m.a:
-        cofactor = big_a // aj
-        coeffs.append(pow(cofactor, -1, aj) % aj)
-    total = sum(bj * (big_a // aj) for bj, aj in zip(coeffs, m.a))
-    shift, rem = divmod(total - 1, big_a)
-    if rem != 0:
-        raise CertificateViolation("the residue sum is not 1 mod A")
-    coeffs[0] -= shift * m.a[0]
+    coeffs = [pow(big_a // aj, -1, aj) for aj in m.a]
+    coeffs[0] -= (sum(bj * (big_a // aj) for aj, bj in zip(m.a, coeffs)) - 1) // big_a * m.a[0]
     return SeifertPresentation(multiplicities=m, coefficients=coeffs)
 
 
 def normalize(p: SeifertPresentation) -> NormalizedPresentation:
-    """Normalize a canonical presentation.
+    """Normalize a canonical presentation: split each -b_j/a_j into integer and fractional parts.
 
-    b~_j is the representative of b_j mod a_j in (-a_j, 0) and
-    e0 = sum(floor(-b_j / a_j)).  The identity
-    sum(r_j) == -e0 - 1/A is checked exactly.
+    e0 = sum(floor(-b_j / a_j)) and r_j = ((-b_j) mod a_j) / a_j, so
+    b~_j = -a_j*r_j is the representative of b_j mod a_j in (-a_j, 0).  The
+    presentation's identity makes the rest hold without a check: mod a_j it
+    says b_j is a unit, so r_j is in (0, 1), and divided by -A it says
+    sum(r_j) = -e0 - 1/A.
     """
-    tilde = []
-    for aj, bj in p.pairs:
-        res = bj % aj
-        if res == 0:
-            raise CertificateViolation(f"b = {bj} is not a unit mod a = {aj}")
-        tilde.append(res - aj)
     e0 = sum((-bj) // aj for aj, bj in p.pairs)
-    r = tuple(Fraction(-tb, aj) for tb, (aj, _) in zip(tilde, p.pairs))
-    big_a = p.multiplicities.product
-    if sum(r) != -e0 - Fraction(1, big_a):
-        raise CertificateViolation(f"sum(r) = {sum(r)} is not -e0 - 1/A for e0 = {e0}, A = {big_a}")
-    return NormalizedPresentation(e0=e0, r=r)
+    return NormalizedPresentation(e0=e0, r=tuple(Fraction((-bj) % aj, aj) for aj, bj in p.pairs))
 
 
 def gluing_data(p: SeifertPresentation) -> GluingData:
-    """Solve a_i*v_i - b_i*u_i = 1 with 0 < u_i < a_i for each fiber.
+    """The columns a_i*v_i - b_i*u_i = 1 with 0 < u_i < a_i for each fiber.
 
-    solve_unnormalized makes b_i = (A/a_i)^(-1) mod a_i (b_1's shift is a
-    multiple of a_1), so u_i = -b_i^(-1) = -(A/a_i) mod a_i.  The identity is
-    then checked, which re-checks b_i against A/a_i.
+    u_i = -(A/a_i) mod a_i and v_i = (1 + b_i*u_i)/a_i.  The presentation's
+    identity mod a_i says b_i*(A/a_i) = 1 mod a_i, so b_i*u_i = -1 mod a_i
+    and v_i is an integer; u_i is not 0 because A/a_i is a unit mod a_i.
     """
     big_a = p.multiplicities.product
-    us, vs = [], []
-    for ai, bi in p.pairs:
-        ui = -(big_a // ai) % ai
-        vi, rem = divmod(1 + bi * ui, ai)
-        if rem != 0 or not 0 < ui < ai:
-            raise CertificateViolation(f"no column a*v - b*u = 1 with 0 < u < a for (a, b) = ({ai}, {bi})")
-        us.append(ui)
-        vs.append(vi)
-    return GluingData(u=tuple(us), v=tuple(vs))
+    us = tuple(-(big_a // ai) % ai for ai in p.multiplicities.a)
+    return GluingData(u=us, v=tuple((1 + bi * ui) // ai for (ai, bi), ui in zip(p.pairs, us)))

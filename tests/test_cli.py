@@ -598,6 +598,11 @@ def test_argparse_exit_is_the_exit_code(capsys, argv, code):
     assert main(argv) == code
 
 
+def test_help_states_the_cap_floor(capsys):
+    assert main(["--help"]) == 0
+    assert f"node cap, at least {cli.MIN_CAP} (default" in " ".join(capsys.readouterr().out.split())
+
+
 # Repeats, a parse error, a validation error and a cap error at cap 10^3.
 MIXED_BATCH = "2 3 5\n2 3 7  # repeated below\n2 3 five\n2 4 5\n5 7 11 13\n2 3 5\n2  3 7\n2 3 13\n2 4 5\n"
 

@@ -641,6 +641,9 @@ refuse("float multiplicity", TypeError, verdict, (2.5, 3, 5))
 m235 = validate_multiplicities((2, 3, 5))
 refuse("forged presentation", CertificateViolation, SeifertPresentation, m235, (1, 1, 1))
 refuse("coefficients of the wrong length", ValueError, SeifertPresentation, m235, (-1, 1))
+# 30 * (-1.0/2 + 1/3 + 1/5) = 1: the identity holds, so only the type check refuses it
+refuse("float coefficient", TypeError, SeifertPresentation, m235, (-1.0, 1, 1))
+refuse("float fiber fraction", TypeError, NormalizedPresentation, -1, (0.5, 0.25, 0.2))
 refuse("normalized fraction 1", InvalidRange, NormalizedPresentation, -2, (Fraction(1),))
 refuse("fiber fraction 0", InvalidRange, NormalizedPresentation, -1, (Fraction(1, 2), Fraction(0), Fraction(1, 3)))
 refuse("five-fiber transverse test", InvalidRange, transverse_contact_exists, mpl_family(3, 2))

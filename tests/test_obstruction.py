@@ -23,7 +23,7 @@ from seifert_gate import (
 )
 from seifert_gate import obstruction
 from seifert_gate.lattice import DEFAULT_ENUMERATION_CAP
-from seifert_gate.seifert import GluingData, SeifertPresentation, gluing_data, solve_unnormalized
+from seifert_gate.seifert import GluingData, NormalizedPresentation, SeifertPresentation, gluing_data, solve_unnormalized
 from seifert_gate.obstruction import (
     TauBounds,
     TwistBound,
@@ -420,6 +420,9 @@ class TestReportMemo:
         (CertificateViolation, lambda: SeifertPresentation(
             multiplicities=validate_multiplicities((2, 3, 5)), coefficients=(1, 1, 1)
         )),
+        # float fiber data would reach tilde_b and the transverse search as floats
+        (TypeError, lambda: NormalizedPresentation(e0=-1, r=(0.5, 0.25, 0.2))),
+        (TypeError, lambda: NormalizedPresentation(e0=-1.0, r=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))),
         (CertificateViolation, lambda: TauBounds(A=78, P=8)),  # P < ceil(sqrt(78)) = 9
         (CertificateViolation, lambda: tau_gap_lower(78, 6)),  # -8 + 6 + 1 < 1
         # u_1 = 0 breaks 0 < u_i < a_i, and the k_i check refuses it:

@@ -13,12 +13,13 @@ import functools
 import pickle
 from itertools import chain
 
+import numpy as np
 import pytest
 
 from seifert_gate import verdict
 from seifert_gate.families import transverse_contact_exists
 from seifert_gate.plumbing import IntersectionForm, PlumbingGraph
-from seifert_gate.seifert import GluingData, gluing_data
+from seifert_gate.seifert import GluingData, NormalizedPresentation, SeifertPresentation, gluing_data
 
 REPORTS = {"gap": verdict((2, 3, 13)), "donaldson": verdict((2, 3, 5))}
 # built anew, at a cap no other call uses so that verdict's memo cannot answer:
@@ -151,6 +152,18 @@ def test_a_form_built_from_lists_keeps_tuples():
     assert form == again and hash(form) == hash(again) and vars(form) == vars(again)
     diagonal[0], upper[2][0] = -5, 2
     assert (form.diagonal, form.upper) == ((-2, -2), ((0,), (1,), (1,)))
+
+
+def test_presentations_keep_ints_and_tuples():
+    m = REPORTS["donaldson"].multiplicities
+    p = SeifertPresentation(m, np.array([-1, 1, 1], dtype=np.int64))
+    assert p == REPORTS["donaldson"].presentation and all(type(b) is int for b in p.coefficients)
+    # 30 * (-1.0/2 + 1/3 + 1/5) = 1, so only the type refuses the float
+    with pytest.raises(TypeError):
+        SeifertPresentation(m, (-1.0, 1, 1))
+    norm = REPORTS["donaldson"].normalized
+    again = NormalizedPresentation(np.int64(norm.e0), iter(norm.r))
+    assert again == norm and type(again.e0) is int and type(again.r) is tuple
 
 
 def test_two_types_with_the_same_values_differ():

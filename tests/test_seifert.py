@@ -12,8 +12,12 @@ from seifert_gate import (
     validate_multiplicities,
 )
 from seifert_gate.plumbing import PlumbingGraph, build_plumbing, intersection_form
-from seifert_gate.seifert import gluing_data, normalize, solve_unnormalized
+from seifert_gate.seifert import Multiplicities, gluing_data, normalize, solve_unnormalized
 from oracles import random_coprime_tuples
+from test_golden import CORPORA
+
+# the inputs of both golden corpora, which the identity tests below take besides their random draws
+GOLDEN_TUPLES = [t for name in sorted(CORPORA) for t in CORPORA[name]]
 
 
 class TestValidate:
@@ -47,8 +51,10 @@ class TestValidate:
             validate_multiplicities(["2", "3", "5"])
 
     def test_accepts_numpy_integers(self):
-        m = validate_multiplicities(np.array([2, 3, 5], dtype=np.int64))
-        assert m.a == (2, 3, 5) and all(type(x) is int for x in m.a)
+        # kept as int64, a product of 16 primes would wrap around
+        raw = np.array([2, 3, 5], dtype=np.int64)
+        for m in (validate_multiplicities(raw), Multiplicities(a=raw)):
+            assert m.a == (2, 3, 5) and all(type(x) is int for x in m.a)
 
 
 class TestSolveUnnormalized:
@@ -69,7 +75,7 @@ class TestSolveUnnormalized:
 
     def test_defining_identity_exact_randomized(self):
         rng = random.Random(1105)
-        for t in random_coprime_tuples(rng, 100):
+        for t in random_coprime_tuples(rng, 100) + GOLDEN_TUPLES:
             p = solve_unnormalized(validate_multiplicities(t))
             total = sum(Fraction(bk, ak) for ak, bk in p.pairs)
             assert prod(t) * total == 1
@@ -103,7 +109,7 @@ class TestNormalize:
         tuples = random_coprime_tuples(rng, 80)
         tuples += random_coprime_tuples(rng, 20, length=4, hi=40)
         tuples += random_coprime_tuples(rng, 10, length=5, hi=25)
-        for t in tuples:
+        for t in tuples + GOLDEN_TUPLES:
             m = validate_multiplicities(t)
             p = solve_unnormalized(m)
             norm = normalize(p)
@@ -133,7 +139,7 @@ class TestGluing:
 
     def test_determinant_identity_randomized(self):
         rng = random.Random(77)
-        for t in random_coprime_tuples(rng, 60):
+        for t in random_coprime_tuples(rng, 60) + GOLDEN_TUPLES:
             p = solve_unnormalized(validate_multiplicities(t))
             g = gluing_data(p)
             for (ai, bi), ui, vi in zip(p.pairs, g.u, g.v):
