@@ -7,7 +7,7 @@ ended by SIGPIPE).
 JSON output is schema-stable and byte-identical across runs except for the
 elapsed_ms field; exact rationals are serialized as {"num": ..., "den": ...}
 string pairs, never as floats.  Decimal approximations appear only in the text
-view, marked with "~".
+view, marked with "~", where the value fits a float.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -48,6 +48,22 @@ EXIT_STDOUT_CLOSED = 141
 # least POOL_AFTER_S * W/(W - 1).  It loses at most one start against --jobs 1
 # when R is overestimated, and forgoes what a pool saves when it is too low.
 POOL_AFTER_S = 0.05
+
+
+@contextmanager
+def _long_ints() -> Iterator[None]:
+    """Lift Python's limit on the digits of an int converted to or from str
+    (4300 by default, where the Python has one) while a report is made and
+    rendered, and restore it after, so that inputs are still parsed under it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _q(value: Fraction | int) -> dict[str, str]:
@@ -107,7 +123,10 @@ def _fmt_q(q: dict[str, str] | None) -> str:
     num, den = int(q["num"]), int(q["den"])
     if den == 1:
         return str(num)
-    return f"{num}/{den} (~{num / den:.4f})"
+    try:
+        return f"{num}/{den} (~{num / den:.4f})"
+    except OverflowError:  # beyond a float: the exact fraction alone
+        return f"{num}/{den}"
 
 
 def format_text(d: dict[str, Any]) -> str:
@@ -170,6 +189,7 @@ class _Line(NamedTuple):
     unexpected: bool
 
 
+@_long_ints()
 def _render_tuple(values: tuple[int, ...], cap: int, json_output: bool) -> _Line:
     """Evaluate one batch tuple and render its line, any exception as its
     error, so that only the finished string crosses back from a pool worker."""
@@ -432,7 +452,8 @@ def _run(argv: list[str]) -> int:
         return 2
     if args.batch:
         return _run_batch(args.batch, args.cap, args.jobs, args.json)
-    print(_render(report_to_dict(verdict(tuple(args.multiplicities), cap=args.cap)), args.json))
+    with _long_ints():
+        print(_render(report_to_dict(verdict(tuple(args.multiplicities), cap=args.cap)), args.json))
     return 0
 
 

@@ -260,21 +260,16 @@ def max_sharp_pairing(cert: DiagonalizationCertificate, dual: Fraction | int) ->
 
     D.D may be an int or a Fraction, as dual_class returns it.  In an
     orthonormal basis the sharp vectors have all coefficients +-1, so the
-    maximum is the L1 norm of the first row of E.  The identities it must
-    satisfy (its L2 norm squared equals -D.D, an integer, which p^2 bounds
-    and shares p's parity) are checked; CertificateViolation if one fails.
+    maximum is the L1 norm of the first row of E.  Its one check is that the
+    row's L2 norm squared is -D.D = A (CertificateViolation if not); then
+    p^2 >= A, as (sum |e|)^2 >= sum e^2, and p = A mod 2, as |e| = e^2 mod 2.
     """
     if not cert.present:
         raise NotDiagonalizable("no orthonormal basis exists for this form")
     first_row = [v[0] for v in cert.units]
-    p = sum(abs(e) for e in first_row)
-    big_a = -dual
-    if sum(e * e for e in first_row) != big_a:
-        raise CertificateViolation(f"first row of E has squared norm != -D.D = {big_a}")
-    # big_a is now an integer, a sum of squares
-    if p * p < big_a or (p - big_a) % 2:
-        raise CertificateViolation(f"pairing {p} violates the bound or parity for A = {big_a}")
-    return p
+    if sum(e * e for e in first_row) != -dual:
+        raise CertificateViolation(f"first row of E has squared norm != -D.D = {-dual}")
+    return sum(map(abs, first_row))
 
 
 def _greedy_descent(form: IntersectionForm, v: list[int]) -> tuple[list[int], int]:

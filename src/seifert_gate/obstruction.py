@@ -70,17 +70,14 @@ def twist_lower_bound(big_a: int) -> int:
 
 
 class TwistBound(Record):
-    """tw_min = least integer > -sqrt(A), derived from A, with the exact-squaring invariants checked."""
+    """tw_min = twist_lower_bound(A), the least integer > -sqrt(A), derived from A."""
 
     A: int
     tw_min: int
     _derived = ("tw_min",)
 
     def __post_init__(self) -> None:
-        t = twist_lower_bound(self.A)
-        if not (t <= 0 and t * t < self.A <= (1 - t) * (1 - t)):
-            raise CertificateViolation(f"tw_min = {t} is not the least integer > -sqrt({self.A})")
-        object.__setattr__(self, "tw_min", t)
+        object.__setattr__(self, "tw_min", twist_lower_bound(self.A))
 
     @classmethod
     def for_product(cls, big_a: int) -> "TwistBound":
@@ -92,15 +89,12 @@ class TauBounds(Record):
 
     P is the maximum sharp pairing; it is None when the intersection form is
     not diagonalizable, in which case only the square-root form of the smooth
-    bound is meaningful.
+    bound is meaningful.  P as max_sharp_pairing returns it has P^2 >= A, so
+    P >= ceil(sqrt(A)) and the sharp form is at most the square-root form.
     """
 
     A: int
     P: int | None
-
-    def __post_init__(self) -> None:
-        if self.P is not None and self.smooth_tau_upper_sharp > self.smooth_tau_upper_paper:
-            raise CertificateViolation(f"P = {self.P} is below ceil(sqrt({self.A}))")
 
     @property
     def smooth_tau_upper_paper(self) -> Fraction:
@@ -123,14 +117,12 @@ class TauBounds(Record):
 def tau_gap_lower(big_a: int, p: int | None) -> int:
     """Lower bound tw_min + P + 1 for twice the gap between the two tau bounds.
 
-    Always at least 2: P >= ceil(sqrt(A)) = -tw_min + 1.
+    At least 2 for P as max_sharp_pairing returns it: P^2 >= A gives
+    P >= ceil(sqrt(A)) = 1 - tw_min.
     """
     if p is None:
         raise NotDiagonalizable("tau gap needs a diagonalizable form")
-    gap = twist_lower_bound(big_a) + p + 1
-    if gap < 1:
-        raise CertificateViolation(f"gap {gap} is not positive for A = {big_a}, P = {p}")
-    return gap
+    return twist_lower_bound(big_a) + p + 1
 
 
 def fiber_boundary_slope(a: int, b: int, u: int, v: int, k: int) -> Fraction:

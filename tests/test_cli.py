@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -575,6 +576,74 @@ class TestBatchMode:
         assert capsys.readouterr().err == (
             "batch: 0 lines, 0 reused; verdicts: none; errors: none; elapsed_ms: none evaluated\n"
         )
+
+
+def sylvester(n):
+    """The first n Sylvester numbers 2, 3, 7, 43, ..., each s(s - 1) + 1 of the one
+    before: pairwise coprime, each a leg of one vertex, so n of them give rank n + 1."""
+    s = [2]
+    while len(s) < n:
+        s.append(s[-1] * (s[-1] - 1) + 1)
+    return s
+
+
+def digit_limit():
+    """Python's limit on the digits of an int converted to or from str; None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+class TestLongIntegers:
+    """Reports with integers beyond a float, and beyond the digit limit (A has
+    6671 digits for the first 15 Sylvester numbers), print in every mode; the
+    limit is the same after a run, and inputs are still parsed under it."""
+
+    def test_a_fraction_beyond_a_float_prints_exactly(self):
+        big = 10**400 + 1
+        assert cli._fmt_q(cli._q(Fraction(big, 2))) == f"{big}/2"
+        assert cli._fmt_q(cli._q(Fraction(1, 3))) == "1/3 (~0.3333)"
+
+    @pytest.mark.parametrize("n, json_output", [(11, False), (15, False), (15, True)])
+    def test_single_mode(self, capsys, n, json_output):
+        limit = digit_limit()
+        code, out = run_json(capsys, [*map(str, sylvester(n)), *(["--json"] if json_output else [])])
+        assert code == 0 and digit_limit() == limit
+        with cli._long_ints():
+            doc = report_to_dict(verdict(sylvester(n)))
+            if json_output:
+                assert without_elapsed(out) == without_elapsed(json.dumps(doc))
+            else:
+                assert out == cli.format_text(doc) + "\n"
+
+    @pytest.mark.parametrize("json_output", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_line(self, tmp_path, capsys, monkeypatch, jobs, json_output):
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 0)  # at --jobs 2, the pool from the first tuple on
+        allow_cpus(monkeypatch, 2)
+        text = " ".join(map(str, sylvester(15))) + "\n2 3 7\n"
+        f = tmp_path / "batch.txt"
+        f.write_text(text)
+        limit = digit_limit()
+        code = main(["--batch", str(f), "--cap", "1000", "--jobs", str(jobs), *(["--json"] if json_output else [])])
+        out, err = capsys.readouterr()
+        assert code == 0 and digit_limit() == limit
+        assert "; errors: none; " in err
+        assert err.rstrip().endswith("; pool: 2 workers from distinct tuple 1 of 2") == (jobs == 2)
+        with cli._long_ints():
+            expected = expected_lines(text, json_output)
+            if json_output:
+                assert list(map(without_elapsed, out.splitlines())) == list(map(without_elapsed, expected))
+            else:
+                assert out == "\n".join(expected) + "\n"
+
+    @pytest.mark.skipif(not digit_limit(), reason="this Python converts ints from str without a digit limit")
+    def test_an_input_token_keeps_the_digit_limit(self, tmp_path, capsys):
+        token = "1" * (digit_limit() + 1)
+        assert main(["2", "3", token]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+        f = tmp_path / "batch.txt"
+        f.write_text(f"2 3 {token}\n")
+        assert main(["--batch", str(f), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
 
 
 @pytest.mark.parametrize("batch", [False, True])

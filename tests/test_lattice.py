@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +53,7 @@ from oracles import (
     quad_value,
     transpose,
 )
+from test_golden import CAP, CORPORA, GOLDEN
 
 
 def d_of(f, cap=lattice.DEFAULT_ENUMERATION_CAP):
@@ -294,12 +296,24 @@ class TestMaxSharpPairing:
             assert p == oracle
 
     def test_l1_l2_inequalities(self):
-        for a in DIAGONALIZABLE_SMALL:
-            f = form_for(a)
-            big_a = -int(dual_class(f))
-            p = max_sharp_pairing(diagonalize(f), dual_class(f))
+        # what follows from sum E_0k^2 = A, the one check on P, on the small
+        # diagonalizable tuples and every gap line of both golden corpora
+        gap_lines = [
+            tuple(doc["input"])
+            for name in CORPORA
+            for doc in map(json.loads, (GOLDEN / name).read_text().splitlines())
+            if doc.get("verdict") == "obstructed_floer_gap"
+        ]
+        assert len(gap_lines) == 59
+        for a in DIAGONALIZABLE_SMALL + gap_lines:
+            report = verdict(a, cap=CAP)
+            big_a = report.multiplicities.product
+            p = max_sharp_pairing(report.certificate, dual_class(report.form))
+            assert p == report.tau.P
             assert p >= 1 - twist_lower_bound(big_a)
             assert (p - big_a) % 2 == 0
+            assert report.gap_lower >= 2
+            assert report.tau.smooth_tau_upper_sharp <= report.tau.smooth_tau_upper_paper
 
 
 class TestDInvariant:

@@ -21,8 +21,9 @@ from seifert_gate import (
     validate_multiplicities,
     verdict,
 )
-from seifert_gate import obstruction
-from seifert_gate.lattice import DEFAULT_ENUMERATION_CAP
+from seifert_gate import _linalg, families, obstruction
+from seifert_gate.families import transverse_contact_exists
+from seifert_gate.lattice import DEFAULT_ENUMERATION_CAP, d_invariant, diagonalize
 from seifert_gate.seifert import GluingData, NormalizedPresentation, SeifertPresentation, gluing_data, solve_unnormalized
 from seifert_gate.obstruction import (
     TauBounds,
@@ -34,7 +35,7 @@ from seifert_gate.obstruction import (
     twist_lower_bound,
     verify_twist_chain,
 )
-from oracles import per_twist_slope_checks, random_coprime_tuples
+from oracles import form_for, per_twist_slope_checks, random_coprime_tuples
 from test_golden import CORPORA
 
 TWIST_CHECKS = ["tcr_slope_dominates_singular_sum", "last_fiber_slope_bound_k<=-1"]
@@ -66,13 +67,7 @@ class TestTwistLowerBound:
             assert t <= 0
             assert t * t < big_a  # t > -sqrt(A)
             assert (1 - t) * (1 - t) >= big_a  # t - 1 <= -sqrt(A)
-            TwistBound.for_product(big_a)  # construction re-checks the same
-
-    @pytest.mark.parametrize("wrong", [5, -2])
-    def test_the_squaring_check_refuses_a_wrong_derived_bound(self, monkeypatch, wrong):
-        monkeypatch.setattr(obstruction, "twist_lower_bound", lambda big_a: wrong)
-        with pytest.raises(CertificateViolation, match=f"tw_min = {wrong} is not"):
-            TwistBound(A=10)
+            assert TwistBound.for_product(big_a).tw_min == t
 
 
 class TestTauBounds:
@@ -423,8 +418,6 @@ class TestReportMemo:
         # float fiber data would reach tilde_b and the transverse search as floats
         (TypeError, lambda: NormalizedPresentation(e0=-1, r=(0.5, 0.25, 0.2))),
         (TypeError, lambda: NormalizedPresentation(e0=-1.0, r=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))),
-        (CertificateViolation, lambda: TauBounds(A=78, P=8)),  # P < ceil(sqrt(78)) = 9
-        (CertificateViolation, lambda: tau_gap_lower(78, 6)),  # -8 + 6 + 1 < 1
         # u_1 = 0 breaks 0 < u_i < a_i, and the k_i check refuses it:
         # d = -(25 mod 6) = -1, and d - u_1 = -1 is not divisible by a_1 = 2
         (CertificateViolation, lambda: balanced_twists(
@@ -434,4 +427,43 @@ class TestReportMemo:
 )
 def test_domain_and_identity_errors(error, call):
     with pytest.raises(error):
+        call()
+
+
+ROW_LATTICE_BASIS = _linalg.row_lattice_basis
+
+
+@pytest.mark.parametrize(
+    "module, name, forged, call, message",
+    [
+        # 0/1 as the simplest fraction in (1/2, 2/3): m = 1 passes m*r3 < 1, but a = 0
+        (
+            families, "_simplest_between", lambda lo, hi: Fraction(0),
+            lambda: transverse_contact_exists(
+                NormalizedPresentation(e0=-1, r=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
+            ),
+            r"witness \(a, m\) = \(0, 1\) fails",
+        ),
+        # (2, 3, 11) has rank 9 and one (-1)-vector, so its complement has rank 8:
+        # a basis short of a row, and one with a row doubled (det 4)
+        (
+            _linalg, "row_lattice_basis", lambda rows: ROW_LATTICE_BASIS(rows)[:-1],
+            lambda: d_invariant(diagonalize(form_for((2, 3, 11)))),
+            "complement has rank 7, not 8",
+        ),
+        (
+            _linalg, "row_lattice_basis",
+            lambda rows: [[2 * x for x in b] if i == 0 else b for i, b in enumerate(ROW_LATTICE_BASIS(rows))],
+            lambda: d_invariant(diagonalize(form_for((2, 3, 11)))),
+            "complement has det 4, not",
+        ),
+        (obstruction, "dual_class", lambda form: Fraction(-77), lambda: verdict((2, 3, 13)), "D.D = -77, not -A = -78"),
+    ],
+    ids=["transverse-witness", "complement-rank", "complement-det", "dual-class"],
+)
+def test_certificate_checks_refuse_a_forged_step(monkeypatch, module, name, forged, call, message):
+    # each forged step reaches the one check that guards it
+    empty_memo(monkeypatch)
+    monkeypatch.setattr(module, name, forged)
+    with pytest.raises(CertificateViolation, match=message):
         call()
