@@ -23,7 +23,7 @@ from seifert_gate import (
 )
 from seifert_gate import _linalg, families, obstruction
 from seifert_gate.families import transverse_contact_exists
-from seifert_gate.lattice import DEFAULT_ENUMERATION_CAP, d_invariant, diagonalize
+from seifert_gate.lattice import DEFAULT_ENUMERATION_CAP, d_invariant, diagonalize, max_sharp_pairing
 from seifert_gate.seifert import GluingData, NormalizedPresentation, SeifertPresentation, gluing_data, solve_unnormalized
 from seifert_gate.obstruction import (
     TauBounds,
@@ -418,6 +418,12 @@ class TestReportMemo:
         # float fiber data would reach tilde_b and the transverse search as floats
         (TypeError, lambda: NormalizedPresentation(e0=-1, r=(0.5, 0.25, 0.2))),
         (TypeError, lambda: NormalizedPresentation(e0=-1.0, r=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))),
+        # E's first row for (2, 3, 7) has squared norm A = 42; P's bound and parity rest on that identity
+        (CertificateViolation, lambda: max_sharp_pairing(diagonalize(form_for((2, 3, 7))), Fraction(-43))),
+        # u_2 = -1 solves d = -1 = u_2 mod 3, but gives k_2 = 0, not <= -1
+        (CertificateViolation, lambda: balanced_twists(
+            presentation((2, 3, 5))[0], GluingData(u=(1, -1, 1), v=(1, 1, 1))
+        )),
         # u_1 = 0 breaks 0 < u_i < a_i, and the k_i check refuses it:
         # d = -(25 mod 6) = -1, and d - u_1 = -1 is not divisible by a_1 = 2
         (CertificateViolation, lambda: balanced_twists(
