@@ -1,5 +1,16 @@
 """Typed errors raised by the obstruction pipeline."""
 
+from math import log10
+
+
+def quoted(value: object) -> str:
+    """repr(value); for an int past Python's limit on digits converted to str, its sign and digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        e = int(log10(a := abs(value)))  # log10 may round across a power of ten; the comparisons mend it
+        return f"{'-' * (value < 0)}<int of {e + (a >= 10**e) + (a >= 10 * 10**e)} digits>"
+
 
 class SeifertGateError(Exception):
     """Base class for every error raised by this package."""

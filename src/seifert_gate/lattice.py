@@ -5,7 +5,8 @@ assembly between them:
 
 * enumeration of the vectors of self-intersection -1 (bounded search on the
   square completion of -Q, each level's feasible interval found with one
-  isqrt);
+  isqrt; at remaining norm 0 it back-substitutes down the levels, and the
+  climb resumes above that chain);
 * assembly of an orthonormal change of basis from those vectors, which for a
   unimodular negative-definite form exists exactly when the form is
   diagonalizable over the integers; its certificate checks all k norms at
@@ -21,11 +22,11 @@ no Fraction arithmetic runs inside them; its feeds, the only copy of the pivot
 rows a form keeps, and form.minors serve the solves for D and the coset too.
 Each is one loop over those arrays, with no recursion and no call per node; it
 counts its nodes in a local integer against the cap, charging in batches what
-it would visit whatever its order (the enumeration a level's whole interval,
-the coset search a failed level's 2 or 3 nodes), and returns them with its
-result.  Each level's shift U_i . x is kept current as x changes: feeds[j],
-built once with the form, lists the (level, coefficient) pairs that column j
-enters, so no shift is re-summed per node.
+it would visit whatever its order (the enumeration a level's whole interval
+or a back-substituted chain, the coset search a failed level's 2 or 3
+nodes), and returns them with its result.  Each level's shift U_i . x is kept
+current as x changes: feeds[j], built once with the form, lists the (level,
+coefficient) pairs that column j enters, so no shift is re-summed per node.
 
 Forms are negative definite and of rank at most plumbing.MAX_SEARCH_RANK,
 and certificates unimodular, by construction: the entry points check only the cap.
@@ -45,7 +46,7 @@ from typing import Sequence
 
 from . import _linalg
 from ._record import Record
-from .errors import CertificateViolation, EnumerationCapExceeded, InvalidParameter, NotDiagonalizable
+from .errors import CertificateViolation, EnumerationCapExceeded, InvalidParameter, NotDiagonalizable, quoted
 from .plumbing import IntersectionForm
 
 __all__ = [
@@ -73,7 +74,7 @@ def _integer(value: object) -> int:
 def validate_cap(cap: int) -> int:
     """A node budget as an int: an integer >= 1, numpy's too, a bool not; else InvalidParameter."""
     if (n := _integer(cap)) < 1:
-        raise InvalidParameter(f"cap must be an int >= 1, got {cap!r}")
+        raise InvalidParameter(f"cap must be an int >= 1, got {quoted(cap)}")
     return n
 
 
@@ -111,7 +112,7 @@ class DiagonalizationCertificate(Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "cap", validate_cap(self.cap))
         if not 0 <= (nodes := _integer(self.nodes)) <= self.cap:
-            raise ValueError(f"node count must be in [0, {self.cap}], got {self.nodes!r}")
+            raise ValueError(f"node count must be in [0, {quoted(self.cap)}], got {quoted(self.nodes)}")
         object.__setattr__(self, "nodes", nodes)
         if abs(self.form.det) != 1:
             raise ValueError(f"form must be unimodular, det = {self.form.det}")
@@ -148,7 +149,10 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
     visits all of them whatever its order.  While every higher coordinate is
     0, which on a definite form is exactly when R is still the whole scale,
     s is 0 and only x_i >= 0 is taken.  Level 0 is closed: its hits are
-    den_0 x_0 + s = +-r, when c_0 r^2 = R.
+    den_0 x_0 + s = +-r, when c_0 r^2 = R.  At R = 0 each level down has one
+    value, den_i x_i + s = 0, or none when den_i does not divide s: the search
+    back-substitutes, a node a level, charged as the chain ends (at level 0
+    with a vector, or where no value is left), and the climb resumes above it.
     """
     cap = validate_cap(cap)
     m = form.m
@@ -159,27 +163,46 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
     top, left = [0] * m, [0] * m  # per level: last x_i, R
     i, rest = m - 1, scale
     while True:
-        den, c, s = dens[i], cs[i], sh[i]
-        r = isqrt(rest // c)
-        hi = (r - s) // den
-        lo = 0 if rest == scale else -((r + s) // den)
-        if lo <= hi:
-            used += hi - lo + 1
+        if not rest:
+            # the norm is spent: each level down has the one value den_i x_i + s_i = 0, or none
+            start = i
+            while i >= 0:
+                xi, off = divmod(-sh[i], dens[i])
+                if off:
+                    break
+                if xi != x[i]:
+                    for j, k in feeds[i]:
+                        sh[j] += k * (xi - x[i])
+                    x[i] = xi
+                i -= 1
+            else:
+                found.append(tuple(x))
+            used += start - i
             if used > cap:
                 raise _exceeded(cap)
-            if i:
-                for j, k in feeds[i]:
-                    sh[j] += k * (lo - x[i])
-                x[i], top[i], left[i] = lo, hi, rest
-                t = den * lo + s
-                rest -= c * t * t
-                i -= 1
-                continue
-            if c * r * r == rest:
-                for t in {r, -r}:
-                    if (t - s) % den == 0 and (t - s) // den >= lo:
-                        x[0] = (t - s) // den
-                        found.append(tuple(x))
+            i = start
+        else:
+            den, c, s = dens[i], cs[i], sh[i]
+            r = isqrt(rest // c)
+            hi = (r - s) // den
+            lo = 0 if rest == scale else -((r + s) // den)
+            if lo <= hi:
+                used += hi - lo + 1
+                if used > cap:
+                    raise _exceeded(cap)
+                if i:
+                    for j, k in feeds[i]:
+                        sh[j] += k * (lo - x[i])
+                    x[i], top[i], left[i] = lo, hi, rest
+                    t = den * lo + s
+                    rest -= c * t * t
+                    i -= 1
+                    continue
+                if c * r * r == rest:
+                    for t in {r, -r}:
+                        if (t - s) % den == 0 and (t - s) // den >= lo:
+                            x[0] = (t - s) // den
+                            found.append(tuple(x))
         # up to the deepest level with a value left, and on to that value
         i += 1
         while i < m and x[i] == top[i]:
@@ -192,11 +215,7 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
         t = dens[i] * x[i] + sh[i]
         rest = left[i] - cs[i] * t * t
         i -= 1
-    normalized = []
-    for v in found:
-        lead = next(c for c in v if c != 0)
-        normalized.append(v if lead > 0 else tuple(-c for c in v))
-    return sorted(normalized, reverse=True), used
+    return sorted((v if next(filter(None, v)) > 0 else tuple(map(neg, v)) for v in found), reverse=True), used
 
 
 def norm_minus_one_vectors(

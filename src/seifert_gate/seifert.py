@@ -12,12 +12,13 @@ invariants M(e0; r_1, ..., r_n), also of the small families.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, prod
 from operator import index
 from typing import Iterable
 
 from ._record import Record
-from .errors import CertificateViolation, InvalidRange, MultiplicityTooSmall, NotCoprime, TooFewFibers
+from .errors import CertificateViolation, InvalidRange, MultiplicityTooSmall, NotCoprime, TooFewFibers, quoted
 
 __all__ = [
     "Multiplicities",
@@ -42,14 +43,10 @@ class Multiplicities(Record):
             raise TooFewFibers(f"need at least 3 multiplicities, got {len(self.a)}")
         for x in self.a:
             if x < 2:
-                raise MultiplicityTooSmall(f"multiplicity {x} < 2")
-        for i in range(len(self.a)):
-            for j in range(i + 1, len(self.a)):
-                g = gcd(self.a[i], self.a[j])
-                if g > 1:
-                    raise NotCoprime(
-                        f"gcd({self.a[i]}, {self.a[j]}) = {g} > 1"
-                    )
+                raise MultiplicityTooSmall(f"multiplicity {quoted(x)} < 2")
+        for x, y in combinations(self.a, 2):
+            if (g := gcd(x, y)) > 1:
+                raise NotCoprime(f"gcd({quoted(x)}, {quoted(y)}) = {quoted(g)} > 1")
 
     @property
     def product(self) -> int:

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 from collections import OrderedDict
@@ -11,9 +12,11 @@ import pytest
 
 from seifert_gate import (
     CertificateViolation,
+    DiagonalizationCertificate,
     EnumerationCapExceeded,
     InvalidParameter,
     InvalidRange,
+    MultiplicityTooSmall,
     NotCoprime,
     NotDiagonalizable,
     ObstructionReport,
@@ -22,6 +25,7 @@ from seifert_gate import (
     verdict,
 )
 from seifert_gate import _linalg, families, obstruction
+from seifert_gate.errors import quoted
 from seifert_gate.families import transverse_contact_exists
 from seifert_gate.lattice import DEFAULT_ENUMERATION_CAP, d_invariant, diagonalize, max_sharp_pairing
 from seifert_gate.seifert import GluingData, NormalizedPresentation, SeifertPresentation, gluing_data, solve_unnormalized
@@ -296,6 +300,38 @@ class TestVerdict:
             else:
                 assert r.gap_lower is None
         assert count >= 5  # sampling must actually hit the branch
+
+
+# Python refuses to convert an int of more digits than its limit (4300 by
+# default) to str, so an error message quotes such an integer by its sign
+# and digit count, and the typed error is raised, not the conversion's
+# ValueError.  One test per message that formats an input integer.
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
+    reason="needs Python's limit on the digits of an int converted to str, at most 5000",
+)
+class TestIntegersPastTheDigitLimit:
+    def test_not_coprime(self):
+        with pytest.raises(NotCoprime, match=re.escape("gcd(<int of 5001 digits>, <int of 5001 digits>) = 2 > 1")):
+            verdict((2 * 10**5000, 4 * 10**5000 + 2, 3))
+
+    def test_multiplicity_too_small(self):
+        with pytest.raises(MultiplicityTooSmall, match=re.escape("multiplicity -<int of 5001 digits> < 2")):
+            verdict((-(10**5000), 3, 5))
+
+    def test_cap(self):
+        with pytest.raises(InvalidParameter, match=re.escape("cap must be an int >= 1, got -<int of 5001 digits>")):
+            verdict((2, 3, 5), cap=-(10**5000))
+
+    def test_certificate_node_count(self):
+        message = "node count must be in [0, 10000], got <int of 5001 digits>"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DiagonalizationCertificate(form=form_for((2, 3, 5)), units=(), nodes=10**5000, cap=10**4)
+
+    @pytest.mark.parametrize("k", [4999, 5000, 10**4])
+    def test_the_digit_count_is_exact_at_powers_of_ten(self, k):
+        assert quoted(10**k - 1) == f"<int of {k} digits>"
+        assert quoted(-(10**k)) == f"-<int of {k + 1} digits>"
 
 
 def empty_memo(monkeypatch):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seifert_gate import EnumerationCapExceeded
+from seifert_gate import DiagonalizationCertificate, EnumerationCapExceeded
 from seifert_gate.lattice import (
     DEFAULT_ENUMERATION_CAP,
     _coset_minimum,
@@ -91,6 +91,23 @@ def test_cap_is_reached_on_both_sides():
     units, minimum = compare_searches(form_for((13, 15, 37)), 10**5)
     assert units is not EnumerationCapExceeded
     assert minimum is EnumerationCapExceeded
+
+
+# On Sigma(2, 3, 6n + 1) scale = c = den = 1, so the enumeration spends
+# almost all of its nodes in chains below a spent norm, which it
+# back-substitutes.  Two long rungs, too slow for the Fraction oracle, pin
+# those chains' charging: each finds its m vectors in exactly these nodes,
+# and one node less is the cap outcome.
+@pytest.mark.parametrize(
+    "a, nodes", [((2, 3, 1201), 20909), ((2, 3, 5329), 398277)], ids=["2,3,1201", "2,3,5329"]
+)
+def test_long_chains_spend_the_pinned_nodes(a, nodes):
+    form = form_for(a)
+    units, used = _fixed_norm_enumeration(form, nodes)
+    assert used == nodes
+    assert DiagonalizationCertificate(form=form, units=tuple(units), nodes=used, cap=nodes).present
+    with pytest.raises(EnumerationCapExceeded):
+        _fixed_norm_enumeration(form, nodes - 1)
 
 
 # Each search charges nodes in batches where the oracles charge one at a
