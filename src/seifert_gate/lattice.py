@@ -5,12 +5,14 @@ assembly between them:
 
 * enumeration of the vectors of self-intersection -1 (bounded search on the
   square completion of -Q, each level's feasible interval found with one
-  isqrt; at remaining norm 0 it back-substitutes down the levels, and the
-  climb resumes above that chain);
+  isqrt; at remaining norm 0 it back-substitutes down the levels, only as
+  far as the levels a move since the last such chain can have unsettled,
+  and the climb resumes above that chain);
 * assembly of an orthonormal change of basis from those vectors, which for a
   unimodular negative-definite form exists exactly when the form is
-  diagonalizable over the integers; its certificate checks all k norms at
-  once: each vector nonzero and trace E^T Q E = -k, as -Q(u, u) >= 1 if u != 0;
+  diagonalizable over the integers; its certificate checks each vector's
+  norm Q(u, u) = -1, reached from the vector before it through the entries
+  that are not the same objects;
 * a branch-and-bound minimum over the characteristic coset of the vectors'
   orthogonal complement, which gives the correction-term invariant of the
   boundary under the sharpness hypothesis (each level walked outward from
@@ -39,9 +41,9 @@ and a failure raises CertificateViolation, also under python -O.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import compress, repeat
 from math import isqrt
-from operator import index, mul, neg
+from operator import index, is_not, mul, neg
 from typing import Sequence
 
 from . import _linalg
@@ -78,11 +80,38 @@ def validate_cap(cap: int) -> int:
     return n
 
 
-def _trace(form: IntersectionForm, rows: Sequence[Sequence[int]]) -> int:
-    """Trace of E^T Q E from the rows r_i of E: sum Q_ii <r_i, r_i> + 2 sum_{i<j} Q_ij <r_i, r_j>."""
-    cols, partners, entries = form.upper
-    cross = map(sum, map(map, repeat(mul), map(rows.__getitem__, cols), map(rows.__getitem__, partners)))
-    return sum(map(mul, form.diagonal, map(sum, map(map, repeat(mul), rows, rows)))) + 2 * sum(map(mul, entries, cross))
+def _neighbours(form: IntersectionForm) -> list[list[tuple[int, int]]]:
+    """(j, Q_ij) for each nonzero Q_ij, listed by vertex i, with j = i first."""
+    neighbours = [[(i, q)] for i, q in enumerate(form.diagonal)]
+    for i, j, x in zip(*form.upper):
+        neighbours[i].append((j, x))
+        neighbours[j].append((i, x))
+    return neighbours
+
+
+def _norms(form: IntersectionForm, units: Sequence[Sequence[int]]) -> list[int] | None:
+    """Q(u, u) for each unit in turn, or None if an entry is not an int.
+
+    Each unit is reached from the one before it, the first from 0: only the
+    entries that are not the same object as the previous unit's entry there
+    are type-checked and fed into Q w and the norm, changing w_i by d adding
+    d (2 (Q w)_i + d Q_ii) to Q(w, w).  An entry kept from the previous unit
+    passed that unit's check.
+    """
+    m, diag, neighbours = form.m, form.diagonal, _neighbours(form)
+    w, qw, norm, norms = (0,) * m, [0] * m, 0, []
+    for v in units:
+        changed = list(compress(range(m), map(is_not, w, v)))
+        if not all(map(isinstance, map(v.__getitem__, changed), repeat(int))):
+            return None
+        for i in changed:
+            if d := v[i] - w[i]:
+                norm += d * (2 * qw[i] + d * diag[i])
+                for j, x in neighbours[i]:
+                    qw[j] += d * x
+        w = v
+        norms.append(norm)
+    return norms
 
 
 class DiagonalizationCertificate(Record):
@@ -97,10 +126,11 @@ class DiagonalizationCertificate(Record):
     Cauchy-Schwarz then makes their Gram matrix -I, so they are independent:
     present when there are m of them, the columns of E; otherwise their
     number is the witness of the search.  units is kept as tuples, as a
-    form's entries are, so no check goes stale and a certificate hashes.  The k
-    norms are checked together: each unit nonzero, and the trace of E^T Q E,
-    over E's rows, -k.  As -Q is integral and positive definite, -Q(u, u) >= 1
-    for every nonzero integer u, so the norms sum to -k only when each is -1.
+    form's entries are, so no check goes stale and a certificate hashes.  Each
+    unit's norm is checked against -1 exactly, updated from the unit before
+    it (_norms), so a check costs the entries that change from one unit to
+    the next; no entry is read as an int before it is type-checked, and the
+    errors come in this order: integer vectors, norms, distinctness.
     """
 
     form: IntersectionForm
@@ -115,15 +145,15 @@ class DiagonalizationCertificate(Record):
             raise ValueError(f"node count must be in [0, {quoted(self.cap)}], got {quoted(self.nodes)}")
         object.__setattr__(self, "nodes", nodes)
         if abs(self.form.det) != 1:
-            raise ValueError(f"form must be unimodular, det = {self.form.det}")
+            raise ValueError(f"form must be unimodular, det = {quoted(self.form.det)}")
         m, units = self.form.m, tuple(map(tuple, self.units))
         object.__setattr__(self, "units", units)
-        if not all(map(m.__eq__, map(len, units))) or not all(map(isinstance, chain.from_iterable(units), repeat(int))):
+        norms = _norms(self.form, units) if all(map(m.__eq__, map(len, units))) else None
+        if norms is None:
             raise ValueError(f"units must be integer vectors of length {m}")
-        leads = list(map(next, map(filter, repeat(None), units), repeat(0)))
-        if units and (not all(leads) or _trace(self.form, tuple(zip(*units))) != -len(units)):
+        if norms.count(-1) != len(units):
             raise ValueError("units must have self-intersection -1")
-        if len({v if lead > 0 else tuple(map(neg, v)) for v, lead in zip(units, leads)}) != len(units):
+        if len({v if next(filter(None, v)) > 0 else tuple(map(neg, v)) for v in units}) != len(units):
             raise ValueError("units must be distinct up to sign")
 
     @property
@@ -149,24 +179,41 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
     visits all of them whatever its order.  While every higher coordinate is
     0, which on a definite form is exactly when R is still the whole scale,
     s is 0 and only x_i >= 0 is taken.  Level 0 is closed: its hits are
-    den_0 x_0 + s = +-r, when c_0 r^2 = R.  At R = 0 each level down has one
-    value, den_i x_i + s = 0, or none when den_i does not divide s: the search
-    back-substitutes, a node a level, charged as the chain ends (at level 0
-    with a vector, or where no value is left), and the climb resumes above it.
+    den_0 x_0 + s = +-r, when c_0 r^2 = R, each appended without writing x_0.
+    At R = 0 each level down has one value, den_i x_i + s = 0, or none when
+    den_i does not divide s: the search back-substitutes, a node a level,
+    charged as the chain ends (at level 0 with a vector, or where no value is
+    left), and the climb resumes above it.
+
+    Every level below low already holds that one value, so a chain walks
+    down to low only; one that gets past it has its vector, charges start + 1
+    nodes as walking on to level 0 would, and sets low to start + 1.  A move
+    of x_j can take off their values only the levels column j feeds (those
+    below j) and level j, so wherever x_j moves (on the interval path, on the
+    climb, in a chain) low falls to lowest[j], the first level column j
+    feeds.  A column that feeds no level needs no fall for its own level j:
+    no earlier column meets it, so its weight c_j den_j^2 is scale (-Q_jj),
+    at least the whole norm.  Holding its value, level j then has a second
+    feasible value only at R = scale, where its interval is [0, 1] and lo = 0
+    is the value it holds; the climb moves it to 1, which spends the norm,
+    and the chain that starts at once below it sets low to j.
     """
     cap = validate_cap(cap)
     m = form.m
     scale, dens, cs, feeds = form.levels
+    # the first level column j feeds, the lowest a move of x_j can put off its value (m if none)
+    lowest = [f[0][0] if f else m for f in feeds]
     used = 0
     found: list[tuple[int, ...]] = []
     x, sh = [0] * m, [0] * m
     top, left = [0] * m, [0] * m  # per level: last x_i, R
-    i, rest = m - 1, scale
+    i, rest, low = m - 1, scale, m  # each level below low holds den_i x_i + s_i = 0
     while True:
         if not rest:
-            # the norm is spent: each level down has the one value den_i x_i + s_i = 0, or none
+            # the norm is spent: each level down has the one value den_i x_i + s_i = 0, or none,
+            # and below low each already holds it
             start = i
-            while i >= 0:
+            while i >= low:
                 xi, off = divmod(-sh[i], dens[i])
                 if off:
                     break
@@ -174,9 +221,12 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
                     for j, k in feeds[i]:
                         sh[j] += k * (xi - x[i])
                     x[i] = xi
+                    if lowest[i] < low:
+                        low = lowest[i]
                 i -= 1
             else:
                 found.append(tuple(x))
+                i, low = -1, start + 1
             used += start - i
             if used > cap:
                 raise _exceeded(cap)
@@ -191,9 +241,13 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
                 if used > cap:
                     raise _exceeded(cap)
                 if i:
-                    for j, k in feeds[i]:
-                        sh[j] += k * (lo - x[i])
-                    x[i], top[i], left[i] = lo, hi, rest
+                    if lo != x[i]:
+                        for j, k in feeds[i]:
+                            sh[j] += k * (lo - x[i])
+                        x[i] = lo
+                        if lowest[i] < low:
+                            low = lowest[i]
+                    top[i], left[i] = hi, rest
                     t = den * lo + s
                     rest -= c * t * t
                     i -= 1
@@ -201,8 +255,7 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
                 if c * r * r == rest:
                     for t in {r, -r}:
                         if (t - s) % den == 0 and (t - s) // den >= lo:
-                            x[0] = (t - s) // den
-                            found.append(tuple(x))
+                            found.append(((t - s) // den, *x[1:]))
         # up to the deepest level with a value left, and on to that value
         i += 1
         while i < m and x[i] == top[i]:
@@ -212,6 +265,8 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
         x[i] += 1
         for j, k in feeds[i]:
             sh[j] += k
+        if lowest[i] < low:
+            low = lowest[i]
         t = dens[i] * x[i] + sh[i]
         rest = left[i] - cs[i] * t * t
         i -= 1
@@ -298,11 +353,7 @@ def _greedy_descent(form: IntersectionForm, v: list[int]) -> tuple[list[int], in
     of Q, listed by vertex: a step s on coordinate i lowers the value by
     2 s (Qv)_i + s^2 Q_ii, and is taken when that is positive.
     """
-    diag = form.diagonal
-    neighbours = [[(i, q)] for i, q in enumerate(diag)]  # (j, Q_ij) for each nonzero Q_ij, j = i first
-    for i, j, x in zip(*form.upper):
-        neighbours[i].append((j, x))
-        neighbours[j].append((i, x))
+    diag, neighbours = form.diagonal, _neighbours(form)
     qv = _image(form, v)
     value = -_pairing(v, qv)
     improved = True

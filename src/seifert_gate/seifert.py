@@ -72,7 +72,8 @@ class SeifertPresentation(Record):
         object.__setattr__(self, "pairs", tuple(zip(self.multiplicities.a, self.coefficients, strict=True)))
         big_a = self.multiplicities.product
         if sum(bk * (big_a // ak) for ak, bk in self.pairs) != 1:
-            raise CertificateViolation(f"presentation identity violated: sum(b * A/a) != 1 for b = {self.coefficients}")
+            b = ", ".join(map(quoted, self.coefficients))
+            raise CertificateViolation(f"presentation identity violated: sum(b * A/a) != 1 for b = ({b})")
 
 
 class NormalizedPresentation(Record):

@@ -50,8 +50,10 @@ from oracles import (
     gauss_inverse,
     integer_levels,
     mat_mul,
+    per_unit_units_check,
     quad_value,
     transpose,
+    units_are_orthonormal,
 )
 from test_golden import CAP, CORPORA, GOLDEN
 
@@ -226,7 +228,7 @@ class TestCertificateCheck:
         with pytest.raises(ValueError):
             DiagonalizationCertificate(form=form, units=units, nodes=0, cap=1)
 
-    # The trace reads the off-diagonal pairs from upper, which holds none at
+    # The norms read the off-diagonal entries from upper, which holds none at
     # rank 1 and one at rank 2.  Accepting (1, 1) needs the entry, and
     # (1, -1), of norm -5, would pass with the entry's sign flipped.
     @pytest.mark.parametrize(
@@ -244,6 +246,32 @@ class TestCertificateCheck:
             DiagonalizationCertificate(form=f, units=(forged,), nodes=0, cap=1)
         with pytest.raises(ValueError, match="integer vectors"):
             DiagonalizationCertificate(form=f, units=(tuple(map(float, units[0])),), nodes=0, cap=1)
+
+    # Each unit's norm is reached from the unit before it through the entries
+    # that are not the same objects as that unit's: those alone are
+    # type-checked and fed into Q w, so equal values are compared as objects.
+    def test_equal_entries_that_are_distinct_objects_are_accepted(self):
+        # -I_3 in the basis B, whose inverse has the columns (1, 300, 300), (0, 1, 300), (0, 0, 1)
+        b = [[1, 0, 0], [-300, 1, 0], [89700, -300, 1]]
+        f = form_from_matrix([[-sum(r[i] * r[j] for r in b) for j in range(3)] for i in range(3)])
+        big = [int(str(300)) for _ in range(3)]
+        units = ((1, big[0], big[1]), (0, 1, big[2]), (0, 0, 1))
+        assert big[1] == big[2] and big[1] is not big[2] and units_are_orthonormal(f, units)
+        assert DiagonalizationCertificate(form=f, units=units, nodes=0, cap=1).present
+
+    def test_a_float_equal_to_the_previous_units_int_is_refused(self):
+        f = form_from_matrix([[-1, 1], [1, -2]])
+        assert DiagonalizationCertificate(form=f, units=((1, 1), (1, 0)), nodes=0, cap=1).present
+        with pytest.raises(ValueError, match="integer vectors"):
+            DiagonalizationCertificate(form=f, units=((1, 1), (1.0, 0)), nodes=0, cap=1)
+
+    def test_a_float_after_a_wrong_norm_is_refused_as_the_oracle_refuses_it(self):
+        units = ((1, 1), (0.0, 1))  # norm -2, then a float
+        with pytest.raises(ValueError, match="integer vectors") as oracle:
+            per_unit_units_check(MINUS_I2, units)
+        with pytest.raises(ValueError, match="integer vectors") as library:
+            DiagonalizationCertificate(form=MINUS_I2, units=units, nodes=0, cap=1)
+        assert str(library.value) == str(oracle.value)
 
     def test_no_form_exists_where_cauchy_schwarz_fails(self):
         # on diag(-1, -1, 1), (1, 0, 0) and (1, 1, 1) have norm -1 and pair to -1

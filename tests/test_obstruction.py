@@ -28,7 +28,8 @@ from seifert_gate import _linalg, families, obstruction
 from seifert_gate.errors import quoted
 from seifert_gate.families import transverse_contact_exists
 from seifert_gate.lattice import DEFAULT_ENUMERATION_CAP, d_invariant, diagonalize, max_sharp_pairing
-from seifert_gate.seifert import GluingData, NormalizedPresentation, SeifertPresentation, gluing_data, solve_unnormalized
+from seifert_gate.plumbing import IntersectionForm
+from seifert_gate.seifert import GluingData, Multiplicities, NormalizedPresentation, SeifertPresentation, gluing_data, solve_unnormalized
 from seifert_gate.obstruction import (
     TauBounds,
     TwistBound,
@@ -327,6 +328,15 @@ class TestIntegersPastTheDigitLimit:
         message = "node count must be in [0, 10000], got <int of 5001 digits>"
         with pytest.raises(ValueError, match=re.escape(message)):
             DiagonalizationCertificate(form=form_for((2, 3, 5)), units=(), nodes=10**5000, cap=10**4)
+
+    def test_presentation_identity(self):
+        message = "sum(b * A/a) != 1 for b = (<int of 5001 digits>, 0, 0)"
+        with pytest.raises(CertificateViolation, match=re.escape(message)):
+            SeifertPresentation(multiplicities=Multiplicities((2, 3, 5)), coefficients=(10**5000, 0, 0))
+
+    def test_certificate_determinant(self):
+        with pytest.raises(ValueError, match=re.escape("form must be unimodular, det = -<int of 5001 digits>")):
+            DiagonalizationCertificate(form=IntersectionForm([-(10**5000)], ((), (), ())), units=(), nodes=0, cap=1)
 
     @pytest.mark.parametrize("k", [4999, 5000, 10**4])
     def test_the_digit_count_is_exact_at_powers_of_ten(self, k):

@@ -225,9 +225,36 @@ def test_a_scrambled_basis_makes_columns_feed_many_levels():
     assert sum(len(levels) > 3 for levels in feeds) >= 3
 
 
+def block_sum(*blocks):
+    """The dense block-diagonal matrix of the given square blocks, in order."""
+    n, at = sum(map(len, blocks)), 0
+    q = [[0] * n for _ in range(n)]
+    for b in blocks:
+        for i, row in enumerate(b):
+            q[at + i][at : at + len(b)] = row
+        at += len(b)
+    return q
+
+
+# A column j that feeds no level (Q_ij = 0 for every i < j) moves only its own
+# level, and the enumeration lowers no bound for it: its docstring proves
+# that such a level leaves its one value only on a climb that spends the
+# norm.  Each block's first column feeds none, so -1 blocks above, between
+# and below -E8 and Sigma(2, 3, 7)'s form put such columns at every height.
+MINUS_ONE, SIGMA_2_3_7 = [[-1]], dense(form_for((2, 3, 7)))
+FEEDLESS_EXAMPLES = [
+    block_sum(MINUS_ONE, MINUS_ONE, MINUS_ONE),
+    block_sum(MINUS_ONE, dense(form_for((2, 3, 5))), MINUS_ONE, MINUS_ONE),
+    block_sum(SIGMA_2_3_7, MINUS_ONE, MINUS_ONE, SIGMA_2_3_7, MINUS_ONE),
+]
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(scrambled_forms())
 @example(DENSE_EXAMPLE)
+@example(FEEDLESS_EXAMPLES[0])
+@example(FEEDLESS_EXAMPLES[1])
+@example(FEEDLESS_EXAMPLES[2])
 def test_searches_match_the_oracle_on_dense_feeds(matrix):
     form = form_from_matrix(matrix)
     units = _fixed_norm_enumeration(form, DEFAULT_ENUMERATION_CAP)[0]
@@ -240,3 +267,4 @@ def test_searches_match_the_oracle_on_dense_feeds(matrix):
             assert minimum == expected
             if minimum is not EnumerationCapExceeded:
                 assert type(minimum[0]) is type(expected[0])
+
