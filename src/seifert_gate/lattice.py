@@ -98,13 +98,13 @@ def _norms(form: IntersectionForm, units: Sequence[Sequence[int]]) -> list[int] 
     d (2 (Q w)_i + d Q_ii) to Q(w, w).  An entry kept from the previous unit
     passed that unit's check.
     """
-    m, diag, neighbours = form.m, form.diagonal, _neighbours(form)
+    m, diag = form.m, form.diagonal
+    neighbours = _neighbours(form) if units else []  # none to build for a form with no units
     w, qw, norm, norms = (0,) * m, [0] * m, 0, []
     for v in units:
-        changed = list(compress(range(m), map(is_not, w, v)))
-        if not all(map(isinstance, map(v.__getitem__, changed), repeat(int))):
-            return None
-        for i in changed:
+        for i in compress(range(m), map(is_not, w, v)):
+            if not isinstance(v[i], int):
+                return None
             if d := v[i] - w[i]:
                 norm += d * (2 * qw[i] + d * diag[i])
                 for j, x in neighbours[i]:

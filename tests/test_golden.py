@@ -126,7 +126,7 @@ def forge(kind, units, m, i, j, p):
     added = lambda v, w: tuple(a + b for a, b in zip(v, w))
     if j == i:
         j = (i + 1) % k
-    if kind == "zero beside norm -2":  # the trace balances; only the nonzero check sees it
+    if kind == "zero beside norm -2":  # the norms still sum to -k; only a check of each norm sees it
         units[i], units[j] = (0,) * m, added(units[i], units[j])
     elif kind == "sum of two units":
         units[i] = added(units[i], units[j])
@@ -162,7 +162,7 @@ def certificate_check(form, units):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.integers(0, 10**4), st.sampled_from(FORGERIES), st.integers(0, 10**4), st.integers(0, 10**4), st.integers(0, 10**4))
 def test_certificate_check_matches_the_per_unit_oracle(n, kind, i, j, p):
-    """The trace check and the per-unit check accept the same unit lists and reject them with one message.
+    """The library's incremental check and the per-unit check accept the same unit lists and reject them with one message.
 
     Tried on the units of every corpus certificate (both corpora, the gap
     ladder among them), as they are or forged as FORGERIES names.

@@ -657,7 +657,7 @@ refuse("forged dual class", CertificateViolation, max_sharp_pairing, diagonalize
 minus_i2 = IntersectionForm([-1, -1], [[], [], []])
 rational = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
 refuse("rational units", ValueError, certificate, minus_i2, rational)
-# a zero unit beside (1, 1), of norm -2, balances the trace of E^T Q E; only the nonzero check refuses it
+# a zero unit beside (1, 1), of norm -2, keeps the norms' sum at -2; only a check of each norm refuses it
 refuse("zero unit", ValueError, certificate, minus_i2, ((0, 0), (1, 1)))
 refuse("det 3 certificate", ValueError, certificate, IntersectionForm([-2, -2], [[0], [1], [1]]), ())
 refuse("indefinite form", ValueError, IntersectionForm, [1, -1], [[], [], []])
