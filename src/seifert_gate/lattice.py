@@ -194,9 +194,9 @@ def _fixed_norm_enumeration(form: IntersectionForm, cap: int) -> tuple[list[tupl
     feeds.  A column that feeds no level needs no fall for its own level j:
     no earlier column meets it, so its weight c_j den_j^2 is scale (-Q_jj),
     at least the whole norm.  Holding its value, level j then has a second
-    feasible value only at R = scale, where its interval is [0, 1] and lo = 0
-    is the value it holds; the climb moves it to 1, which spends the norm,
-    and the chain that starts at once below it sets low to j.
+    feasible value only at R = scale, where its interval is at most [0, 1]
+    and lo = 0 is the value it holds; the climb to 1 spends the norm, so a
+    chain starts at once just below j, gets past low and sets it to j.
     """
     cap = validate_cap(cap)
     m = form.m
